@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -35,38 +35,52 @@ EXIT_ABORT = 1
 EXIT_USAGE = 2
 EXIT_VERIFY = 3
 
-TRACE_HEADER = "k,branch,norm_g,phi,hatphi,wL,wQ,deltaL,deltaQ,norm_s,dq,f"
-
 
 def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def write_trace_csv(path: str, trace: list[IterateRecord]) -> None:
-    """Write a trace in the fixed 12-column format, '\\n' line endings."""
-    lines = [TRACE_HEADER]
-    for r in trace:
-        f_field = "" if r.f is None else _fmt(r.f)
-        lines.append(
-            ",".join(
-                [
-                    str(r.k),
-                    r.branch,
-                    _fmt(r.norm_g),
-                    _fmt(r.phi),
-                    _fmt(r.hatphi),
-                    _fmt(r.w_l),
-                    _fmt(r.w_q),
-                    _fmt(r.delta_l),
-                    _fmt(r.delta_q),
-                    _fmt(r.norm_s),
-                    _fmt(r.dq),
-                    f_field,
-                ]
-            )
-        )
+def _fmt_optional(v: Optional[float]) -> str:
+    return "" if v is None else _fmt(v)
+
+
+def _parse_optional(text: str) -> Optional[float]:
+    return None if text == "" else float(text)
+
+
+# The trace CSV columns: (header name, IterateRecord field, formatter, parser).
+_TRACE_COLUMNS = (
+    ("k", "k", str, int),
+    ("branch", "branch", str, str),
+    ("norm_g", "norm_g", _fmt, float),
+    ("phi", "phi", _fmt, float),
+    ("hatphi", "hatphi", _fmt, float),
+    ("wL", "w_l", _fmt, float),
+    ("wQ", "w_q", _fmt, float),
+    ("deltaL", "delta_l", _fmt, float),
+    ("deltaQ", "delta_q", _fmt, float),
+    ("norm_s", "norm_s", _fmt, float),
+    ("dq", "dq", _fmt, float),
+    ("f", "f", _fmt_optional, _parse_optional),
+)
+
+TRACE_HEADER = ",".join(name for name, _, _, _ in _TRACE_COLUMNS)
+
+_BREAKPOINT_FIELDS = ("x", "f", "g", "hess", "phi", "s", "dq")
+
+
+def _write_csv(path: str, header: str, rows: Iterable[Iterable[str]]) -> None:
+    """Write a header line and one line per row of formatted cells, '\\n' line endings."""
+    lines = [header]
+    lines.extend(",".join(row) for row in rows)
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_trace_csv(path: str, trace: list[IterateRecord]) -> None:
+    """Write a trace in the fixed 12-column format, '\\n' line endings."""
+    rows = ([fmt(getattr(r, field)) for _, field, fmt, _ in _TRACE_COLUMNS] for r in trace)
+    _write_csv(path, TRACE_HEADER, rows)
 
 
 def parse_trace_csv(path: str) -> list[IterateRecord]:
@@ -80,31 +94,18 @@ def parse_trace_csv(path: str) -> list[IterateRecord]:
     out: list[IterateRecord] = []
     for ln in lines[1:]:
         parts = ln.split(",")
-        if len(parts) != 12:
-            raise ValueError(f"{path}: expected 12 columns, got {len(parts)}")
-        out.append(
-            IterateRecord(
-                k=int(parts[0]),
-                x=None,
-                branch=parts[1],
-                norm_g=float(parts[2]),
-                phi=float(parts[3]),
-                hatphi=float(parts[4]),
-                w_l=float(parts[5]),
-                w_q=float(parts[6]),
-                delta_l=float(parts[7]),
-                delta_q=float(parts[8]),
-                norm_s=float(parts[9]),
-                dq=float(parts[10]),
-                f=None if parts[11] == "" else float(parts[11]),
+        if len(parts) != len(_TRACE_COLUMNS):
+            raise ValueError(
+                f"{path}: expected {len(_TRACE_COLUMNS)} columns, got {len(parts)}"
             )
-        )
+        cells = {field: parse(p) for (_, field, _, parse), p in zip(_TRACE_COLUMNS, parts)}
+        out.append(IterateRecord(x=None, **cells))
     return out
 
 
 def _build_scaling(args: argparse.Namespace):
+    varsigma = 1.0 if args.varsigma is None else args.varsigma
     if args.scaling == "adagrad":
-        varsigma = 1.0 if args.varsigma is None else args.varsigma
         return AdagradScaling(
             varsigma=varsigma,
             mu=args.mu,
@@ -113,7 +114,6 @@ def _build_scaling(args: argparse.Namespace):
             theta_q=args.theta,
             policy=args.policy,
         )
-    varsigma = 1.0 if args.varsigma is None else args.varsigma
     return DivergentScaling(
         varsigma=varsigma,
         kappa_w=args.kappa_w,
@@ -203,34 +203,14 @@ def cmd_sharpness(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    lines = ["x,f,fp,fpp"]
-    for row in zip(xs, fs, fps, fpps):
-        lines.append(",".join(_fmt(v) for v in row))
-    with open(args.out, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-
+    _write_csv(args.out, "x,f,fp,fpp", (map(_fmt, row) for row in zip(xs, fs, fps, fpps)))
     bp_path = _companion_path(args.out)
-    bp_lines = ["k,x,f,g,hess,phi,s,dq"]
-    for k in range(seq.K + 1):
-        bp_lines.append(
-            ",".join(
-                [str(k)]
-                + [
-                    _fmt(v)
-                    for v in (
-                        seq.x[k],
-                        seq.f[k],
-                        seq.g[k],
-                        seq.hess[k],
-                        seq.phi[k],
-                        seq.s[k],
-                        seq.dq[k],
-                    )
-                ]
-            )
-        )
-    with open(bp_path, "w", newline="") as fh:
-        fh.write("\n".join(bp_lines) + "\n")
+    columns = [getattr(seq, name) for name in _BREAKPOINT_FIELDS]
+    _write_csv(
+        bp_path,
+        ",".join(("k",) + _BREAKPOINT_FIELDS),
+        ([str(k), *map(_fmt, row)] for k, row in enumerate(zip(*columns))),
+    )
 
     config = Astr2Config(scaling=scaling, max_iter=seq.K + 1)
     ok = replay_check(seq, config)
@@ -260,7 +240,6 @@ def cmd_trs_check(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     max_dev_brute = 0.0
     max_dev_krylov = 0.0
-    max_kkt = {k: 0.0 for k in ("feasibility", "complementarity", "stationarity", "psd", "multiplier_sign")}
     kkt_tol = {
         "feasibility": lambda d, g: 1e-10 * d,
         "complementarity": lambda d, g: 1e-8 * d,
@@ -268,6 +247,7 @@ def cmd_trs_check(args: argparse.Namespace) -> int:
         "psd": lambda d, g: 1e-10,
         "multiplier_sign": lambda d, g: 0.0,
     }
+    max_kkt = dict.fromkeys(kkt_tol, 0.0)
     violations = 0
     for i in range(args.count):
         n = int(rng.integers(1, args.max_n + 1))
@@ -288,8 +268,8 @@ def cmd_trs_check(args: argparse.Namespace) -> int:
     print(f"instances                  : {args.count} (seed {args.seed}, n <= {args.max_n})")
     print(f"max |dq_exact - dq_brute|  : {_fmt(max_dev_brute)}")
     print(f"max |dq_krylov - dq_exact| : {_fmt(max_dev_krylov)}")
-    for key in ("feasibility", "complementarity", "stationarity", "psd", "multiplier_sign"):
-        print(f"max kkt {key:<18}: {_fmt(max_kkt[key])}")
+    for key, val in max_kkt.items():
+        print(f"max kkt {key:<18}: {_fmt(val)}")
     print(f"kkt violations             : {violations}")
     if max_dev_brute > 1e-8 or max_dev_krylov > 1e-8 or violations > 0:
         print("error: deviation beyond tolerance", file=sys.stderr)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -81,6 +81,49 @@ class SharpnessSequence:
     f0_shift: Optional[float] = None
 
 
+def _generate(
+    family: str,
+    params: dict,
+    K: int,
+    expo: float,
+    f0: float,
+    weight: Callable[[int, float], float],
+) -> SharpnessSequence:
+    """The worst-case iterations 0..K shared by both families.
+
+    phi_k = (k+1)^{-expo}; ``weight(k, b_k)`` gives w_k from the index and
+    the running sum b_k = sum_{j<=k} phi_j^3; the step is s_k = phi_k / w_k
+    and the decrease dq_k = phi_k s_k^2, telescoped down from f_0 = ``f0``.
+    """
+    xs = [0.0]
+    fs = [f0]
+    phis, ss, dqs = [], [], []
+    b = 0.0
+    for k in range(K + 1):
+        phi = (k + 1.0) ** (-expo)
+        b += phi ** 3
+        s = phi / weight(k, b)
+        dq = phi * s * s
+        phis.append(phi)
+        ss.append(s)
+        dqs.append(dq)
+        xs.append(xs[-1] + s)
+        fs.append(fs[-1] - dq)
+    phi_arr = np.array(phis)
+    return SharpnessSequence(
+        family=family,
+        params=params,
+        K=K,
+        x=np.array(xs),
+        f=np.array(fs),
+        g=np.zeros(K + 1),
+        hess=-2.0 * phi_arr,
+        phi=phi_arr,
+        s=np.array(ss),
+        dq=np.array(dqs),
+    )
+
+
 def gen_adagrad_example(
     mu: float, nu: float, eps: float, varsigma: float, K: int
 ) -> SharpnessSequence:
@@ -102,34 +145,13 @@ def gen_adagrad_example(
     if not (isinstance(K, (int, np.integer)) and K >= 1):
         raise ValueError(f"K must be an integer >= 1, got {K!r}")
 
-    expo = 1.0 / 3.0 + eps
-    xs = [0.0]
-    fs = [zeta(1.0 + 3.0 * eps)]
-    phis, ss, dqs = [], [], []
-    b = 0.0
-    for k in range(K + 1):
-        phi = (k + 1.0) ** (-expo)
-        b += phi ** 3
-        w = (varsigma + b) ** nu
-        s = phi / w
-        dq = phi * s * s
-        phis.append(phi)
-        ss.append(s)
-        dqs.append(dq)
-        xs.append(xs[-1] + s)
-        fs.append(fs[-1] - dq)
-    phi_arr = np.array(phis)
-    return SharpnessSequence(
-        family="adagrad",
-        params={"mu": mu, "nu": nu, "eps": eps, "varsigma": varsigma},
-        K=K,
-        x=np.array(xs),
-        f=np.array(fs),
-        g=np.zeros(K + 1),
-        hess=-2.0 * phi_arr,
-        phi=phi_arr,
-        s=np.array(ss),
-        dq=np.array(dqs),
+    return _generate(
+        "adagrad",
+        {"mu": mu, "nu": nu, "eps": eps, "varsigma": varsigma},
+        K,
+        1.0 / 3.0 + eps,
+        zeta(1.0 + 3.0 * eps),
+        lambda k, b: (varsigma + b) ** nu,
     )
 
 
@@ -158,31 +180,13 @@ def gen_divergent_example(
         raise ValueError(f"K must be an integer >= 1, got {K!r}")
 
     gamma = gamma_floor + eps
-    xs = [0.0]
-    fs = [zeta(3.0 * gamma + 2.0 * mu2)]
-    phis, ss, dqs = [], [], []
-    for k in range(K + 1):
-        phi = (k + 1.0) ** (-gamma)
-        w = kappa_w * (k + 1.0) ** mu2
-        s = phi / w
-        dq = phi * s * s
-        phis.append(phi)
-        ss.append(s)
-        dqs.append(dq)
-        xs.append(xs[-1] + s)
-        fs.append(fs[-1] - dq)
-    phi_arr = np.array(phis)
-    return SharpnessSequence(
-        family="divergent",
-        params={"mu2": mu2, "eps": eps, "varsigma": varsigma, "kappa_w": kappa_w},
-        K=K,
-        x=np.array(xs),
-        f=np.array(fs),
-        g=np.zeros(K + 1),
-        hess=-2.0 * phi_arr,
-        phi=phi_arr,
-        s=np.array(ss),
-        dq=np.array(dqs),
+    return _generate(
+        "divergent",
+        {"mu2": mu2, "eps": eps, "varsigma": varsigma, "kappa_w": kappa_w},
+        K,
+        gamma,
+        zeta(3.0 * gamma + 2.0 * mu2),
+        lambda k, b: kappa_w * (k + 1.0) ** mu2,
     )
 
 

@@ -24,7 +24,7 @@ References
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -132,8 +132,7 @@ def solve_trs_exact(g: Array, H: Array, delta: float) -> TrsSolution:
         # 0/0 means no gradient on a critical direction: contributes nothing.
         return np.where((denom == 0.0) & (gt == 0.0), 0.0, c)
 
-    def finish(coords: Array, t: float, boundary: bool, hard: bool) -> TrsSolution:
-        d = Q @ coords
+    def finish(d: Array, t: float, boundary: bool, hard: bool) -> TrsSolution:
         dq = -(float(np.dot(g, d)) + 0.5 * float(np.dot(d, H @ d)))
         return TrsSolution(
             d=d,
@@ -156,22 +155,14 @@ def solve_trs_exact(g: Array, H: Array, delta: float) -> TrsSolution:
         if norm_dp <= delta:
             if t_lo == 0.0:
                 # PSD (possibly singular but compatible): interior optimum.
-                return finish(dp, 0.0, norm_dp >= delta * (1.0 - 1e-12), False)
+                return finish(Q @ dp, 0.0, norm_dp >= delta * (1.0 - 1e-12), False)
             # Hard case: push to the boundary along a critical eigenvector.
             u = _flip_sign(Q[:, 0], g)
             if norm_dp == 0.0:
                 theta = delta
             else:
                 theta = float(np.sqrt(max(0.0, delta * delta - norm_dp * norm_dp)))
-            d = Q @ dp + theta * u
-            dq = -(float(np.dot(g, d)) + 0.5 * float(np.dot(d, H @ d)))
-            return TrsSolution(
-                d=d,
-                multiplier=float(t_lo),
-                model_decrease=max(dq, 0.0),
-                on_boundary=True,
-                hard_case=True,
-            )
+            return finish(Q @ dp + theta * u, t_lo, True, True)
 
     # Boundary solution with t strictly above t_lo: safeguarded Newton on
     # phi(t) = 1/||d(t)|| - 1/Delta, increasing with phi(t_lo) <= 0.
@@ -198,7 +189,6 @@ def solve_trs_exact(g: Array, H: Array, delta: float) -> TrsSolution:
         hi = t_lo + 2.0 * (hi - t_lo)
 
     t = 0.5 * (lo + hi)
-    coords = coords_at(t)
     for _ in range(200):
         val, slope, coords = phi_and_slope(t)
         if abs(val) * delta <= _SECULAR_TOL:
@@ -213,7 +203,7 @@ def solve_trs_exact(g: Array, H: Array, delta: float) -> TrsSolution:
         if t_new == t and hi - lo <= 1e-15 * max(1.0, t):
             break
         t = t_new
-    return finish(coords, t, True, False)
+    return finish(Q @ coords, t, True, False)
 
 
 def cauchy_decrease(
@@ -293,6 +283,50 @@ def eigen_decrease(
     return u, alpha, max(dq, 0.0)
 
 
+def _orthogonalize(w: Array, V: list[Array]) -> Array:
+    # One Gram-Schmidt pass against the orthonormal basis V, in place.
+    for u in V:
+        w -= np.dot(w, u) * u
+    return w
+
+
+def _lanczos_step(
+    hvp: HvpHandle, V: list[Array], alphas: list[float], betas: list[float]
+) -> tuple[Array, float]:
+    """Expand the Lanczos basis V by one product with H.
+
+    Appends alpha_m = v_m^T H v_m to ``alphas`` and returns the residual w of
+    the three-term recurrence, fully reorthogonalized against V, with its
+    norm beta_m.  The caller appends beta_m and w / beta_m (or a restart).
+    """
+    w = np.asarray(hvp(V[-1]), dtype=float)
+    a = float(np.dot(V[-1], w))
+    alphas.append(a)
+    w = w - a * V[-1] - (betas[-1] * V[-2] if betas else 0.0)
+    w = _orthogonalize(w, V)
+    return w, float(np.linalg.norm(w))
+
+
+def _tridiagonal(alphas: list[float], betas: list[float]) -> Array:
+    """The Lanczos matrix T_m: ``alphas`` on the diagonal, the first m-1
+    ``betas`` beside it."""
+    m = len(alphas)
+    T = np.diag(alphas)
+    if m > 1:
+        idx = np.arange(m - 1)
+        T[idx, idx + 1] = betas[: m - 1]
+        T[idx + 1, idx] = betas[: m - 1]
+    return T
+
+
+def _combine(y: Array, V: list[Array]) -> Array:
+    """sum_i y_i v_i over the first len(y) basis vectors."""
+    d = np.zeros(V[0].shape[0])
+    for coeff, vec in zip(y, V):
+        d += coeff * vec
+    return d
+
+
 def min_eigpair(
     H: Union[Array, HvpHandle],
     n: Optional[int] = None,
@@ -305,7 +339,8 @@ def min_eigpair(
     Dense path: full symmetric eigendecomposition.  Matrix-free path:
     Lanczos with full reorthogonalization from a deterministic random start,
     converged when the Ritz residual |beta_j * y_j| certifies
-    u^T H u <= chi * lambda_min + tol.
+    u^T H u <= chi * lambda_min + tol, or when the basis spans the whole
+    space (the Ritz pair is then exact).
 
     Raises
     ------
@@ -316,85 +351,48 @@ def min_eigpair(
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     if not callable(H):
-        Hs = _check_symmetric(H)
-        lam, Q = np.linalg.eigh(Hs)
-        u = Q[:, 0]
-        if u[np.argmax(np.abs(u))] < 0.0:
-            u = -u
-        return EigenPair(value=float(lam[0]), vector=u)
-
-    if n is None:
-        raise ValueError("matrix-free min_eigpair needs the dimension n")
-    if maxiter is None:
-        maxiter = max(4 * n, 200)
-    rng = np.random.default_rng(1842962133)  # fixed seed: deterministic runs
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    V = [v]
-    alphas: list[float] = []
-    betas: list[float] = []
-    theta = 0.0
-    for j in range(maxiter):
-        w = np.asarray(H(V[-1]), dtype=float)
-        a = float(np.dot(V[-1], w))
-        alphas.append(a)
-        w = w - a * V[-1] - (betas[-1] * V[-2] if betas else 0.0)
-        for u_prev in V:  # full reorthogonalization
-            w -= np.dot(w, u_prev) * u_prev
-        b = float(np.linalg.norm(w))
-
-        m = len(alphas)
-        T = np.diag(alphas)
-        if m > 1:
-            idx = np.arange(m - 1)
-            T[idx, idx + 1] = betas
-            T[idx + 1, idx] = betas
-        ritz_vals, ritz_vecs = np.linalg.eigh(T)
-        theta = float(ritz_vals[0])
-        y = ritz_vecs[:, 0]
-        resid = abs(b * y[-1])
-        tol_eff = tol if theta < 0.0 else tol * max(1.0, theta)
-        if resid <= tol_eff:
-            u = np.zeros(n)
-            for coeff, vec in zip(y, V):
-                u += coeff * vec
-            u /= np.linalg.norm(u)
-            if u[np.argmax(np.abs(u))] < 0.0:
-                u = -u
-            return EigenPair(value=theta, vector=u)
-        if b <= 1e-14 * max(1.0, abs(a)):
-            # Invariant subspace: deflate by restarting orthogonally to it.
-            w = rng.standard_normal(n)
-            for u_prev in V:
-                w -= np.dot(w, u_prev) * u_prev
-            b = float(np.linalg.norm(w))
-            if b <= 1e-14:
-                break  # space exhausted; Ritz data is exact
-            betas.append(0.0)
+        lam, Q = np.linalg.eigh(_check_symmetric(H))
+        theta, u = float(lam[0]), Q[:, 0]
+    else:
+        if n is None:
+            raise ValueError("matrix-free min_eigpair needs the dimension n")
+        if maxiter is None:
+            maxiter = max(4 * n, 200)
+        rng = np.random.default_rng(1842962133)  # fixed seed: deterministic runs
+        v = rng.standard_normal(n)
+        v /= np.linalg.norm(v)
+        V = [v]
+        alphas: list[float] = []
+        betas: list[float] = []
+        theta = 0.0
+        for _ in range(maxiter):
+            w, b = _lanczos_step(H, V, alphas, betas)
+            ritz_vals, ritz_vecs = np.linalg.eigh(_tridiagonal(alphas, betas))
+            theta, y = float(ritz_vals[0]), ritz_vecs[:, 0]
+            tol_eff = tol if theta < 0.0 else tol * max(1.0, theta)
+            if abs(b * y[-1]) <= tol_eff:
+                break
+            if b <= 1e-14 * max(1.0, abs(alphas[-1])):
+                # Invariant subspace: deflate by restarting orthogonally to it.
+                w = _orthogonalize(rng.standard_normal(n), V)
+                b = float(np.linalg.norm(w))
+                if b <= 1e-14:
+                    break  # space exhausted; Ritz data is exact
+                betas.append(0.0)
+            else:
+                betas.append(b)
             V.append(w / b)
-            continue
-        betas.append(b)
-        V.append(w / b)
-
-    # Exhausted the full space exactly: the last Ritz pair is the answer.
-    if len(V) >= n:
-        m = len(alphas)
-        T = np.diag(alphas)
-        if m > 1:
-            idx = np.arange(m - 1)
-            T[idx, idx + 1] = betas[: m - 1]
-            T[idx + 1, idx] = betas[: m - 1]
-        ritz_vals, ritz_vecs = np.linalg.eigh(T)
-        u = np.zeros(n)
-        for coeff, vec in zip(ritz_vecs[:, 0], V[:m]):
-            u += coeff * vec
+        else:
+            if len(V) < n:
+                raise LanczosNoConvergence(
+                    f"no convergence in {maxiter} Lanczos iterations "
+                    f"(last Ritz value {theta:.6g})"
+                )
+        u = _combine(y, V)
         u /= np.linalg.norm(u)
-        if u[np.argmax(np.abs(u))] < 0.0:
-            u = -u
-        return EigenPair(value=float(ritz_vals[0]), vector=u)
-    raise LanczosNoConvergence(
-        f"no convergence in {maxiter} Lanczos iterations (last Ritz value {theta:.6g})"
-    )
+    if u[np.argmax(np.abs(u))] < 0.0:
+        u = -u
+    return EigenPair(value=theta, vector=u)
 
 
 def solve_trs_krylov(
@@ -444,53 +442,23 @@ def solve_trs_krylov(
     V = [v]
     alphas: list[float] = []
     betas: list[float] = []
-    best: Optional[TrsSolution] = None
-    best_y: Optional[Array] = None
     prev_dq = 0.0
-    m_used = 0
     for m in range(1, max_dim + 1):
-        w = np.asarray(hvp(V[-1]), dtype=float)
-        a = float(np.dot(V[-1], w))
-        alphas.append(a)
-        w = w - a * V[-1] - (betas[-1] * V[-2] if betas else 0.0)
-        for u_prev in V:
-            w -= np.dot(w, u_prev) * u_prev
-        b = float(np.linalg.norm(w))
-
-        T = np.diag(alphas)
-        if m > 1:
-            idx = np.arange(m - 1)
-            T[idx, idx + 1] = betas
-            T[idx + 1, idx] = betas
+        w, b = _lanczos_step(hvp, V, alphas, betas)
         g_sub = np.zeros(m)
         g_sub[0] = gnorm
-        sol = solve_trs_exact(g_sub, T, delta)
-        best, best_y, m_used = sol, sol.d, m
+        sol = solve_trs_exact(g_sub, _tridiagonal(alphas, betas), delta)
 
         gain = sol.model_decrease - prev_dq
         prev_dq = sol.model_decrease
         if m > 1 and gain < 1e-8 * max(sol.model_decrease, 1e-300):
             break
-        if b <= 1e-12 * max(1.0, abs(a)):
+        if b <= 1e-12 * max(1.0, abs(alphas[-1])):
             break  # breakdown: invariant subspace reached, current best is exact in it
         if m < max_dim:
             betas.append(b)
             V.append(w / b)
-
-    assert best is not None and best_y is not None
-    d = np.zeros(n)
-    for coeff, vec in zip(best_y, V[:m_used]):
-        d += coeff * vec
-    return (
-        TrsSolution(
-            d=d,
-            multiplier=best.multiplier,
-            model_decrease=best.model_decrease,
-            on_boundary=best.on_boundary,
-            hard_case=best.hard_case,
-        ),
-        m_used,
-    )
+    return replace(sol, d=_combine(sol.d, V)), m
 
 
 def kkt_residuals(g: Array, H: Array, delta: float, sol: TrsSolution) -> dict[str, float]:
