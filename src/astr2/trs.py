@@ -95,7 +95,12 @@ def solve_trs_exact(g: Array, H: Array, delta: float) -> TrsSolution:
     equation phi(t) = 1/||d(t)|| - 1/Delta over t >= max(0, -lambda_min),
     with the hard case (gradient orthogonal to the critical eigenspace and
     interior pseudo-inverse solution) resolved by an explicit eigenvector
-    correction to the boundary.
+    correction to the boundary.  Near the hard case (gradient small but not
+    negligible on the critical eigenspace) t cannot always be resolved to
+    the secular tolerance in floating point; the Newton iteration then keeps
+    its feasible bracket end and reaches the boundary along the critical
+    eigenvector with the smaller of the two steps (More-Sorensen), so
+    ||d|| = Delta to rounding on every boundary solution.
 
     Parameters
     ----------
@@ -192,7 +197,7 @@ def solve_trs_exact(g: Array, H: Array, delta: float) -> TrsSolution:
     for _ in range(200):
         val, slope, coords = phi_and_slope(t)
         if abs(val) * delta <= _SECULAR_TOL:
-            break
+            return finish(Q @ coords, t, True, False)
         if val < 0.0:
             lo = t
         else:
@@ -203,7 +208,17 @@ def solve_trs_exact(g: Array, H: Array, delta: float) -> TrsSolution:
         if t_new == t and hi - lo <= 1e-15 * max(1.0, t):
             break
         t = t_new
-    return finish(Q @ coords, t, True, False)
+    # Near the hard case (t close to -lambda_1, the gradient small on the
+    # critical eigenvector) ||d(t)|| changes too fast for t to be resolved in
+    # floating point.  Take the feasible end hi and reach the boundary along
+    # the critical eigenvector by the root of smaller magnitude, which
+    # changes the model least (More-Sorensen).
+    coords = coords_at(hi)
+    p = coords[0]
+    r = max(0.0, delta * delta - float(np.dot(coords, coords)))
+    if r > 0.0:
+        coords[0] += np.copysign(r / (abs(p) + np.sqrt(p * p + r)), p)
+    return finish(Q @ coords, hi, True, False)
 
 
 def cauchy_decrease(

@@ -181,6 +181,18 @@ def test_subspace_mode_matches_dense_mode_on_smooth_runs():
         assert b.dq == pytest.approx(a.dq, rel=1e-9, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [100, 300, 1000])
+def test_subspace_quadratic_step_stays_inside_its_radius_near_a_maximum(n):
+    # At k = 0 the Krylov step's tridiagonal solve is near the hard case; it
+    # used to overshoot delta_q by 1.5e-12 to 4.9e-12 relative.
+    x0 = 1e-6 * np.random.default_rng(1).standard_normal(n)
+    cfg = Astr2Config(scaling=AdagradScaling(), max_iter=1, subspace_max_dim=20)
+    (rec,) = run(make_problem("cosine_sum", n), x0, cfg)
+    assert rec.branch == "Q"
+    assert rec.norm_s <= rec.delta_q
+    assert rec.norm_s == pytest.approx(rec.delta_q, rel=1e-14)
+
+
 def test_subspace_mode_required_when_no_dense_hessian():
     base = make_problem("quadratic_psd", 4)
     oracle = dataclasses.replace(base, hessian=None)

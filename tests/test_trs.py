@@ -67,6 +67,33 @@ def test_hard_case_with_orthogonal_gradient():
     assert sol.model_decrease == pytest.approx(bf, abs=1e-8)
 
 
+def _trs_check_instance(seed, index, max_n=8, radii=(0.1, 1.0, 10.0)):
+    # The index-th instance `astr2 trs-check --seed SEED --max-n MAX_N` draws.
+    rng = np.random.default_rng(seed)
+    for _ in range(index + 1):
+        n = int(rng.integers(1, max_n + 1))
+        H = random_symmetric(rng, n)
+        g = rng.uniform(-2.0, 2.0, n)
+        delta = radii[int(rng.integers(len(radii)))]
+    return g, H, delta
+
+
+def test_near_hard_case_lands_on_the_boundary():
+    # t is within 1.1e-5 of -lambda_1 and the gradient's critical component is
+    # 1.1e-4, so the secular equation cannot be solved to _SECULAR_TOL: the
+    # step must still reach the boundary and match the Krylov and brute-force
+    # values (trs-check --count 500 --max-n 8 --seed 7 failed on this one).
+    g, H, delta = _trs_check_instance(7, 224)
+    assert (len(g), delta) == (5, 10.0)
+    sol = solve_trs_exact(g, H, delta)
+    assert np.linalg.norm(sol.d) == pytest.approx(delta, rel=1e-14)
+    assert_kkt(g, H, delta, sol)
+    kr, _ = solve_trs_krylov(g, lambda v: H @ v, delta, max_dim=len(g))
+    assert abs(kr.model_decrease - sol.model_decrease) <= 1e-10
+    bf = brute_force_decrease(g, H, delta, rng=np.random.default_rng([7, 224]))
+    assert abs(sol.model_decrease - bf) <= 1e-9
+
+
 def test_singular_psd_compatible_gradient_is_interior():
     # H has a null direction carrying no gradient: pseudo-inverse step,
     # no spurious boundary push.
