@@ -40,7 +40,9 @@ Array = np.ndarray
 
 
 class SolverAbort(RuntimeError):
-    """Non-finite derivative values; carries the trace recorded so far."""
+    """Non-finite derivative values, or a matrix-free Lanczos solve that did
+    not converge with no dense Hessian to fall back to; carries the trace
+    recorded so far."""
 
     def __init__(self, reason: str, trace: list["IterateRecord"]):
         super().__init__(reason)
@@ -147,12 +149,7 @@ def astr2_step(
     H: Optional[Array] = None
     eigpair = None
     if subspace:
-        def hvp(v: Array) -> Array:
-            out = np.asarray(oracle.hvp(x, v), dtype=float)
-            if not np.all(np.isfinite(out)):
-                raise ValueError(f"non-finite Hessian-vector product at iteration {k}")
-            return out
-
+        hvp = _checked_hvp(oracle, x, k)
         seed = None
         if norm_g == 0.0:
             eigpair = _min_eigpair_with_fallback(oracle, x, hvp, config.chi)
@@ -191,13 +188,12 @@ def astr2_step(
             s, dq = sol.d, sol.model_decrease
             # The subspace solve can in principle miss the required fraction of
             # the best single-direction decreases; check and fall back.
-            _, dq_c = cauchy_decrease(g, hvp, delta_q)
+            alpha_c, dq_c = cauchy_decrease(g, hvp, delta_q)
             if eigpair is None:
                 eigpair = _min_eigpair_with_fallback(oracle, x, hvp, config.chi)
             u, alpha_e, dq_e = eigen_decrease(g, hvp, delta_q, config.chi, eigpair=eigpair)
             if dq + 1e-10 < config.tau * max(dq_c, dq_e):
                 if dq_c >= dq_e:
-                    alpha_c, _ = cauchy_decrease(g, hvp, delta_q)
                     s, dq = -alpha_c * g, dq_c
                 else:
                     s, dq = alpha_e * u, dq_e
@@ -224,6 +220,16 @@ def astr2_step(
     return x_next, record
 
 
+def _checked_hvp(oracle: ProblemOracle, x: Array, k: int):
+    def hvp(v: Array) -> Array:
+        out = np.asarray(oracle.hvp(x, v), dtype=float)
+        if not np.all(np.isfinite(out)):
+            raise ValueError(f"non-finite Hessian-vector product at iteration {k}")
+        return out
+
+    return hvp
+
+
 def _min_eigpair_with_fallback(oracle, x, hvp, chi):
     try:
         return min_eigpair(hvp, n=oracle.n, tol=1e-8, chi=chi)
@@ -238,14 +244,21 @@ def run(oracle: ProblemOracle, x0: Array, config: Astr2Config) -> list[IterateRe
 
     Stops after ``max_iter`` iterations, or earlier as soon as the recorded
     iteration satisfies phi1 <= eps1 and phi2 <= eps2/2 at radius 1 (when the
-    thresholds are set).  The scaling template in ``config`` is copied, so
-    repeated runs from the same config are identical.
+    thresholds are set).  In subspace mode phi2 is measured on a Krylov
+    space that can miss the negative curvature, so the iterate must also
+    certify max(0, -lambda_min)/2 <= eps2/2 with a Lanczos estimate of
+    lambda_min (with unit radius, phi2 >= -lambda_min/2); the estimate is
+    computed only once the measured test holds.  The scaling template in
+    ``config`` is copied, so repeated runs from the same config are
+    identical.
 
     Raises
     ------
     SolverAbort
-        On non-finite derivative values; the exception carries the partial
-        trace in its ``trace`` attribute.
+        On non-finite derivative values, or when a matrix-free Lanczos solve
+        does not converge and the problem has no dense Hessian to fall back
+        to; the exception carries the partial trace in its ``trace``
+        attribute.
     """
     x = np.asarray(x0, dtype=float)
     if x.shape != (oracle.n,):
@@ -257,13 +270,24 @@ def run(oracle: ProblemOracle, x0: Array, config: Astr2Config) -> list[IterateRe
     for k in range(config.max_iter):
         try:
             x, record = astr2_step(oracle, x, k, config, state)
-        except ValueError as exc:
-            raise SolverAbort(str(exc), trace) from exc
-        trace.append(record)
-        if config.eps1 is not None:
-            if record.norm_g * config.delta <= config.eps1 and record.phi <= config.eps2 / 2.0:
+            trace.append(record)
+            if _terminates(oracle, record, config):
                 break
+        except (ValueError, LanczosNoConvergence) as exc:
+            raise SolverAbort(str(exc), trace) from exc
     return trace
+
+
+def _terminates(oracle: ProblemOracle, record: IterateRecord, config: Astr2Config) -> bool:
+    if config.eps1 is None:
+        return False
+    if not (record.norm_g * config.delta <= config.eps1 and record.phi <= config.eps2 / 2.0):
+        return False
+    if config.subspace_max_dim is None:
+        return True
+    hvp = _checked_hvp(oracle, record.x, record.k)
+    pair = _min_eigpair_with_fallback(oracle, record.x, hvp, config.chi)
+    return max(0.0, -pair.value) / 2.0 <= config.eps2 / 2.0
 
 
 def rate_envelopes(trace: list[IterateRecord]) -> tuple[float, float, float, float]:

@@ -66,6 +66,11 @@ class EigenPair:
     vector: Array
 
 
+def _check_radius(delta: float) -> None:
+    if not (np.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
+
+
 def _check_symmetric(H: Array) -> Array:
     H = np.asarray(H, dtype=float)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -118,8 +123,7 @@ def solve_trs_exact(g: Array, H: Array, delta: float) -> TrsSolution:
     g = np.asarray(g, dtype=float)
     if not np.all(np.isfinite(g)):
         raise ValueError("g contains non-finite entries")
-    if not (np.isfinite(delta) and delta > 0):
-        raise ValueError(f"delta must be positive and finite, got {delta!r}")
+    _check_radius(delta)
     H = _check_symmetric(H)
     n = g.shape[0]
     if H.shape[0] != n:
@@ -235,8 +239,7 @@ def cauchy_decrease(
     (alpha, dq_c) : tuple of float
         The maximizing alpha and the achieved decrease (0 when g = 0).
     """
-    if not (np.isfinite(delta) and delta > 0):
-        raise ValueError(f"delta must be positive and finite, got {delta!r}")
+    _check_radius(delta)
     g = np.asarray(g, dtype=float)
     gnorm2 = float(np.dot(g, g))
     if gnorm2 == 0.0:
@@ -273,8 +276,7 @@ def eigen_decrease(
     -------
     (u, alpha, dq_e)
     """
-    if not (np.isfinite(delta) and delta > 0):
-        raise ValueError(f"delta must be positive and finite, got {delta!r}")
+    _check_radius(delta)
     if not (0.0 < chi <= 1.0):
         raise ValueError(f"chi must be in (0, 1], got {chi!r}")
     g = np.asarray(g, dtype=float)
@@ -433,8 +435,7 @@ def solve_trs_krylov(
     -------
     (TrsSolution, subspace_dim)
     """
-    if not (np.isfinite(delta) and delta > 0):
-        raise ValueError(f"delta must be positive and finite, got {delta!r}")
+    _check_radius(delta)
     if max_dim < 1:
         raise ValueError(f"max_dim must be >= 1, got {max_dim!r}")
     if not (0.0 < tau <= 1.0):

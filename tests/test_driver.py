@@ -16,6 +16,7 @@ from astr2 import (
     run,
 )
 from astr2.driver import IterateRecord
+from astr2.trs import LanczosNoConvergence
 from astr2.oracle import ProblemOracle
 
 
@@ -157,6 +158,40 @@ def test_abort_carries_the_partial_trace():
         run(oracle, np.zeros(2), adagrad_config(max_iter=10))
     assert len(info.value.trace) == 3
     assert "non-finite" in info.value.reason
+
+
+def test_lanczos_failure_without_dense_hessian_aborts_with_the_trace(monkeypatch):
+    import astr2.driver
+
+    calls = {"n": 0}
+    real_min_eigpair = astr2.driver.min_eigpair
+
+    def min_eigpair(H, **kw):
+        calls["n"] += 1
+        if calls["n"] > 1:
+            raise LanczosNoConvergence("no convergence (test)")
+        return real_min_eigpair(H, **kw)
+
+    monkeypatch.setattr(astr2.driver, "min_eigpair", min_eigpair)
+    oracle = ProblemOracle(name="matrix_free_saddle", n=2,
+                           gradient=lambda x: np.array([1e-3, 0.0]),
+                           hessian=None,
+                           hvp=lambda x, v: -np.asarray(v, dtype=float))
+    with pytest.raises(SolverAbort) as info:
+        run(oracle, np.zeros(2), adagrad_config(max_iter=10, subspace_max_dim=2))
+    assert [r.branch for r in info.value.trace] == ["Q"]
+    assert "no convergence" in info.value.reason
+
+
+def test_subspace_termination_needs_a_curvature_certificate():
+    # At x0 the Krylov space grown from g = (1e-8, 0) misses the curvature -1
+    # along x2: the subspace phi2 is 2.5e-13, the dense one 0.5.  The run must
+    # not certify the strict saddle as second-order critical.
+    oracle = make_problem("saddle_cubic", 2)
+    cfg = adagrad_config(max_iter=5, eps1=1e-3, eps2=1e-3, subspace_max_dim=20)
+    trace = run(oracle, np.array([1e-4, 0.0]), cfg)
+    assert trace[0].phi < 1e-12
+    assert len(trace) == 5
 
 
 def test_divergent_scaling_drives_the_radii_down():
