@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -136,8 +136,10 @@ def astr2_step(
     """One full iteration from x; returns (next iterate, trace record).
 
     Mutates ``scaling_state`` (accumulator update for the decided branch).
-    Raises ValueError on non-finite derivative values; :func:`run` converts
-    that to :class:`SolverAbort` with the partial trace attached.
+    Raises ValueError on non-finite derivative values and
+    LanczosNoConvergence when a matrix-free Lanczos solve fails with no
+    dense Hessian to fall back to; :func:`run` converts both to
+    :class:`SolverAbort` with the partial trace attached.
     """
     x = np.asarray(x, dtype=float)
     g = np.asarray(oracle.gradient(x), dtype=float)
@@ -220,7 +222,7 @@ def astr2_step(
     return x_next, record
 
 
-def _checked_hvp(oracle: ProblemOracle, x: Array, k: int):
+def _checked_hvp(oracle: ProblemOracle, x: Array, k: int) -> Callable[[Array], Array]:
     def hvp(v: Array) -> Array:
         out = np.asarray(oracle.hvp(x, v), dtype=float)
         if not np.all(np.isfinite(out)):

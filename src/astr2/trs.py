@@ -325,14 +325,14 @@ def _lanczos_step(
 
 
 def _tridiagonal(alphas: list[float], betas: list[float]) -> Array:
-    """The Lanczos matrix T_m: ``alphas`` on the diagonal, the first m-1
+    """The Lanczos matrix T_m: the m ``alphas`` on the diagonal, the m-1
     ``betas`` beside it."""
     m = len(alphas)
     T = np.diag(alphas)
     if m > 1:
         idx = np.arange(m - 1)
-        T[idx, idx + 1] = betas[: m - 1]
-        T[idx + 1, idx] = betas[: m - 1]
+        T[idx, idx + 1] = betas
+        T[idx + 1, idx] = betas
     return T
 
 
@@ -362,8 +362,9 @@ def min_eigpair(
     Raises
     ------
     LanczosNoConvergence
-        Iteration cap reached before the residual test held (matrix-free
-        path only); callers may fall back to the dense path.
+        Iteration cap reached before the residual test held and before the
+        basis spanned the space (matrix-free path only); callers may fall
+        back to the dense path.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -400,7 +401,7 @@ def min_eigpair(
                 betas.append(b)
             V.append(w / b)
         else:
-            if len(V) < n:
+            if len(V) < n:  # else the basis spans the space and the Ritz pair is exact
                 raise LanczosNoConvergence(
                     f"no convergence in {maxiter} Lanczos iterations "
                     f"(last Ritz value {theta:.6g})"
