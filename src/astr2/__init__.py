@@ -15,6 +15,8 @@ from .oracle import ProblemOracle, make_problem, finite_diff_check, catalog_name
 from .trs import (
     TrsSolution,
     EigenPair,
+    DenseModel,
+    KrylovModel,
     solve_trs_exact,
     cauchy_decrease,
     eigen_decrease,
@@ -46,6 +48,8 @@ __all__ = [
     "catalog_names",
     "TrsSolution",
     "EigenPair",
+    "DenseModel",
+    "KrylovModel",
     "solve_trs_exact",
     "cauchy_decrease",
     "eigen_decrease",

@@ -93,19 +93,13 @@ def _flip_sign(u: Array, g: Array) -> Array:
     return u
 
 
-def solve_trs_exact(g: Array, H: Array, delta: float) -> TrsSolution:
-    """Globally solve the trust-region subproblem.
+class DenseModel:
+    """The local model g^T d + (1/2) d^T H d of one iterate, factorised once.
 
-    Full symmetric eigendecomposition, then safeguarded Newton on the secular
-    equation phi(t) = 1/||d(t)|| - 1/Delta over t >= max(0, -lambda_min),
-    with the hard case (gradient orthogonal to the critical eigenspace and
-    interior pseudo-inverse solution) resolved by an explicit eigenvector
-    correction to the boundary.  Near the hard case (gradient small but not
-    negligible on the critical eigenspace) t cannot always be resolved to
-    the secular tolerance in floating point; the Newton iteration then keeps
-    its feasible bracket end and reaches the boundary along the critical
-    eigenvector with the smaller of the two steps (More-Sorensen), so
-    ||d|| = Delta to rounding on every boundary solution.
+    H is symmetry-checked and eigendecomposed here, once; :meth:`solve` then
+    answers the subproblem at any radius from the cached ``lam``, ``Q`` and
+    ``gt = Q^T g``, so the measure at radius 1 and the step at another radius
+    share one ``eigh``.
 
     Parameters
     ----------
@@ -113,116 +107,133 @@ def solve_trs_exact(g: Array, H: Array, delta: float) -> TrsSolution:
         Gradient of the model at the center.
     H : ndarray
         Symmetric model Hessian (symmetrized after a tolerance check).
-    delta : float
-        Trust-region radius, > 0.
-
-    Returns
-    -------
-    TrsSolution
     """
-    g = np.asarray(g, dtype=float)
-    if not np.all(np.isfinite(g)):
-        raise ValueError("g contains non-finite entries")
-    _check_radius(delta)
-    H = _check_symmetric(H)
-    n = g.shape[0]
-    if H.shape[0] != n:
-        raise ValueError(f"shape mismatch: g has {n} entries, H is {H.shape}")
 
-    lam, Q = np.linalg.eigh(H)
-    gt = Q.T @ g
-    lam1 = lam[0]
-    t_lo = max(0.0, -lam1)
+    def __init__(self, g: Array, H: Array):
+        g = np.asarray(g, dtype=float)
+        if not np.all(np.isfinite(g)):
+            raise ValueError("g contains non-finite entries")
+        H = _check_symmetric(H)
+        if H.shape[0] != g.shape[0]:
+            raise ValueError(f"shape mismatch: g has {g.shape[0]} entries, H is {H.shape}")
+        self.g, self.H = g, H
+        self.lam, self.Q = np.linalg.eigh(H)
+        self.gt = self.Q.T @ g
 
-    def coords_at(t: float) -> Array:
-        denom = lam + t
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c = -gt / denom
-        # 0/0 means no gradient on a critical direction: contributes nothing.
-        return np.where((denom == 0.0) & (gt == 0.0), 0.0, c)
+    def solve(self, delta: float) -> TrsSolution:
+        """Globally solve the trust-region subproblem of radius ``delta`` > 0.
 
-    def finish(d: Array, t: float, boundary: bool, hard: bool) -> TrsSolution:
-        dq = -(float(np.dot(g, d)) + 0.5 * float(np.dot(d, H @ d)))
-        return TrsSolution(
-            d=d,
-            multiplier=float(t),
-            model_decrease=max(dq, 0.0),
-            on_boundary=boundary,
-            hard_case=hard,
-        )
+        Safeguarded Newton on the secular equation phi(t) = 1/||d(t)|| -
+        1/Delta over t >= max(0, -lambda_min), with the hard case (gradient
+        orthogonal to the critical eigenspace and interior pseudo-inverse
+        solution) resolved by an explicit eigenvector correction to the
+        boundary.  Near the hard case (gradient small but not negligible on
+        the critical eigenspace) t cannot always be resolved to the secular
+        tolerance in floating point; the Newton iteration then keeps its
+        feasible bracket end and reaches the boundary along the critical
+        eigenvector with the smaller of the two steps (More-Sorensen), so
+        ||d|| = Delta to rounding on every boundary solution.
+        """
+        _check_radius(delta)
+        g, H, lam, Q, gt = self.g, self.H, self.lam, self.Q, self.gt
+        n = g.shape[0]
+        t_lo = max(0.0, -lam[0])
 
-    # Pseudo-inverse solution at the left end of the multiplier range.
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    crit = (lam + t_lo) <= _GAP_TOL * scale
-    g_crit = float(np.linalg.norm(gt[crit])) if np.any(crit) else 0.0
+        def coords_at(t: float) -> Array:
+            denom = lam + t
+            with np.errstate(divide="ignore", invalid="ignore"):
+                c = -gt / denom
+            # 0/0 means no gradient on a critical direction: contributes nothing.
+            return np.where((denom == 0.0) & (gt == 0.0), 0.0, c)
 
-    if g_crit <= _HARD_TOL * max(1.0, float(np.linalg.norm(g))):
-        dp = np.zeros(n)
-        free = ~crit
-        dp[free] = -gt[free] / (lam[free] + t_lo)
-        norm_dp = float(np.linalg.norm(dp))
-        if norm_dp <= delta:
-            if t_lo == 0.0:
-                # PSD (possibly singular but compatible): interior optimum.
-                return finish(Q @ dp, 0.0, norm_dp >= delta * (1.0 - 1e-12), False)
-            # Hard case: push to the boundary along a critical eigenvector.
-            u = _flip_sign(Q[:, 0], g)
-            if norm_dp == 0.0:
-                theta = delta
+        def finish(d: Array, t: float, boundary: bool, hard: bool) -> TrsSolution:
+            dq = -(float(np.dot(g, d)) + 0.5 * float(np.dot(d, H @ d)))
+            return TrsSolution(
+                d=d,
+                multiplier=float(t),
+                model_decrease=max(dq, 0.0),
+                on_boundary=boundary,
+                hard_case=hard,
+            )
+
+        # Pseudo-inverse solution at the left end of the multiplier range.
+        scale = max(1.0, float(np.max(np.abs(lam))))
+        crit = (lam + t_lo) <= _GAP_TOL * scale
+        g_crit = float(np.linalg.norm(gt[crit])) if np.any(crit) else 0.0
+
+        if g_crit <= _HARD_TOL * max(1.0, float(np.linalg.norm(g))):
+            dp = np.zeros(n)
+            free = ~crit
+            dp[free] = -gt[free] / (lam[free] + t_lo)
+            norm_dp = float(np.linalg.norm(dp))
+            if norm_dp <= delta:
+                if t_lo == 0.0:
+                    # PSD (possibly singular but compatible): interior optimum.
+                    return finish(Q @ dp, 0.0, norm_dp >= delta * (1.0 - 1e-12), False)
+                # Hard case: push to the boundary along a critical eigenvector.
+                u = _flip_sign(Q[:, 0], g)
+                if norm_dp == 0.0:
+                    theta = delta
+                else:
+                    theta = float(np.sqrt(max(0.0, delta * delta - norm_dp * norm_dp)))
+                return finish(Q @ dp + theta * u, t_lo, True, True)
+
+        # Boundary solution with t strictly above t_lo: safeguarded Newton on
+        # phi(t) = 1/||d(t)|| - 1/Delta, increasing with phi(t_lo) <= 0.
+        gnorm = float(np.linalg.norm(g))
+        lo = t_lo
+        hi = t_lo + gnorm / delta
+        # Guard: widen until phi(hi) >= 0 (covers rounding at the analytic bound).
+        def phi_and_slope(t: float) -> tuple[float, float, Array]:
+            c = coords_at(t)
+            n2 = float(np.dot(c, c))
+            if not np.isfinite(n2) or n2 == 0.0:
+                return -1.0 / delta, 0.0, c
+            nrm = np.sqrt(n2)
+            denom = lam + t
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                s3 = np.where((denom == 0.0) & (gt == 0.0), 0.0, gt * gt / denom ** 3)
+            slope = float(np.sum(s3)) / nrm ** 3
+            return 1.0 / nrm - 1.0 / delta, slope, c
+
+        for _ in range(60):
+            val_hi, _, _ = phi_and_slope(hi)
+            if val_hi >= 0.0:
+                break
+            hi = t_lo + 2.0 * (hi - t_lo)
+
+        t = 0.5 * (lo + hi)
+        for _ in range(200):
+            val, slope, coords = phi_and_slope(t)
+            if abs(val) * delta <= _SECULAR_TOL:
+                return finish(Q @ coords, t, True, False)
+            if val < 0.0:
+                lo = t
             else:
-                theta = float(np.sqrt(max(0.0, delta * delta - norm_dp * norm_dp)))
-            return finish(Q @ dp + theta * u, t_lo, True, True)
+                hi = t
+            t_new = t - val / slope if slope > 0.0 and np.isfinite(slope) else t
+            if not (lo < t_new < hi):
+                t_new = 0.5 * (lo + hi)
+            if t_new == t and hi - lo <= 1e-15 * max(1.0, t):
+                break
+            t = t_new
+        # Near the hard case (t close to -lambda_1, the gradient small on the
+        # critical eigenvector) ||d(t)|| changes too fast for t to be resolved in
+        # floating point.  Take the feasible end hi and reach the boundary along
+        # the critical eigenvector by the root of smaller magnitude, which
+        # changes the model least (More-Sorensen).
+        coords = coords_at(hi)
+        p = coords[0]
+        r = max(0.0, delta * delta - float(np.dot(coords, coords)))
+        if r > 0.0:
+            coords[0] += np.copysign(r / (abs(p) + np.sqrt(p * p + r)), p)
+        return finish(Q @ coords, hi, True, False)
 
-    # Boundary solution with t strictly above t_lo: safeguarded Newton on
-    # phi(t) = 1/||d(t)|| - 1/Delta, increasing with phi(t_lo) <= 0.
-    gnorm = float(np.linalg.norm(g))
-    lo = t_lo
-    hi = t_lo + gnorm / delta
-    # Guard: widen until phi(hi) >= 0 (covers rounding at the analytic bound).
-    def phi_and_slope(t: float) -> tuple[float, float, Array]:
-        c = coords_at(t)
-        n2 = float(np.dot(c, c))
-        if not np.isfinite(n2) or n2 == 0.0:
-            return -1.0 / delta, 0.0, c
-        nrm = np.sqrt(n2)
-        denom = lam + t
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            s3 = np.where((denom == 0.0) & (gt == 0.0), 0.0, gt * gt / denom ** 3)
-        slope = float(np.sum(s3)) / nrm ** 3
-        return 1.0 / nrm - 1.0 / delta, slope, c
 
-    for _ in range(60):
-        val_hi, _, _ = phi_and_slope(hi)
-        if val_hi >= 0.0:
-            break
-        hi = t_lo + 2.0 * (hi - t_lo)
-
-    t = 0.5 * (lo + hi)
-    for _ in range(200):
-        val, slope, coords = phi_and_slope(t)
-        if abs(val) * delta <= _SECULAR_TOL:
-            return finish(Q @ coords, t, True, False)
-        if val < 0.0:
-            lo = t
-        else:
-            hi = t
-        t_new = t - val / slope if slope > 0.0 and np.isfinite(slope) else t
-        if not (lo < t_new < hi):
-            t_new = 0.5 * (lo + hi)
-        if t_new == t and hi - lo <= 1e-15 * max(1.0, t):
-            break
-        t = t_new
-    # Near the hard case (t close to -lambda_1, the gradient small on the
-    # critical eigenvector) ||d(t)|| changes too fast for t to be resolved in
-    # floating point.  Take the feasible end hi and reach the boundary along
-    # the critical eigenvector by the root of smaller magnitude, which
-    # changes the model least (More-Sorensen).
-    coords = coords_at(hi)
-    p = coords[0]
-    r = max(0.0, delta * delta - float(np.dot(coords, coords)))
-    if r > 0.0:
-        coords[0] += np.copysign(r / (abs(p) + np.sqrt(p * p + r)), p)
-    return finish(Q @ coords, hi, True, False)
+def solve_trs_exact(g: Array, H: Array, delta: float) -> TrsSolution:
+    """Globally solve the trust-region subproblem: :meth:`DenseModel.solve`
+    on a model factorised for this one call."""
+    return DenseModel(g, H).solve(delta)
 
 
 def cauchy_decrease(
@@ -348,16 +359,17 @@ def min_eigpair(
     H: Union[Array, HvpHandle],
     n: Optional[int] = None,
     tol: float = 1e-8,
-    chi: float = 1.0,
     maxiter: Optional[int] = None,
 ) -> EigenPair:
     """Minimum eigenpair of a symmetric matrix, dense or matrix-free.
 
     Dense path: full symmetric eigendecomposition.  Matrix-free path:
     Lanczos with full reorthogonalization from a deterministic random start,
-    converged when the Ritz residual |beta_j * y_j| certifies
-    u^T H u <= chi * lambda_min + tol, or when the basis spans the whole
-    space (the Ritz pair is then exact).
+    stopped when the Ritz residual ||H u - theta u|| = |beta_j * y_j| of the
+    smallest Ritz pair is at most ``tol`` (relative to theta when theta > 1),
+    or when the basis spans the whole space (the Ritz pair is then exact).
+    A small residual puts theta within ``tol`` of *some* eigenvalue of H,
+    not necessarily of lambda_min.
 
     Raises
     ------
@@ -413,6 +425,97 @@ def min_eigpair(
     return EigenPair(value=theta, vector=u)
 
 
+class KrylovModel:
+    """The local model of one iterate restricted to Krylov subspaces of H.
+
+    One Lanczos basis, started from g/||g|| (or from ``seed_direction`` when
+    g = 0) with full reorthogonalization, is grown on demand and kept, with
+    the factorised tridiagonal model of every dimension reached, so that
+    solves at several radii spend each hvp and each small ``eigh`` once.
+
+    Parameters
+    ----------
+    g : ndarray
+        Gradient of the model at the center.
+    hvp : callable
+        v -> H v.
+    max_dim : int
+        Largest subspace dimension, >= 1.
+    seed_direction : ndarray, optional
+        Start of the basis when g = 0; with neither, the Krylov space is {0}.
+    """
+
+    def __init__(
+        self,
+        g: Array,
+        hvp: HvpHandle,
+        max_dim: int,
+        seed_direction: Optional[Array] = None,
+    ):
+        if max_dim < 1:
+            raise ValueError(f"max_dim must be >= 1, got {max_dim!r}")
+        g = np.asarray(g, dtype=float)
+        self.n = g.shape[0]
+        self.gnorm = float(np.linalg.norm(g))
+        self.hvp, self.max_dim = hvp, max_dim
+        self.V: list[Array] = []  # empty: the Krylov space is {0}
+        if self.gnorm > 0.0:
+            self.V.append(g / self.gnorm)
+        elif seed_direction is not None:
+            v = np.asarray(seed_direction, dtype=float)
+            vn = float(np.linalg.norm(v))
+            if vn == 0.0:
+                raise ValueError("seed_direction must be nonzero")
+            self.V.append(v / vn)
+        self.alphas: list[float] = []
+        self.betas: list[float] = []  # beta_m of every expansion, the last one pending
+        self._w: Optional[Array] = None  # residual of the last expansion, not yet in V
+        self._models: list[DenseModel] = []  # tridiagonal model of each dimension
+
+    def _expand(self, m: int) -> float:
+        """Grow the basis to dimension m (one hvp per new dimension); returns
+        the residual norm beta_m of the m-th expansion."""
+        while len(self.alphas) < m:
+            if self.alphas:
+                self.V.append(self._w / self.betas[-1])
+            self._w, b = _lanczos_step(self.hvp, self.V, self.alphas, self.betas)
+            self.betas.append(b)
+            g_sub = np.zeros(len(self.alphas))
+            g_sub[0] = self.gnorm
+            self._models.append(DenseModel(g_sub, _tridiagonal(self.alphas, self.betas[:-1])))
+        return self.betas[m - 1]
+
+    def solve(self, delta: float) -> TrsSolution:
+        """The subproblem of radius ``delta`` over the subspace :meth:`solve_with_dim` picks."""
+        return self.solve_with_dim(delta)[0]
+
+    def solve_with_dim(self, delta: float) -> tuple[TrsSolution, int]:
+        """GLTR-style solve of radius ``delta`` > 0 and the subspace dimension used.
+
+        The tridiagonal subproblem is solved exactly in dimensions 1, 2, ...
+        until the subspace decrease stagnates (relative gain < 1e-8), the
+        recurrence breaks down (current best is returned), or ``max_dim`` is
+        reached.  The returned decrease dominates every feasible point of the
+        final subspace, in particular the Cauchy point and any subspace
+        eigen-point.
+        """
+        _check_radius(delta)
+        if not self.V:
+            # Krylov space of g = 0 with no seed is {0}: the zero step is optimal there.
+            return TrsSolution(np.zeros(self.n), 0.0, 0.0, False, False), 0
+        prev_dq = 0.0
+        for m in range(1, self.max_dim + 1):
+            b = self._expand(m)
+            sol = self._models[m - 1].solve(delta)
+            gain = sol.model_decrease - prev_dq
+            prev_dq = sol.model_decrease
+            if m > 1 and gain < 1e-8 * max(sol.model_decrease, 1e-300):
+                break
+            if b <= 1e-12 * max(1.0, abs(self.alphas[m - 1])):
+                break  # breakdown: invariant subspace reached, current best is exact in it
+        return replace(sol, d=_combine(sol.d, self.V)), m
+
+
 def solve_trs_krylov(
     g: Array,
     hvp: HvpHandle,
@@ -421,61 +524,19 @@ def solve_trs_krylov(
     tau: float = 1.0,
     seed_direction: Optional[Array] = None,
 ) -> tuple[TrsSolution, int]:
-    """Solve the subproblem restricted to a grown Krylov subspace.
+    """Solve the subproblem restricted to a grown Krylov subspace:
+    :meth:`KrylovModel.solve_with_dim` on a model built for this one call.
 
-    GLTR-style: Lanczos from g/||g|| (or from ``seed_direction`` when g = 0)
-    with full reorthogonalization; after each expansion the tridiagonal
-    subproblem is solved exactly and the iteration stops when the subspace
-    decrease stagnates (relative gain < 1e-8), the recurrence breaks down
-    (current best is returned), or ``max_dim`` is reached.  The returned
-    decrease dominates every feasible point of the final subspace, in
-    particular the Cauchy point and any subspace eigen-point, hence exceeds
-    tau * max(dq_C, dq_E-in-subspace) for every tau <= 1.
+    The returned decrease exceeds tau * max(dq_C, dq_E-in-subspace) for
+    every tau in (0, 1].
 
     Returns
     -------
     (TrsSolution, subspace_dim)
     """
-    _check_radius(delta)
-    if max_dim < 1:
-        raise ValueError(f"max_dim must be >= 1, got {max_dim!r}")
     if not (0.0 < tau <= 1.0):
         raise ValueError(f"tau must be in (0, 1], got {tau!r}")
-    g = np.asarray(g, dtype=float)
-    n = g.shape[0]
-    gnorm = float(np.linalg.norm(g))
-    if gnorm > 0.0:
-        v = g / gnorm
-    elif seed_direction is not None:
-        v = np.asarray(seed_direction, dtype=float)
-        vn = float(np.linalg.norm(v))
-        if vn == 0.0:
-            raise ValueError("seed_direction must be nonzero")
-        v = v / vn
-    else:
-        # Krylov space of g = 0 with no seed is {0}: the zero step is optimal there.
-        return TrsSolution(np.zeros(n), 0.0, 0.0, False, False), 0
-
-    V = [v]
-    alphas: list[float] = []
-    betas: list[float] = []
-    prev_dq = 0.0
-    for m in range(1, max_dim + 1):
-        w, b = _lanczos_step(hvp, V, alphas, betas)
-        g_sub = np.zeros(m)
-        g_sub[0] = gnorm
-        sol = solve_trs_exact(g_sub, _tridiagonal(alphas, betas), delta)
-
-        gain = sol.model_decrease - prev_dq
-        prev_dq = sol.model_decrease
-        if m > 1 and gain < 1e-8 * max(sol.model_decrease, 1e-300):
-            break
-        if b <= 1e-12 * max(1.0, abs(alphas[-1])):
-            break  # breakdown: invariant subspace reached, current best is exact in it
-        if m < max_dim:
-            betas.append(b)
-            V.append(w / b)
-    return replace(sol, d=_combine(sol.d, V)), m
+    return KrylovModel(g, hvp, max_dim, seed_direction).solve_with_dim(delta)
 
 
 def kkt_residuals(g: Array, H: Array, delta: float, sol: TrsSolution) -> dict[str, float]:

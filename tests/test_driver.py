@@ -237,6 +237,24 @@ def test_subspace_mode_required_when_no_dense_hessian():
     assert len(trace) == 3
 
 
+def test_dense_iteration_factorises_its_hessian_once(monkeypatch):
+    # Frozen dense_q run of test_golden.py: 30 Q iterations, each needing the
+    # measure at radius 1 and the step at delta_q from a single eigh.
+    calls = {"n": 0}
+    real_eigh = np.linalg.eigh
+
+    def eigh(a):
+        calls["n"] += 1
+        return real_eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    x0 = 1e-6 * np.random.default_rng(1).standard_normal(20)
+    cfg = Astr2Config(scaling=AdagradScaling(varsigma=1e6), max_iter=30)
+    trace = run(make_problem("cosine_sum", 20), x0, cfg)
+    assert "".join(r.branch for r in trace) == "Q" * 30
+    assert calls["n"] == 30
+
+
 def test_x0_validation():
     oracle = make_problem("quadratic_psd", 3)
     with pytest.raises(ValueError):
