@@ -16,7 +16,6 @@ from .trs import (
     TrsSolution,
     EigenPair,
     DenseModel,
-    KrylovModel,
     solve_trs_exact,
     cauchy_decrease,
     eigen_decrease,
@@ -49,7 +48,6 @@ __all__ = [
     "TrsSolution",
     "EigenPair",
     "DenseModel",
-    "KrylovModel",
     "solve_trs_exact",
     "cauchy_decrease",
     "eigen_decrease",

@@ -1,18 +1,17 @@
 """The adaptively scaled trust-region iteration loop.
 
-Per iteration: evaluate g_k and H_k (or an hvp handle in subspace mode) and
-build one local model of the iterate, a :class:`~astr2.trs.DenseModel` (one
-``eigh`` of H_k) or a :class:`~astr2.trs.KrylovModel` (one Lanczos basis
-grown from g_k); solve it at radius 1 for the second-order measure phi_k and
-its clip hatphi_k = min(phi_k, xi); decide the branch by ||g_k||^2 >=
-hatphi_k^3 (ties go to the linear branch); feed the decided branch's term to
-the scaling state and emit the weights; form the radii Delta^L = ||g||/w^L,
-Delta^Q = hatphi/w^Q; take either the closed-form scaled-gradient step
-s = -g/w^L or the same model's solve at radius Delta^Q (in subspace mode
-checked against the Cauchy and eigen decreases); accept the trial point
-unconditionally.  The objective value is never read by the step
-computation; with ``record_f`` set, f is evaluated once per iteration purely
-for the trace.
+Per iteration: evaluate g_k and H_k, compute the second-order measure
+phi_k at radius 1 and its clip hatphi_k = min(phi_k, xi); decide the branch
+by ||g_k||^2 >= hatphi_k^3 (ties go to the linear branch); feed the decided
+branch's term to the scaling state and emit the weights; form the radii
+Delta^L = ||g||/w^L, Delta^Q = hatphi/w^Q; take either the closed-form
+scaled-gradient step s = -g/w^L or a trust-region step of radius Delta^Q;
+accept the trial point unconditionally.  With a dense Hessian the measure
+and the step are two solves of one :class:`~astr2.trs.DenseModel`, so H_k is
+eigendecomposed once per iteration; in subspace mode each is its own Lanczos
+solve from g_k, and the step is checked against the Cauchy and eigen
+decreases.  The objective value is never read by the step computation; with
+``record_f`` set, f is evaluated once per iteration purely for the trace.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
+from .measures import phi2_subspace
 from .oracle import ProblemOracle
 from .scaling import (
     AdagradScaling,
@@ -32,11 +32,11 @@ from .scaling import (
 )
 from .trs import (
     DenseModel,
-    KrylovModel,
     LanczosNoConvergence,
     cauchy_decrease,
     eigen_decrease,
     min_eigpair,
+    solve_trs_krylov,
 )
 
 Array = np.ndarray
@@ -155,12 +155,11 @@ def astr2_step(
     eigpair = None
     if subspace:
         hvp = _checked_hvp(oracle, x, k)
+        seed = None
         if norm_g == 0.0:
             eigpair = _min_eigpair_with_fallback(oracle, x, hvp)
-        model = KrylovModel(
-            g, hvp, config.subspace_max_dim,
-            seed_direction=eigpair.vector if eigpair is not None else None,
-        )
+            seed = eigpair.vector
+        phi, _ = phi2_subspace(g, hvp, config.delta, config.subspace_max_dim, seed_direction=seed)
     else:
         if oracle.hessian is None:
             raise ValueError(
@@ -170,7 +169,7 @@ def astr2_step(
         if not np.all(np.isfinite(H)):
             raise ValueError(f"non-finite Hessian at iteration {k}")
         model = DenseModel(g, H)
-    phi = model.solve(config.delta).model_decrease
+        phi = model.solve(config.delta).model_decrease
 
     hatphi = min(phi, config.xi)
     branch = "L" if norm_g * norm_g >= hatphi ** 3 else "Q"
@@ -183,9 +182,15 @@ def astr2_step(
         Hs = oracle.hvp(x, s) if H is None else H @ s
         dq = -(float(np.dot(g, s)) + 0.5 * float(np.dot(s, Hs)))
     else:
-        sol = model.solve(delta_q)
-        s, dq = sol.d, sol.model_decrease
-        if subspace:
+        if not subspace:
+            sol = model.solve(delta_q)
+            s, dq = sol.d, sol.model_decrease
+        else:
+            sol, _ = solve_trs_krylov(
+                g, hvp, delta_q, config.subspace_max_dim, config.tau,
+                seed_direction=eigpair.vector if eigpair is not None else None,
+            )
+            s, dq = sol.d, sol.model_decrease
             # The subspace solve can in principle miss the required fraction of
             # the best single-direction decreases; check and fall back.
             alpha_c, dq_c = cauchy_decrease(g, hvp, delta_q)

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .trs import DenseModel, KrylovModel
+from .trs import solve_trs_exact, solve_trs_krylov
 
 Array = np.ndarray
 
@@ -45,7 +45,9 @@ def phi1(g: Array, delta: float) -> float:
 
 def phi2(g: Array, H: Array, delta: float) -> tuple[float, Array]:
     """Second-order measure and the model minimizer achieving it."""
-    sol = DenseModel(g, H).solve(delta)
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta!r}")
+    sol = solve_trs_exact(g, H, delta)
     return sol.model_decrease, sol.d
 
 
@@ -69,7 +71,7 @@ def phi2_subspace(
         raise ValueError(f"max_dim must be >= 0, got {max_dim!r}")
     if max_dim == 0:
         return 0.0, 0
-    sol, dim = KrylovModel(g, hvp, max_dim, seed_direction).solve_with_dim(delta)
+    sol, dim = solve_trs_krylov(g, hvp, delta, max_dim, seed_direction=seed_direction)
     return sol.model_decrease, dim
 
 
@@ -83,17 +85,15 @@ def combined_measures(g: Array, H: Array, xi: float, delta: float) -> Optimality
         raise ValueError(f"xi must be >= 1, got {xi!r}")
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta!r}")
-    model = DenseModel(g, H)
-    sol = model.solve(delta)
-    value = sol.model_decrease
-    gnorm2 = float(np.dot(model.g, model.g))
-    # eta as eigvalsh gives it; the model's eigh eigenvalues can differ in the last bit.
-    lam_min = float(np.linalg.eigvalsh(model.H)[0])
+    g = np.asarray(g, dtype=float)
+    value, d = phi2(g, H, delta)
+    gnorm2 = float(np.dot(g, g))
+    lam_min = float(np.linalg.eigvalsh(0.5 * (np.asarray(H, float) + np.asarray(H, float).T))[0])
     return OptimalityReport(
-        phi1=phi1(model.g, delta),
+        phi1=phi1(g, delta),
         phi2=value,
         hatphi=min(value, xi),
         psi=min(1.0, max(gnorm2, value ** 3)),
         eta=max(0.0, -lam_min),
-        argmin_d=sol.d,
+        argmin_d=d,
     )

@@ -425,97 +425,6 @@ def min_eigpair(
     return EigenPair(value=theta, vector=u)
 
 
-class KrylovModel:
-    """The local model of one iterate restricted to Krylov subspaces of H.
-
-    One Lanczos basis, started from g/||g|| (or from ``seed_direction`` when
-    g = 0) with full reorthogonalization, is grown on demand and kept, with
-    the factorised tridiagonal model of every dimension reached, so that
-    solves at several radii spend each hvp and each small ``eigh`` once.
-
-    Parameters
-    ----------
-    g : ndarray
-        Gradient of the model at the center.
-    hvp : callable
-        v -> H v.
-    max_dim : int
-        Largest subspace dimension, >= 1.
-    seed_direction : ndarray, optional
-        Start of the basis when g = 0; with neither, the Krylov space is {0}.
-    """
-
-    def __init__(
-        self,
-        g: Array,
-        hvp: HvpHandle,
-        max_dim: int,
-        seed_direction: Optional[Array] = None,
-    ):
-        if max_dim < 1:
-            raise ValueError(f"max_dim must be >= 1, got {max_dim!r}")
-        g = np.asarray(g, dtype=float)
-        self.n = g.shape[0]
-        self.gnorm = float(np.linalg.norm(g))
-        self.hvp, self.max_dim = hvp, max_dim
-        self.V: list[Array] = []  # empty: the Krylov space is {0}
-        if self.gnorm > 0.0:
-            self.V.append(g / self.gnorm)
-        elif seed_direction is not None:
-            v = np.asarray(seed_direction, dtype=float)
-            vn = float(np.linalg.norm(v))
-            if vn == 0.0:
-                raise ValueError("seed_direction must be nonzero")
-            self.V.append(v / vn)
-        self.alphas: list[float] = []
-        self.betas: list[float] = []  # beta_m of every expansion, the last one pending
-        self._w: Optional[Array] = None  # residual of the last expansion, not yet in V
-        self._models: list[DenseModel] = []  # tridiagonal model of each dimension
-
-    def _expand(self, m: int) -> float:
-        """Grow the basis to dimension m (one hvp per new dimension); returns
-        the residual norm beta_m of the m-th expansion."""
-        while len(self.alphas) < m:
-            if self.alphas:
-                self.V.append(self._w / self.betas[-1])
-            self._w, b = _lanczos_step(self.hvp, self.V, self.alphas, self.betas)
-            self.betas.append(b)
-            g_sub = np.zeros(len(self.alphas))
-            g_sub[0] = self.gnorm
-            self._models.append(DenseModel(g_sub, _tridiagonal(self.alphas, self.betas[:-1])))
-        return self.betas[m - 1]
-
-    def solve(self, delta: float) -> TrsSolution:
-        """The subproblem of radius ``delta`` over the subspace :meth:`solve_with_dim` picks."""
-        return self.solve_with_dim(delta)[0]
-
-    def solve_with_dim(self, delta: float) -> tuple[TrsSolution, int]:
-        """GLTR-style solve of radius ``delta`` > 0 and the subspace dimension used.
-
-        The tridiagonal subproblem is solved exactly in dimensions 1, 2, ...
-        until the subspace decrease stagnates (relative gain < 1e-8), the
-        recurrence breaks down (current best is returned), or ``max_dim`` is
-        reached.  The returned decrease dominates every feasible point of the
-        final subspace, in particular the Cauchy point and any subspace
-        eigen-point.
-        """
-        _check_radius(delta)
-        if not self.V:
-            # Krylov space of g = 0 with no seed is {0}: the zero step is optimal there.
-            return TrsSolution(np.zeros(self.n), 0.0, 0.0, False, False), 0
-        prev_dq = 0.0
-        for m in range(1, self.max_dim + 1):
-            b = self._expand(m)
-            sol = self._models[m - 1].solve(delta)
-            gain = sol.model_decrease - prev_dq
-            prev_dq = sol.model_decrease
-            if m > 1 and gain < 1e-8 * max(sol.model_decrease, 1e-300):
-                break
-            if b <= 1e-12 * max(1.0, abs(self.alphas[m - 1])):
-                break  # breakdown: invariant subspace reached, current best is exact in it
-        return replace(sol, d=_combine(sol.d, self.V)), m
-
-
 def solve_trs_krylov(
     g: Array,
     hvp: HvpHandle,
@@ -524,19 +433,61 @@ def solve_trs_krylov(
     tau: float = 1.0,
     seed_direction: Optional[Array] = None,
 ) -> tuple[TrsSolution, int]:
-    """Solve the subproblem restricted to a grown Krylov subspace:
-    :meth:`KrylovModel.solve_with_dim` on a model built for this one call.
+    """Solve the subproblem restricted to a grown Krylov subspace.
 
-    The returned decrease exceeds tau * max(dq_C, dq_E-in-subspace) for
-    every tau in (0, 1].
+    GLTR-style: Lanczos from g/||g|| (or from ``seed_direction`` when g = 0)
+    with full reorthogonalization; after each expansion the tridiagonal
+    subproblem is solved exactly and the iteration stops when the subspace
+    decrease stagnates (relative gain < 1e-8), the recurrence breaks down
+    (current best is returned), or ``max_dim`` is reached.  The returned
+    decrease dominates every feasible point of the final subspace, in
+    particular the Cauchy point and any subspace eigen-point, hence exceeds
+    tau * max(dq_C, dq_E-in-subspace) for every tau <= 1.
 
     Returns
     -------
     (TrsSolution, subspace_dim)
     """
+    _check_radius(delta)
+    if max_dim < 1:
+        raise ValueError(f"max_dim must be >= 1, got {max_dim!r}")
     if not (0.0 < tau <= 1.0):
         raise ValueError(f"tau must be in (0, 1], got {tau!r}")
-    return KrylovModel(g, hvp, max_dim, seed_direction).solve_with_dim(delta)
+    g = np.asarray(g, dtype=float)
+    n = g.shape[0]
+    gnorm = float(np.linalg.norm(g))
+    if gnorm > 0.0:
+        v = g / gnorm
+    elif seed_direction is not None:
+        v = np.asarray(seed_direction, dtype=float)
+        vn = float(np.linalg.norm(v))
+        if vn == 0.0:
+            raise ValueError("seed_direction must be nonzero")
+        v = v / vn
+    else:
+        # Krylov space of g = 0 with no seed is {0}: the zero step is optimal there.
+        return TrsSolution(np.zeros(n), 0.0, 0.0, False, False), 0
+
+    V = [v]
+    alphas: list[float] = []
+    betas: list[float] = []
+    prev_dq = 0.0
+    for m in range(1, max_dim + 1):
+        w, b = _lanczos_step(hvp, V, alphas, betas)
+        g_sub = np.zeros(m)
+        g_sub[0] = gnorm
+        sol = solve_trs_exact(g_sub, _tridiagonal(alphas, betas), delta)
+
+        gain = sol.model_decrease - prev_dq
+        prev_dq = sol.model_decrease
+        if m > 1 and gain < 1e-8 * max(sol.model_decrease, 1e-300):
+            break
+        if b <= 1e-12 * max(1.0, abs(alphas[-1])):
+            break  # breakdown: invariant subspace reached, current best is exact in it
+        if m < max_dim:
+            betas.append(b)
+            V.append(w / b)
+    return replace(sol, d=_combine(sol.d, V)), m
 
 
 def kkt_residuals(g: Array, H: Array, delta: float, sol: TrsSolution) -> dict[str, float]:

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from astr2 import (
     DenseModel,
-    KrylovModel,
     brute_force_decrease,
     cauchy_decrease,
     eigen_decrease,
@@ -303,12 +302,6 @@ def test_krylov_subspace_decrease_is_monotone_in_dimension(rng):
         assert hi >= lo - 1e-10
 
 
-def _assert_same_solution(a, b):
-    np.testing.assert_array_equal(a.d, b.d)
-    assert (a.multiplier, a.model_decrease, a.on_boundary, a.hard_case) == (
-        b.multiplier, b.model_decrease, b.on_boundary, b.hard_case)
-
-
 def test_dense_model_solves_every_radius_from_one_eigh(rng, monkeypatch):
     calls = {"n": 0}
     real_eigh = np.linalg.eigh
@@ -329,37 +322,9 @@ def test_dense_model_solves_every_radius_from_one_eigh(rng, monkeypatch):
         monkeypatch.setattr(np.linalg, "eigh", real_eigh)
         assert calls["n"] == 1
         for a, b in zip(solved, fresh):
-            _assert_same_solution(a, b)
-
-
-def test_krylov_model_second_solve_reuses_the_basis(rng):
-    # The measure at radius 1, then the step at delta: the step must equal a
-    # fresh solve bit for bit and spend an hvp only on dimensions the first
-    # solve did not reach.
-    reused = 0
-    for _ in range(40):
-        n = int(rng.integers(2, 12))
-        H = random_symmetric(rng, n)
-        g = rng.uniform(-2, 2, n)
-        delta = float(rng.choice([1e-3, 0.1, 0.5, 2.0, 10.0]))
-        max_dim = int(rng.integers(1, n + 1))
-        calls = {"n": 0}
-
-        def hvp(v):
-            calls["n"] += 1
-            return H @ v
-
-        model = KrylovModel(g, hvp, max_dim)
-        _, dim1 = model.solve_with_dim(1.0)
-        before = calls["n"]
-        sol, dim2 = model.solve_with_dim(delta)
-        fresh, dim_fresh = solve_trs_krylov(g, lambda v: H @ v, delta, max_dim)
-        _assert_same_solution(sol, fresh)
-        assert model.solve(delta).model_decrease == fresh.model_decrease
-        assert dim2 == dim_fresh
-        assert calls["n"] - before == max(0, dim2 - dim1)
-        reused += dim2 <= dim1
-    assert reused > 0
+            np.testing.assert_array_equal(a.d, b.d)
+            assert (a.multiplier, a.model_decrease, a.on_boundary, a.hard_case) == (
+                b.multiplier, b.model_decrease, b.on_boundary, b.hard_case)
 
 
 # --- brute_force_decrease --------------------------------------------------

@@ -33,7 +33,6 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--workload", required=True)
     p.add_argument("--seeds", default="1,2,3", help="comma-separated seeds")
-    p.add_argument("--size", choices=("full", "tiny"), default="full")
     p.add_argument("--src", type=Path, default=ROOT / "src",
                    help="directory to import astr2 from (default: this checkout's src)")
     p.add_argument("--workdir", type=Path, default=Path(tempfile.gettempdir()) / "astr2-trace-digest",
@@ -50,7 +49,7 @@ def main(argv=None) -> int:
     workload = WORKLOADS[args.workload]
     args.workdir.mkdir(parents=True, exist_ok=True)
     for seed in seeds:
-        inputs = workload.build(seed, args.size, args.workdir)
+        inputs = workload.build(seed, "full", args.workdir)
         rec = Recorder(traced=False)
         with patched(rec, workload.hooks(rec)):
             out = workload.run_pass(inputs, rec)
