@@ -181,19 +181,10 @@ def cmd_sharpness(args: argparse.Namespace) -> int:
         if args.family == "adagrad":
             varsigma = 0.01 if args.varsigma is None else args.varsigma
             seq = gen_adagrad_example(args.mu, args.nu, args.eps, varsigma, args.K)
-            scaling = AdagradScaling(varsigma=varsigma, mu=args.mu, nu=args.nu)
         else:
             varsigma = 1.0 if args.varsigma is None else args.varsigma
             seq = gen_divergent_example(
                 args.mu2, args.eps, varsigma, args.kappa_w, args.K
-            )
-            scaling = DivergentScaling(
-                varsigma=varsigma,
-                kappa_w=args.kappa_w,
-                nu1=args.nu1,
-                mu1=args.mu1,
-                nu2=args.mu2,
-                mu2=args.mu2,
             )
         interp = hermite_interpolant(seq)
         xs, fs, fps, fpps = sample_figure(
@@ -212,7 +203,7 @@ def cmd_sharpness(args: argparse.Namespace) -> int:
         ([str(k), *map(_fmt, row)] for k, row in enumerate(zip(*columns))),
     )
 
-    config = Astr2Config(scaling=scaling, max_iter=seq.K + 1)
+    config = Astr2Config(scaling=seq.scaling, max_iter=seq.K + 1)
     ok = replay_check(seq, config)
     print(f"samples  : {len(xs)} -> {args.out}")
     print(f"breakpts : {seq.K + 1} -> {bp_path}")
@@ -339,8 +330,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sh.add_argument("--mu", type=float, default=0.5)
     p_sh.add_argument("--nu", type=float, default=1.0 / 3.0)
     p_sh.add_argument("--mu2", type=float, default=1.0 / 3.0)
-    p_sh.add_argument("--nu1", type=float, default=0.5)
-    p_sh.add_argument("--mu1", type=float, default=0.5)
     p_sh.add_argument("--eps", type=float, default=0.01)
     p_sh.add_argument("--varsigma", type=float, default=None,
                       help="default 0.01 (adagrad) or 1.0 (divergent)")

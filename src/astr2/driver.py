@@ -17,19 +17,14 @@ decreases.  The objective value is never read by the step computation; with
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .measures import phi2_subspace
 from .oracle import ProblemOracle
-from .scaling import (
-    AdagradScaling,
-    DivergentScaling,
-    adagrad_weights,
-    divergent_weights,
-)
+from .scaling import AdagradScaling, DivergentScaling
 from .trs import (
     DenseModel,
     LanczosNoConvergence,
@@ -40,6 +35,8 @@ from .trs import (
 )
 
 Array = np.ndarray
+
+_MEASURE_RADIUS = 1.0  # radius of the measures phi1, phi2 and of the eps test
 
 
 class SolverAbort(RuntimeError):
@@ -74,7 +71,6 @@ class Astr2Config:
     eps2: Optional[float] = None
     subspace_max_dim: Optional[int] = None
     record_f: bool = False
-    delta: float = field(default=1.0, init=False)  # measure radius, fixed
 
     def __post_init__(self) -> None:
         if not 0.0 < self.tau <= 1.0:
@@ -117,18 +113,6 @@ class IterateRecord:
     f: Optional[float] = None
 
 
-def _emit_weights(
-    state: Union[AdagradScaling, DivergentScaling],
-    k: int,
-    branch: str,
-    g_norm_sq: float,
-    hatphi_cubed: float,
-) -> tuple[float, float]:
-    if isinstance(state, AdagradScaling):
-        return adagrad_weights(state, k, branch, g_norm_sq, hatphi_cubed)
-    return divergent_weights(state, k)
-
-
 def astr2_step(
     oracle: ProblemOracle,
     x: Array,
@@ -159,7 +143,9 @@ def astr2_step(
         if norm_g == 0.0:
             eigpair = _min_eigpair_with_fallback(oracle, x, hvp)
             seed = eigpair.vector
-        phi, _ = phi2_subspace(g, hvp, config.delta, config.subspace_max_dim, seed_direction=seed)
+        phi, _ = phi2_subspace(
+            g, hvp, _MEASURE_RADIUS, config.subspace_max_dim, seed_direction=seed
+        )
     else:
         if oracle.hessian is None:
             raise ValueError(
@@ -169,17 +155,17 @@ def astr2_step(
         if not np.all(np.isfinite(H)):
             raise ValueError(f"non-finite Hessian at iteration {k}")
         model = DenseModel(g, H)
-        phi = model.solve(config.delta).model_decrease
+        phi = model.solve(_MEASURE_RADIUS).model_decrease
 
     hatphi = min(phi, config.xi)
     branch = "L" if norm_g * norm_g >= hatphi ** 3 else "Q"
-    w_l, w_q = _emit_weights(scaling_state, k, branch, norm_g * norm_g, hatphi ** 3)
+    w_l, w_q = scaling_state.weights(k, branch, norm_g * norm_g, hatphi ** 3)
     delta_l = norm_g / w_l
     delta_q = hatphi / w_q
 
     if branch == "L":
         s = -g / w_l
-        Hs = oracle.hvp(x, s) if H is None else H @ s
+        Hs = hvp(s) if H is None else H @ s
         dq = -(float(np.dot(g, s)) + 0.5 * float(np.dot(s, Hs)))
     else:
         if not subspace:
@@ -187,7 +173,7 @@ def astr2_step(
             s, dq = sol.d, sol.model_decrease
         else:
             sol, _ = solve_trs_krylov(
-                g, hvp, delta_q, config.subspace_max_dim, config.tau,
+                g, hvp, delta_q, config.subspace_max_dim,
                 seed_direction=eigpair.vector if eigpair is not None else None,
             )
             s, dq = sol.d, sol.model_decrease
@@ -286,7 +272,7 @@ def run(oracle: ProblemOracle, x0: Array, config: Astr2Config) -> list[IterateRe
 def _terminates(oracle: ProblemOracle, record: IterateRecord, config: Astr2Config) -> bool:
     if config.eps1 is None:
         return False
-    if not (record.norm_g * config.delta <= config.eps1 and record.phi <= config.eps2 / 2.0):
+    if not (record.norm_g * _MEASURE_RADIUS <= config.eps1 and record.phi <= config.eps2 / 2.0):
         return False
     if config.subspace_max_dim is None:
         return True

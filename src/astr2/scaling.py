@@ -56,6 +56,28 @@ class AdagradScaling:
         if self.policy not in _POLICIES:
             raise ValueError(f"policy must be one of {_POLICIES}, got {self.policy!r}")
 
+    def weights(
+        self, k: int, branch: str, g_norm_sq: float, hatphi_cubed: float
+    ) -> tuple[float, float]:
+        """Update the accumulator of the decided branch and emit (w^L_k, w^Q_k).
+
+        The branch for iteration k must already be decided; its own term is
+        added to the matching accumulator before the weights are computed.
+        """
+        if branch == "L":
+            self.a_accum += g_norm_sq
+        elif branch == "Q":
+            self.b_accum += hatphi_cubed
+        else:
+            raise ValueError(f"branch must be 'L' or 'Q', got {branch!r}")
+        hat_wl = (self.varsigma + self.a_accum) ** self.mu
+        hat_wq = (self.varsigma + self.b_accum) ** self.nu
+        if self.policy == "upper":
+            return hat_wl, hat_wq
+        fl = self.theta_l + (1.0 - self.theta_l) * (k % 2)
+        fq = self.theta_q + (1.0 - self.theta_q) * (k % 2)
+        return fl * hat_wl, fq * hat_wq
+
 
 @dataclass
 class DivergentScaling:
@@ -101,6 +123,16 @@ class DivergentScaling:
         if not self.nu2 <= self.e2 <= self.mu2:
             raise ValueError(f"e2 must be in [nu2, mu2], got {self.e2!r}")
 
+    def weights(
+        self, k: int, branch: str, g_norm_sq: float, hatphi_cubed: float
+    ) -> tuple[float, float]:
+        """Emit (w^L_k, w^Q_k) = (c (k+1)^{e1}, c (k+1)^{e2}); the branch and
+        the terms do not enter."""
+        if k < 0:
+            raise ValueError(f"iteration index must be >= 0, got {k!r}")
+        base = float(k + 1)
+        return self.coeff * base ** self.e1, self.coeff * base ** self.e2
+
 
 def adagrad_weights(
     state: AdagradScaling,
@@ -109,29 +141,10 @@ def adagrad_weights(
     g_norm_sq: float,
     hatphi_cubed: float,
 ) -> tuple[float, float]:
-    """Update the accumulator of the decided branch and emit (w^L_k, w^Q_k).
-
-    The branch for iteration k must already be decided; its own term is added
-    to the matching accumulator before the weights are computed.
-    """
-    if branch == "L":
-        state.a_accum += g_norm_sq
-    elif branch == "Q":
-        state.b_accum += hatphi_cubed
-    else:
-        raise ValueError(f"branch must be 'L' or 'Q', got {branch!r}")
-    hat_wl = (state.varsigma + state.a_accum) ** state.mu
-    hat_wq = (state.varsigma + state.b_accum) ** state.nu
-    if state.policy == "upper":
-        return hat_wl, hat_wq
-    fl = state.theta_l + (1.0 - state.theta_l) * (k % 2)
-    fq = state.theta_q + (1.0 - state.theta_q) * (k % 2)
-    return fl * hat_wl, fq * hat_wq
+    """Shim for :meth:`AdagradScaling.weights`."""
+    return state.weights(k, branch, g_norm_sq, hatphi_cubed)
 
 
 def divergent_weights(state: DivergentScaling, k: int) -> tuple[float, float]:
-    """Emit (w^L_k, w^Q_k) = (c (k+1)^{e1}, c (k+1)^{e2})."""
-    if k < 0:
-        raise ValueError(f"iteration index must be >= 0, got {k!r}")
-    base = float(k + 1)
-    return state.coeff * base ** state.e1, state.coeff * base ** state.e2
+    """Shim for :meth:`DivergentScaling.weights`."""
+    return state.weights(k, "L", 0.0, 0.0)

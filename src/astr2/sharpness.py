@@ -9,17 +9,18 @@ below.  A piecewise-quintic Hermite interpolant turns the breakpoint data
 (f_k, 0, H_k) into a twice continuously differentiable function for
 plotting and for finite-difference sanity checks.
 
-The generators perform the per-iteration arithmetic in exactly the order
-the driver does, so replaying a generated sequence through the actual
-iteration loop on a synthetic oracle reproduces it to the last bit.
+The generators take each weight from the same scaling state, by the same
+call, as the driver does, so replaying a generated sequence through the
+actual iteration loop on a synthetic oracle reproduces it to the last bit.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -64,12 +65,14 @@ class SharpnessSequence:
     Arrays ``g``, ``hess``, ``phi``, ``s``, ``dq`` hold one entry per
     iteration k = 0..K; ``x`` and ``f`` additionally hold the terminal
     point x_{K+1} = x_K + s_K and its value f_{K+1} = f_K - dq_K.
+    ``scaling`` is the fresh scaling state whose weights generated the
+    sequence; a run configured with it replays the sequence.
     ``f0_shift`` is display-only: a target value to which f_0 is moved when
     sampling figures (the construction itself is never shifted).
     """
 
     family: str
-    params: dict
+    scaling: Union[AdagradScaling, DivergentScaling]
     K: int
     x: Array
     f: Array
@@ -83,26 +86,25 @@ class SharpnessSequence:
 
 def _generate(
     family: str,
-    params: dict,
+    scaling: Union[AdagradScaling, DivergentScaling],
     K: int,
     expo: float,
     f0: float,
-    weight: Callable[[int, float], float],
 ) -> SharpnessSequence:
     """The worst-case iterations 0..K shared by both families.
 
-    phi_k = (k+1)^{-expo}; ``weight(k, b_k)`` gives w_k from the index and
-    the running sum b_k = sum_{j<=k} phi_j^3; the step is s_k = phi_k / w_k
-    and the decrease dq_k = phi_k s_k^2, telescoped down from f_0 = ``f0``.
+    phi_k = (k+1)^{-expo}; w_k is the quadratic-branch weight that a copy of
+    the fresh ``scaling`` state emits for phi_k^3, as in the driver; the step
+    is s_k = phi_k / w_k and the decrease dq_k = phi_k s_k^2, telescoped down
+    from f_0 = ``f0``.
     """
+    state = copy.deepcopy(scaling)
     xs = [0.0]
     fs = [f0]
     phis, ss, dqs = [], [], []
-    b = 0.0
     for k in range(K + 1):
         phi = (k + 1.0) ** (-expo)
-        b += phi ** 3
-        s = phi / weight(k, b)
+        s = phi / state.weights(k, "Q", 0.0, phi ** 3)[1]
         dq = phi * s * s
         phis.append(phi)
         ss.append(s)
@@ -112,7 +114,7 @@ def _generate(
     phi_arr = np.array(phis)
     return SharpnessSequence(
         family=family,
-        params=params,
+        scaling=scaling,
         K=K,
         x=np.array(xs),
         f=np.array(fs),
@@ -122,6 +124,11 @@ def _generate(
         s=np.array(ss),
         dq=np.array(dqs),
     )
+
+
+def _check_K(K: int) -> None:
+    if not (isinstance(K, (int, np.integer)) and K >= 1):
+        raise ValueError(f"K must be an integer >= 1, got {K!r}")
 
 
 def gen_adagrad_example(
@@ -134,25 +141,11 @@ def gen_adagrad_example(
     w_k = (varsigma + sum_{j<=k} phi_j^3)^nu, the decrease phi_k s_k^2,
     and f_0 = zeta(1+3 eps) so the telescoped values stay positive.
     """
-    if not 0.0 < mu < 1.0:
-        raise ValueError(f"mu must be in (0, 1), got {mu!r}")
-    if not 0.0 < nu < 1.0:
-        raise ValueError(f"nu must be in (0, 1), got {nu!r}")
+    scaling = AdagradScaling(varsigma=varsigma, mu=mu, nu=nu)
     if not 0.0 < eps < 2.0 / 3.0:
         raise ValueError(f"eps must be in (0, 2/3), got {eps!r}")
-    if not varsigma > 0.0:
-        raise ValueError(f"varsigma must be positive, got {varsigma!r}")
-    if not (isinstance(K, (int, np.integer)) and K >= 1):
-        raise ValueError(f"K must be an integer >= 1, got {K!r}")
-
-    return _generate(
-        "adagrad",
-        {"mu": mu, "nu": nu, "eps": eps, "varsigma": varsigma},
-        K,
-        1.0 / 3.0 + eps,
-        zeta(1.0 + 3.0 * eps),
-        lambda k, b: (varsigma + b) ** nu,
-    )
+    _check_K(K)
+    return _generate("adagrad", scaling, K, 1.0 / 3.0 + eps, zeta(1.0 + 3.0 * eps))
 
 
 def gen_divergent_example(
@@ -165,29 +158,15 @@ def gen_divergent_example(
     dq_k = phi_k s_k^2 = 1/(kappa_w^2 (k+1)^{3 gamma + 2 mu2}), and
     f_0 = zeta(3 gamma + 2 mu2) = zeta(1 + 3 eps).
     """
-    if not 0.0 < mu2 < 0.5:
-        raise ValueError(f"mu2 must be in (0, 1/2), got {mu2!r}")
+    scaling = DivergentScaling(varsigma=varsigma, kappa_w=kappa_w, nu2=mu2, mu2=mu2)
     gamma_floor = (1.0 - 2.0 * mu2) / 3.0
     if not 0.0 < eps < 1.0 - gamma_floor:
         raise ValueError(
             f"eps must be in (0, {1.0 - gamma_floor!r}) for mu2={mu2!r}, got {eps!r}"
         )
-    if not varsigma > 0.0:
-        raise ValueError(f"varsigma must be positive, got {varsigma!r}")
-    if not kappa_w >= max(1.0, varsigma):
-        raise ValueError(f"kappa_w must be >= max(1, varsigma), got {kappa_w!r}")
-    if not (isinstance(K, (int, np.integer)) and K >= 1):
-        raise ValueError(f"K must be an integer >= 1, got {K!r}")
-
+    _check_K(K)
     gamma = gamma_floor + eps
-    return _generate(
-        "divergent",
-        {"mu2": mu2, "eps": eps, "varsigma": varsigma, "kappa_w": kappa_w},
-        K,
-        gamma,
-        zeta(3.0 * gamma + 2.0 * mu2),
-        lambda k, b: kappa_w * (k + 1.0) ** mu2,
-    )
+    return _generate("divergent", scaling, K, gamma, zeta(3.0 * gamma + 2.0 * mu2))
 
 
 @dataclass(frozen=True)

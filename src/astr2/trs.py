@@ -430,7 +430,6 @@ def solve_trs_krylov(
     hvp: HvpHandle,
     delta: float,
     max_dim: int,
-    tau: float = 1.0,
     seed_direction: Optional[Array] = None,
 ) -> tuple[TrsSolution, int]:
     """Solve the subproblem restricted to a grown Krylov subspace.
@@ -451,8 +450,6 @@ def solve_trs_krylov(
     _check_radius(delta)
     if max_dim < 1:
         raise ValueError(f"max_dim must be >= 1, got {max_dim!r}")
-    if not (0.0 < tau <= 1.0):
-        raise ValueError(f"tau must be in (0, 1], got {tau!r}")
     g = np.asarray(g, dtype=float)
     n = g.shape[0]
     gnorm = float(np.linalg.norm(g))

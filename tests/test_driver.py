@@ -183,6 +183,26 @@ def test_lanczos_failure_without_dense_hessian_aborts_with_the_trace(monkeypatch
     assert "no convergence" in info.value.reason
 
 
+def test_non_finite_hvp_on_a_subspace_linear_step_aborts():
+    # With max_dim 1 the measure spends the first hvp; the second is the
+    # linear step's s^T H s, which must be checked like every other product.
+    base = make_problem("cosine_sum", 5)
+    calls = {"n": 0}
+
+    def hvp(x, v):
+        calls["n"] += 1
+        if calls["n"] == 2:
+            return np.full(5, np.nan)
+        return base.hvp(x, v)
+
+    oracle = dataclasses.replace(base, hessian=None, hvp=hvp)
+    with pytest.raises(SolverAbort) as info:
+        run(oracle, base.x0, adagrad_config(max_iter=5, subspace_max_dim=1))
+    assert calls["n"] == 2
+    assert info.value.trace == []
+    assert "non-finite Hessian-vector product" in info.value.reason
+
+
 def test_subspace_termination_needs_a_curvature_certificate():
     # At x0 the Krylov space grown from g = (1e-8, 0) misses the curvature -1
     # along x2: the subspace phi2 is 2.5e-13, the dense one 0.5.  The run must

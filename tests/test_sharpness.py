@@ -118,10 +118,21 @@ def test_divergent_parameter_validation():
     good = dict(mu2=1.0 / 3.0, eps=0.01, varsigma=1.0, kappa_w=1.0, K=5)
     for bad in (dict(mu2=0.0), dict(mu2=0.5), dict(eps=0.0),
                 dict(eps=1.0 - (1.0 - 2.0 / 3.0) / 3.0),
-                dict(kappa_w=0.5), dict(varsigma=0.0), dict(K=0)):
+                dict(kappa_w=0.5), dict(varsigma=0.0), dict(K=0),
+                dict(varsigma=2.0, kappa_w=3.0)):
         kw = {**good, **bad}
         with pytest.raises(ValueError):
             gen_divergent_example(**kw)
+
+
+def test_sequences_carry_the_scaling_that_replays_them():
+    for seq in (gen_adagrad_example(0.5, 1.0 / 3.0, 0.01, 0.01, 20),
+                gen_divergent_example(0.25, 0.01, 0.5, 2.0, 20)):
+        assert replay_check(seq, Astr2Config(scaling=seq.scaling, max_iter=1))
+    # the stored template is left fresh by the generator and by the replay
+    assert seq.scaling == DivergentScaling(varsigma=0.5, kappa_w=2.0, nu2=0.25, mu2=0.25)
+    ada = gen_adagrad_example(0.5, 1.0 / 3.0, 0.01, 0.01, 5).scaling
+    assert ada.a_accum == 0.0 and ada.b_accum == 0.0
 
 
 # --- quintic interpolation -------------------------------------------------

@@ -1,0 +1,61 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_TOOL = Path(__file__).resolve().parent.parent / "tools" / "code_size.py"
+
+
+@pytest.fixture(scope="module")
+def code_size():
+    spec = importlib.util.spec_from_file_location("code_size", _TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.code_size
+
+
+_BASE = '''
+def f(x, y):
+    z = x + y
+    return z * 2
+'''
+
+_LAYOUT_ONLY = '''
+"""Module docstring."""
+
+# a comment
+
+
+def f(x,
+      y):
+  """Function docstring."""
+  z = x + y  # trailing comment
+
+  return z * 2
+'''
+
+_ONE_MORE_STATEMENT = '''
+def f(x, y):
+    z = x + y
+    z += 1
+    return z * 2
+'''
+
+
+def _size(code_size, tmp_path, name, source):
+    path = tmp_path / name
+    path.write_text(source)
+    return code_size(path)
+
+
+def test_code_size_ignores_comments_docstrings_and_layout(code_size, tmp_path):
+    tokens, lines = _size(code_size, tmp_path, "base.py", _BASE)
+    assert (tokens, lines) == (17, 3)
+    assert _size(code_size, tmp_path, "layout.py", _LAYOUT_ONLY)[0] == tokens
+
+
+def test_code_size_counts_an_added_statement(code_size, tmp_path):
+    tokens, lines = _size(code_size, tmp_path, "base.py", _BASE)
+    more, more_lines = _size(code_size, tmp_path, "more.py", _ONE_MORE_STATEMENT)
+    assert more == tokens + 3
+    assert more_lines == lines + 1
