@@ -5,8 +5,10 @@ All configuration is by flags; the only randomness is the seeded instance
 generation of ``trs-check`` and the optional random start of ``run``, so
 identical invocations produce identical bytes.
 
-Exit codes: 0 success, 1 solver abort, 2 usage or parameter-range error,
-3 verification failure.
+Exit codes: 0 success, 1 solver abort, 2 usage, parameter-range or
+non-finite input error, or an output file that cannot be written,
+3 verification failure.  ``main`` is the one place that turns exceptions
+into exit codes.
 """
 
 from __future__ import annotations
@@ -112,14 +114,13 @@ def _build_scaling(args: argparse.Namespace):
             nu=args.nu,
             theta_l=args.theta,
             theta_q=args.theta,
-            policy=args.policy,
         )
     return DivergentScaling(
         varsigma=varsigma,
         kappa_w=args.kappa_w,
-        nu1=args.nu1,
+        nu1=args.mu1,
         mu1=args.mu1,
-        nu2=args.nu2,
+        nu2=args.mu2,
         mu2=args.mu2,
     )
 
@@ -138,33 +139,19 @@ def _parse_x0(spec: str, n: int, seed: int, oracle) -> np.ndarray:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        oracle = make_problem(args.problem, args.n)
-        scaling = _build_scaling(args)
-        config = Astr2Config(
-            scaling=scaling,
-            max_iter=args.max_iter,
-            tau=args.tau,
-            chi=args.chi,
-            xi=args.xi,
-            eps1=args.eps1,
-            eps2=args.eps2,
-            subspace_max_dim=args.subspace_max_dim,
-            record_f=args.record_f,
-        )
-        x0 = _parse_x0(args.x0, oracle.n, args.seed, oracle)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        trace = run(oracle, x0, config)
-    except SolverAbort as exc:
-        print(
-            f"error: solver abort after {len(exc.trace)} recorded iterations: "
-            f"{exc.reason}",
-            file=sys.stderr,
-        )
-        return EXIT_ABORT
+    oracle = make_problem(args.problem, args.n)
+    config = Astr2Config(
+        scaling=_build_scaling(args),
+        max_iter=args.max_iter,
+        tau=args.tau,
+        xi=args.xi,
+        eps1=args.eps1,
+        eps2=args.eps2,
+        subspace_max_dim=args.subspace_max_dim,
+        record_f=args.record_f,
+    )
+    x0 = _parse_x0(args.x0, oracle.n, args.seed, oracle)
+    trace = run(oracle, x0, config)
     if args.out is not None:
         write_trace_csv(args.out, trace)
     e1, e2, e3, e4 = rate_envelopes(trace)
@@ -177,23 +164,14 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sharpness(args: argparse.Namespace) -> int:
-    try:
-        if args.family == "adagrad":
-            varsigma = 0.01 if args.varsigma is None else args.varsigma
-            seq = gen_adagrad_example(args.mu, args.nu, args.eps, varsigma, args.K)
-        else:
-            varsigma = 1.0 if args.varsigma is None else args.varsigma
-            seq = gen_divergent_example(
-                args.mu2, args.eps, varsigma, args.kappa_w, args.K
-            )
-        interp = hermite_interpolant(seq)
-        xs, fs, fps, fpps = sample_figure(
-            seq, interp, args.samples_per_interval, args.f0_shift
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+    if args.family == "adagrad":
+        varsigma = 0.01 if args.varsigma is None else args.varsigma
+        seq = gen_adagrad_example(args.mu, args.nu, args.eps, varsigma, args.K)
+    else:
+        varsigma = 1.0 if args.varsigma is None else args.varsigma
+        seq = gen_divergent_example(args.mu2, args.eps, varsigma, args.kappa_w, args.K)
+    interp = hermite_interpolant(seq)
+    xs, fs, fps, fpps = sample_figure(seq, interp, args.samples_per_interval, args.f0_shift)
     _write_csv(args.out, "x,f,fp,fpp", (map(_fmt, row) for row in zip(xs, fs, fps, fpps)))
     bp_path = _companion_path(args.out)
     columns = [getattr(seq, name) for name in _BREAKPOINT_FIELDS]
@@ -221,13 +199,9 @@ def _companion_path(out: str) -> str:
 
 
 def cmd_trs_check(args: argparse.Namespace) -> int:
-    try:
-        radii = [float(tok) for tok in args.radii.split(",")]
-        if args.count < 1 or args.max_n < 1 or not radii or min(radii) <= 0:
-            raise ValueError("need count >= 1, max-n >= 1, positive radii")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    radii = [float(tok) for tok in args.radii.split(",")]
+    if args.count < 1 or args.max_n < 1 or not all(0.0 < r < np.inf for r in radii):
+        raise ValueError("need count >= 1, max-n >= 1, positive finite radii")
     rng = np.random.default_rng(args.seed)
     max_dev_brute = 0.0
     max_dev_krylov = 0.0
@@ -269,20 +243,14 @@ def cmd_trs_check(args: argparse.Namespace) -> int:
 
 
 def cmd_fd_check(args: argparse.Namespace) -> int:
-    try:
-        oracle = make_problem(args.problem, args.n)
-        if oracle.f_diagnostic is None:
-            raise ValueError(f"problem {args.problem!r} has no diagnostic objective")
-        x = _parse_x0(args.x0, oracle.n, args.seed, oracle)
-        report = finite_diff_check(oracle, x, args.h)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    oracle = make_problem(args.problem, args.n)
+    x = _parse_x0(args.x0, oracle.n, args.seed, oracle)
+    report = finite_diff_check(oracle, x, args.h)
     print(f"gradient rel. error : {_fmt(report.gradient_error)}")
     print(f"hessian  rel. error : {_fmt(report.hessian_error)}")
     print(f"step h              : {_fmt(report.h)}")
     tol = 100.0 * args.h * args.h
-    if report.gradient_error > tol or report.hessian_error > tol:
+    if not (report.gradient_error <= tol and report.hessian_error <= tol):
         print("error: derivative check failed", file=sys.stderr)
         return EXIT_VERIFY
     return EXIT_OK
@@ -307,15 +275,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--nu", type=float, default=1.0 / 3.0)
     p_run.add_argument("--varsigma", type=float, default=None)
     p_run.add_argument("--theta", type=float, default=1.0,
-                       help="lower-band fraction for the oscillate policy")
-    p_run.add_argument("--policy", choices=("upper", "oscillate"), default="upper")
-    p_run.add_argument("--nu1", type=float, default=0.5)
+                       help="adagrad: emit w in [theta*w_hat, w_hat], alternating "
+                            "between the two ends; 1 emits w_hat")
     p_run.add_argument("--mu1", type=float, default=0.5)
-    p_run.add_argument("--nu2", type=float, default=1.0 / 3.0)
     p_run.add_argument("--mu2", type=float, default=1.0 / 3.0)
     p_run.add_argument("--kappa-w", type=float, default=1.0)
     p_run.add_argument("--tau", type=float, default=1.0)
-    p_run.add_argument("--chi", type=float, default=1.0)
     p_run.add_argument("--xi", type=float, default=1.0)
     p_run.add_argument("--max-iter", type=int, default=100)
     p_run.add_argument("--eps1", type=float, default=None)
@@ -363,7 +328,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SolverAbort as exc:
+        print(
+            f"error: solver abort after {len(exc.trace)} recorded iterations: "
+            f"{exc.reason}",
+            file=sys.stderr,
+        )
+        return EXIT_ABORT
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entrypoint() -> None:

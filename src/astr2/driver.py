@@ -9,8 +9,9 @@ scaled-gradient step s = -g/w^L or a trust-region step of radius Delta^Q;
 accept the trial point unconditionally.  With a dense Hessian the measure
 and the step are two solves of one :class:`~astr2.trs.DenseModel`, so H_k is
 eigendecomposed once per iteration; in subspace mode each is its own Lanczos
-solve from g_k, and the step is checked against the Cauchy and eigen
-decreases.  The objective value is never read by the step computation; with
+solve from g_k, and the step is checked against the eigen decrease (the
+Krylov space contains g_k, so the step already dominates the Cauchy point).
+The objective value is never read by the step computation; with
 ``record_f`` set, f is evaluated once per iteration purely for the trace.
 """
 
@@ -28,7 +29,6 @@ from .scaling import AdagradScaling, DivergentScaling
 from .trs import (
     DenseModel,
     LanczosNoConvergence,
-    cauchy_decrease,
     eigen_decrease,
     min_eigpair,
     solve_trs_krylov,
@@ -65,7 +65,6 @@ class Astr2Config:
     scaling: Union[AdagradScaling, DivergentScaling]
     max_iter: int
     tau: float = 1.0
-    chi: float = 1.0
     xi: float = 1.0
     eps1: Optional[float] = None
     eps2: Optional[float] = None
@@ -75,8 +74,6 @@ class Astr2Config:
     def __post_init__(self) -> None:
         if not 0.0 < self.tau <= 1.0:
             raise ValueError(f"tau must be in (0, 1], got {self.tau!r}")
-        if not 0.0 < self.chi <= 1.0:
-            raise ValueError(f"chi must be in (0, 1], got {self.chi!r}")
         if not self.xi >= 1.0:
             raise ValueError(f"xi must be >= 1, got {self.xi!r}")
         if not (isinstance(self.max_iter, (int, np.integer)) and self.max_iter >= 1):
@@ -177,17 +174,14 @@ def astr2_step(
                 seed_direction=eigpair.vector if eigpair is not None else None,
             )
             s, dq = sol.d, sol.model_decrease
-            # The subspace solve can in principle miss the required fraction of
-            # the best single-direction decreases; check and fall back.
-            alpha_c, dq_c = cauchy_decrease(g, hvp, delta_q)
+            # The Krylov space starts at g, so its first solve is the Cauchy
+            # problem and the step dominates the Cauchy decrease; it can still
+            # miss the negative curvature, so check the eigen decrease.
             if eigpair is None:
                 eigpair = _min_eigpair_with_fallback(oracle, x, hvp)
-            u, alpha_e, dq_e = eigen_decrease(g, hvp, delta_q, config.chi, eigpair=eigpair)
-            if dq + 1e-10 < config.tau * max(dq_c, dq_e):
-                if dq_c >= dq_e:
-                    s, dq = -alpha_c * g, dq_c
-                else:
-                    s, dq = alpha_e * u, dq_e
+            u, alpha_e, dq_e = eigen_decrease(g, hvp, delta_q, eigpair=eigpair)
+            if dq + 1e-10 < config.tau * dq_e:
+                s, dq = alpha_e * u, dq_e
 
     x_next = x + s
     f_val: Optional[float] = None

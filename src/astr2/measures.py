@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .trs import solve_trs_exact, solve_trs_krylov
+from .trs import _check_radius, solve_trs_exact, solve_trs_krylov
 
 Array = np.ndarray
 
@@ -38,15 +38,13 @@ class OptimalityReport:
 
 def phi1(g: Array, delta: float) -> float:
     """First-order measure: delta * ||g||."""
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta!r}")
+    _check_radius(delta)
     return float(delta * np.linalg.norm(g))
 
 
 def phi2(g: Array, H: Array, delta: float) -> tuple[float, Array]:
     """Second-order measure and the model minimizer achieving it."""
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta!r}")
+    _check_radius(delta)
     sol = solve_trs_exact(g, H, delta)
     return sol.model_decrease, sol.d
 
@@ -65,8 +63,7 @@ def phi2_subspace(
     instances).  ``max_dim = 0`` is the degenerate choice S = {0}, where the
     restricted measure is 0 by definition.
     """
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta!r}")
+    _check_radius(delta)
     if max_dim < 0:
         raise ValueError(f"max_dim must be >= 0, got {max_dim!r}")
     if max_dim == 0:
@@ -83,8 +80,7 @@ def combined_measures(g: Array, H: Array, xi: float, delta: float) -> Optimality
     """
     if not xi >= 1.0:
         raise ValueError(f"xi must be >= 1, got {xi!r}")
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta!r}")
+    _check_radius(delta)
     g = np.asarray(g, dtype=float)
     value, d = phi2(g, H, delta)
     gnorm2 = float(np.dot(g, g))

@@ -246,12 +246,12 @@ def finite_diff_check(oracle: ProblemOracle, x: Array, h: float) -> FiniteDiffRe
     Raises
     ------
     ValueError
-        If the oracle has no ``f_diagnostic`` or h <= 0.
+        If the oracle has no ``f_diagnostic`` or h is not positive and finite.
     """
     if oracle.f_diagnostic is None:
         raise ValueError(f"oracle {oracle.name!r} has no f_diagnostic; cannot finite-difference it")
-    if not h > 0:
-        raise ValueError(f"finite-difference step must be positive, got {h!r}")
+    if not 0 < h < np.inf:
+        raise ValueError(f"finite-difference step must be positive and finite, got {h!r}")
     x = np.asarray(x, dtype=float)
     n = oracle.n
     f = oracle.f_diagnostic

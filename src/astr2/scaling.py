@@ -18,19 +18,18 @@ hatphi_k), so the sums include the current index.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-
-_POLICIES = ("upper", "oscillate")
 
 
 @dataclass
 class AdagradScaling:
     """State of the Adagrad-like scaling family.
 
-    ``policy`` selects the emitted point of the admissible interval
-    [theta * hat_w, hat_w]: "upper" emits hat_w itself (the classic choice),
-    "oscillate" alternates deterministically between the two ends via
-    w = (theta + (1 - theta) * (k mod 2)) * hat_w.
+    Emits a point of the admissible interval [theta * hat_w, hat_w],
+    alternating deterministically between its two ends via
+    w = (theta + (1 - theta) * (k mod 2)) * hat_w; at theta = 1, the
+    default, this is hat_w itself (the classic choice).
     """
 
     varsigma: float = 1.0
@@ -38,13 +37,12 @@ class AdagradScaling:
     nu: float = 1.0 / 3.0
     theta_l: float = 1.0
     theta_q: float = 1.0
-    policy: str = "upper"
     a_accum: float = field(default=0.0)
     b_accum: float = field(default=0.0)
 
     def __post_init__(self) -> None:
-        if not self.varsigma > 0:
-            raise ValueError(f"varsigma must be positive, got {self.varsigma!r}")
+        if not 0.0 < self.varsigma < math.inf:
+            raise ValueError(f"varsigma must be positive and finite, got {self.varsigma!r}")
         if not 0.0 < self.mu < 1.0:
             raise ValueError(f"mu must be in (0, 1), got {self.mu!r}")
         if not 0.0 < self.nu < 1.0:
@@ -53,8 +51,6 @@ class AdagradScaling:
             raise ValueError(f"theta_l must be in (0, 1], got {self.theta_l!r}")
         if not 0.0 < self.theta_q <= 1.0:
             raise ValueError(f"theta_q must be in (0, 1], got {self.theta_q!r}")
-        if self.policy not in _POLICIES:
-            raise ValueError(f"policy must be one of {_POLICIES}, got {self.policy!r}")
 
     def weights(
         self, k: int, branch: str, g_norm_sq: float, hatphi_cubed: float
@@ -72,8 +68,6 @@ class AdagradScaling:
             raise ValueError(f"branch must be 'L' or 'Q', got {branch!r}")
         hat_wl = (self.varsigma + self.a_accum) ** self.mu
         hat_wq = (self.varsigma + self.b_accum) ** self.nu
-        if self.policy == "upper":
-            return hat_wl, hat_wq
         fl = self.theta_l + (1.0 - self.theta_l) * (k % 2)
         fq = self.theta_q + (1.0 - self.theta_q) * (k % 2)
         return fl * hat_wl, fq * hat_wq
@@ -102,9 +96,9 @@ class DivergentScaling:
     def __post_init__(self) -> None:
         if not 0.0 < self.varsigma <= 1.0:
             raise ValueError(f"varsigma must be in (0, 1], got {self.varsigma!r}")
-        if not self.kappa_w >= max(1.0, self.varsigma):
+        if not max(1.0, self.varsigma) <= self.kappa_w < math.inf:
             raise ValueError(
-                f"kappa_w must be >= max(1, varsigma), got {self.kappa_w!r}"
+                f"kappa_w must be finite and >= max(1, varsigma), got {self.kappa_w!r}"
             )
         if not 0.0 < self.nu1 <= self.mu1 < 1.0:
             raise ValueError(f"need 0 < nu1 <= mu1 < 1, got nu1={self.nu1!r}, mu1={self.mu1!r}")

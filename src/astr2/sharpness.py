@@ -37,11 +37,11 @@ class _ReplayDrift(ValueError):
     """Replay iterate strayed from the stored breakpoints."""
 
 
-def zeta(s: float, n_terms: int = _ZETA_TERMS) -> float:
+def zeta(s: float) -> float:
     """Riemann zeta for real s in (1, 4), accurate to ~1e-14 relative.
 
-    Direct summation of the first ``n_terms`` reciprocal powers (compensated)
-    plus the Euler-Maclaurin tail at a = n_terms + 1:
+    Direct summation of the first N = 10^6 reciprocal powers (compensated)
+    plus the Euler-Maclaurin tail at a = N + 1:
 
         a^{1-s}/(s-1) + a^{-s}/2 + s a^{-s-1}/12,
 
@@ -49,11 +49,9 @@ def zeta(s: float, n_terms: int = _ZETA_TERMS) -> float:
     """
     if not 1.0 < s < 4.0:
         raise ValueError(f"s must be in (1, 4), got {s!r}")
-    if n_terms < 10:
-        raise ValueError(f"n_terms must be >= 10, got {n_terms!r}")
-    n = np.arange(1, n_terms + 1, dtype=float)
+    n = np.arange(1, _ZETA_TERMS + 1, dtype=float)
     direct = math.fsum(np.power(n, -s))
-    a = float(n_terms + 1)
+    a = float(_ZETA_TERMS + 1)
     tail = a ** (1.0 - s) / (s - 1.0) + 0.5 * a ** (-s) + (s / 12.0) * a ** (-s - 1.0)
     return direct + tail
 
@@ -67,8 +65,6 @@ class SharpnessSequence:
     point x_{K+1} = x_K + s_K and its value f_{K+1} = f_K - dq_K.
     ``scaling`` is the fresh scaling state whose weights generated the
     sequence; a run configured with it replays the sequence.
-    ``f0_shift`` is display-only: a target value to which f_0 is moved when
-    sampling figures (the construction itself is never shifted).
     """
 
     family: str
@@ -81,7 +77,6 @@ class SharpnessSequence:
     phi: Array
     s: Array
     dq: Array
-    f0_shift: Optional[float] = None
 
 
 def _generate(
@@ -266,7 +261,7 @@ def sample_figure(
     Each interval contributes ``points_per_interval`` samples including its
     left breakpoint; the final breakpoint is appended, so every breakpoint
     appears exactly once.  The f column is shifted by (f0_shift - f_0) when
-    a shift is given here or stored on the sequence.
+    a shift is given; the construction itself is never shifted.
     """
     if points_per_interval < 1:
         raise ValueError(
@@ -280,9 +275,8 @@ def sample_figure(
     pieces.append(xs[-1:])
     x_samp = np.concatenate(pieces)
     p, dp, ddp = interpolant.evaluate(x_samp)
-    shift_target = f0_shift if f0_shift is not None else seq.f0_shift
-    if shift_target is not None:
-        p = p + (shift_target - seq.f[0])
+    if f0_shift is not None:
+        p = p + (f0_shift - seq.f[0])
     return x_samp, p, dp, ddp
 
 
@@ -329,8 +323,8 @@ def replay_check(seq: SharpnessSequence, config: Astr2Config) -> bool:
     """Drive the actual iteration loop over the stored breakpoints.
 
     The scaling state in ``config`` must be structurally capable of the
-    construction (matching family; plain upper-weight Adagrad policy with
-    fresh accumulators), else ValueError.  Numeric disagreement of the
+    construction (matching family; Adagrad with theta = 1 and fresh
+    accumulators), else ValueError.  Numeric disagreement of the
     replayed trace (branch, step length, quadratic radius, decrease, or an
     iterate drifting off the breakpoints) returns False.
     """
@@ -338,8 +332,8 @@ def replay_check(seq: SharpnessSequence, config: Astr2Config) -> bool:
         if not isinstance(config.scaling, AdagradScaling):
             raise ValueError("adagrad sequence needs AdagradScaling in the config")
         st = config.scaling
-        if st.policy != "upper" or st.theta_l != 1.0 or st.theta_q != 1.0:
-            raise ValueError("replay requires the plain upper-weight policy")
+        if st.theta_l != 1.0 or st.theta_q != 1.0:
+            raise ValueError("replay requires the upper weights, theta = 1")
         if st.a_accum != 0.0 or st.b_accum != 0.0:
             raise ValueError("replay requires fresh accumulators")
     elif seq.family == "divergent":

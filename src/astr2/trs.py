@@ -36,6 +36,9 @@ _SYM_TOL = 1e-8
 _SECULAR_TOL = 1e-13  # |1/||d|| - 1/Delta| * Delta at the accepted root
 _HARD_TOL = 1e-12  # relative size of the gradient on the critical eigenspace
 _GAP_TOL = 1e-12  # relative eigenvalue gap defining the critical eigenspace
+_BRUTE_ANGLES = 10_000  # angle grid of brute_force_decrease for n = 2
+_BRUTE_STARTS = 100  # random sphere-ascent restarts of brute_force_decrease for n >= 3
+_BRUTE_ITERS = 300  # projected-gradient steps per restart
 
 
 class LanczosNoConvergence(RuntimeError):
@@ -271,25 +274,24 @@ def eigen_decrease(
     g: Array,
     H: Union[Array, HvpHandle],
     delta: float,
-    chi: float,
     eigpair: Optional[EigenPair] = None,
 ) -> tuple[Optional[Array], float, float]:
     """Best model decrease along an approximate minimum-curvature direction.
 
-    The direction u satisfies u^T H u <= chi * lambda_min[H], u^T g <= 0 and
-    ||u|| = 1 whenever lambda_min[H] < 0.  When lambda_min[H] >= 0 the
-    decrease is defined as 0 (no negative curvature to exploit) and u is
-    still returned for inspection.  Pass ``eigpair`` to reuse an already
-    computed (approximate) minimum eigenpair; with a dense ``H`` and no pair
-    the exact eigendecomposition is used.
+    The direction u is the unit vector of a minimum eigenpair of H, oriented
+    so that u^T g <= 0; u^T H u is the value of the pair (lambda_min[H] for
+    the exact pair).  When that value is >= 0 the decrease is defined as 0
+    (no negative curvature to exploit) and u is still returned for
+    inspection.  Pass ``eigpair`` to reuse an already computed (approximate)
+    minimum eigenpair, such as a :func:`min_eigpair` Lanczos pair converged
+    to its ``tol``; with a dense ``H`` and no pair the exact
+    eigendecomposition is used.
 
     Returns
     -------
     (u, alpha, dq_e)
     """
     _check_radius(delta)
-    if not (0.0 < chi <= 1.0):
-        raise ValueError(f"chi must be in (0, 1], got {chi!r}")
     g = np.asarray(g, dtype=float)
     if eigpair is None:
         if callable(H):
@@ -539,15 +541,12 @@ def brute_force_decrease(
     H: Array,
     delta: float,
     rng: Optional[np.random.Generator] = None,
-    n_angles: int = 10_000,
-    n_starts: int = 100,
-    n_iters: int = 300,
 ) -> float:
     """Brute-force reference value of the best model decrease over the ball.
 
     Enumerates interior stationary points (linear solve) and optimizes the
     boundary restriction: a dense angle grid for n = 2 (10^4 points), or
-    projected-gradient ascent on the sphere restarted from ``n_starts``
+    projected-gradient ascent on the sphere (300 steps) restarted from 100
     random seeds for n >= 3; a projected-Newton polish sharpens the best
     boundary candidates to roundoff.  Shares no logic with the secular
     solver, so it can serve as an independent oracle for it.
@@ -575,13 +574,13 @@ def brute_force_decrease(
         return max(0.0, -min(values))
 
     if n == 2:
-        th = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
+        th = np.linspace(0.0, 2.0 * np.pi, _BRUTE_ANGLES, endpoint=False)
         D = delta * np.vstack([np.cos(th), np.sin(th)])
         vals = g @ D + 0.5 * np.sum(D * (H @ D), axis=0)
         order = np.argsort(vals)
         candidates = [D[:, i] / delta for i in order[:3]]
     else:
-        U = rng.standard_normal((n, n_starts))
+        U = rng.standard_normal((n, _BRUTE_STARTS))
         extra = [g / np.linalg.norm(g)] if np.linalg.norm(g) > 0 else []
         for i in range(n):
             e = np.zeros(n)
@@ -593,7 +592,7 @@ def brute_force_decrease(
         B = (delta * delta) * H
         lip = float(np.linalg.norm(B)) + float(np.linalg.norm(a)) + 1.0
         step = 1.0 / lip
-        for _ in range(n_iters):
+        for _ in range(_BRUTE_ITERS):
             grad = a[:, None] + B @ U
             grad_t = grad - U * np.sum(U * grad, axis=0)
             U = U - step * grad_t

@@ -102,7 +102,6 @@ def envelope_run():
                                theta_l=1.0, theta_q=1.0),
         max_iter=10_000,
         tau=0.9,
-        chi=0.9,
         xi=1.0,
     )
     trace = run(oracle, np.asarray(oracle.x0, dtype=float), config)

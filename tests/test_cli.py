@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from astr2.cli import TRACE_HEADER, main, parse_trace_csv, write_trace_csv
+from astr2.driver import SolverAbort
 
 
 def read_csv_rows(path):
@@ -141,7 +142,43 @@ def test_fd_check_passes_on_catalog_problems(capsys):
 
 def test_fd_check_rejects_nonpositive_step(capsys):
     assert main(["fd-check", "--problem", "cosine_sum", "--h", "0"]) == 2
+    # an infinite step makes both errors nan, which must not pass as <= tol
+    assert main(["fd-check", "--problem", "cosine_sum", "--n", "3", "--h", "inf"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--problem", "quadratic_psd", "--n", "3", "--x0", "1,2,nan"],
+    ["run", "--problem", "quadratic_psd", "--varsigma", "inf"],
+    ["run", "--problem", "quadratic_psd", "--scaling", "divergent", "--kappa-w", "inf"],
+    ["trs-check", "--count", "2", "--radii", "inf"],
+    ["trs-check", "--count", "2", "--radii", "1,nan"],
+])
+def test_non_finite_inputs_are_parameter_errors(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_unwritable_output_paths_are_usage_errors(tmp_path, capsys):
+    missing = str(tmp_path / "missing" / "out.csv")
+    assert main(["run", "--problem", "quadratic_psd", "--n", "2",
+                 "--max-iter", "2", "--out", missing]) == 2
+    assert main(["sharpness", "--K", "2", "--out", missing]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 2 and "No such file" in err
+
+
+def test_solver_abort_exits_with_code_one(monkeypatch, capsys):
+    def abort(oracle, x0, config):
+        raise SolverAbort("non-finite gradient at iteration 3", [])
+
+    monkeypatch.setattr("astr2.cli.run", abort)
+    assert main(["run", "--problem", "quadratic_psd", "--n", "2"]) == 1
+    assert capsys.readouterr().err == (
+        "error: solver abort after 0 recorded iterations: "
+        "non-finite gradient at iteration 3\n"
+    )
 
 
 def test_parse_trace_rejects_malformed_files(tmp_path):

@@ -42,8 +42,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         adagrad_config(tau=0.0)
     with pytest.raises(ValueError):
-        adagrad_config(chi=1.5)
-    with pytest.raises(ValueError):
         adagrad_config(xi=0.5)
     with pytest.raises(ValueError):
         adagrad_config(max_iter=0)
@@ -81,7 +79,7 @@ def test_linear_step_is_the_scaled_negative_gradient():
 
 def test_radii_definitions():
     oracle = make_problem("cosine_sum", 6)
-    cfg = adagrad_config(max_iter=20, tau=0.9, chi=0.9)
+    cfg = adagrad_config(max_iter=20, tau=0.9)
     trace = run(oracle, 0.3 * np.ones(6), cfg)
     for r in trace:
         assert r.delta_l == pytest.approx(r.norm_g / r.w_l, rel=5e-16)
@@ -91,7 +89,7 @@ def test_radii_definitions():
 
 def test_quadratic_step_meets_the_model_decrease_floor():
     oracle = make_problem("cosine_sum", 8)
-    cfg = adagrad_config(max_iter=40, tau=0.9, chi=0.9)
+    cfg = adagrad_config(max_iter=40, tau=0.9)
     trace = run(oracle, 1e-3 * np.ones(8), cfg)
     q_rows = [r for r in trace if r.branch == "Q"]
     assert q_rows, "expected quadratic iterations near the maximizer"
@@ -100,7 +98,7 @@ def test_quadratic_step_meets_the_model_decrease_floor():
         g = oracle.gradient(r.x)
         assert r.norm_s <= r.delta_q * (1 + 1e-10)
         _, dq_c = cauchy_decrease(g, H, r.delta_q)
-        _, _, dq_e = eigen_decrease(g, H, r.delta_q, cfg.chi)
+        _, _, dq_e = eigen_decrease(g, H, r.delta_q)
         assert r.dq >= cfg.tau * max(dq_c, dq_e) - 1e-10
 
 
@@ -227,7 +225,7 @@ def test_divergent_scaling_drives_the_radii_down():
 def test_subspace_mode_matches_dense_mode_on_smooth_runs():
     oracle = make_problem("cosine_sum", 10)
     base = dict(scaling=AdagradScaling(varsigma=1.0, mu=0.5, nu=1.0 / 3.0),
-                max_iter=60, tau=0.9, chi=0.9)
+                max_iter=60, tau=0.9)
     dense = run(oracle, oracle.x0, Astr2Config(**base))
     sub = run(oracle, oracle.x0, Astr2Config(**base, subspace_max_dim=10))
     for a, b in zip(dense, sub):

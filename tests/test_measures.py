@@ -14,6 +14,8 @@ def test_phi1_is_delta_times_gradient_norm():
     assert phi1(g, 1.0) == 3.0
     with pytest.raises(ValueError):
         phi1(g, 0.0)
+    with pytest.raises(ValueError):
+        phi1(g, np.inf)
 
 
 def test_phi2_negative_curvature_1d():
@@ -99,6 +101,8 @@ def test_combined_measures_validates_parameters():
         combined_measures(np.ones(2), np.eye(2), 0.5, 1.0)
     with pytest.raises(ValueError):
         combined_measures(np.ones(2), np.eye(2), 1.0, -1.0)
+    with pytest.raises(ValueError):
+        combined_measures(np.ones(2), np.eye(2), 1.0, np.inf)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)

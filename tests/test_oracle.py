@@ -105,6 +105,8 @@ def test_finite_diff_check_validates_inputs():
     oracle = make_problem("quadratic_psd", 3)
     with pytest.raises(ValueError):
         finite_diff_check(oracle, np.zeros(3), 0.0)
+    with pytest.raises(ValueError):
+        finite_diff_check(oracle, np.zeros(3), np.inf)
     import dataclasses
 
     stripped = dataclasses.replace(oracle, f_diagnostic=None)

@@ -14,7 +14,9 @@ def test_adagrad_validation():
     with pytest.raises(ValueError):
         AdagradScaling(theta_l=0.0)
     with pytest.raises(ValueError):
-        AdagradScaling(policy="bogus")
+        AdagradScaling(varsigma=np.inf)
+    with pytest.raises(ValueError):
+        AdagradScaling(varsigma=np.nan)
 
 
 def test_adagrad_upper_weights_follow_the_accumulators():
@@ -43,7 +45,7 @@ def test_adagrad_rejects_unknown_branch():
 
 def test_adagrad_oscillate_policy_alternates_the_band():
     state = AdagradScaling(varsigma=1.0, mu=0.5, nu=0.5,
-                           theta_l=0.25, theta_q=0.5, policy="oscillate")
+                           theta_l=0.25, theta_q=0.5)
     w_l0, w_q0 = adagrad_weights(state, 0, "L", 3.0, 0.0)
     assert w_l0 == 0.25 * 2.0 and w_q0 == 0.5 * 1.0
     w_l1, w_q1 = adagrad_weights(state, 1, "L", 5.0, 0.0)
@@ -66,6 +68,8 @@ def test_divergent_validation():
         DivergentScaling(varsigma=0.0)
     with pytest.raises(ValueError):
         DivergentScaling(kappa_w=0.5)          # below max(1, varsigma)
+    with pytest.raises(ValueError):
+        DivergentScaling(kappa_w=np.inf)
     with pytest.raises(ValueError):
         DivergentScaling(nu2=0.4, mu2=0.3)     # band inverted
     with pytest.raises(ValueError):

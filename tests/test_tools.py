@@ -1,9 +1,13 @@
 import importlib.util
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-_TOOL = Path(__file__).resolve().parent.parent / "tools" / "code_size.py"
+_TOOLS = Path(__file__).resolve().parent.parent / "tools"
+_TOOL = _TOOLS / "code_size.py"
 
 
 @pytest.fixture(scope="module")
@@ -59,3 +63,12 @@ def test_code_size_counts_an_added_statement(code_size, tmp_path):
     more, more_lines = _size(code_size, tmp_path, "more.py", _ONE_MORE_STATEMENT)
     assert more == tokens + 3
     assert more_lines == lines + 1
+
+
+def test_trace_digest_is_reproducible(tmp_path):
+    argv = [sys.executable, str(_TOOLS / "trace_digest.py"), "--workload", "matrix_free",
+            "--seeds", "1", "--workdir", str(tmp_path / "work")]
+    first, second = (subprocess.run(argv, capture_output=True, text=True, check=True).stdout
+                     for _ in range(2))
+    assert re.fullmatch(r"matrix_free seed 1: [0-9a-f]{64}\n", first)
+    assert second == first

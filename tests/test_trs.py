@@ -123,9 +123,14 @@ def test_decrease_dominates_cauchy_and_eigen_points(rng):
         delta = float(rng.choice([0.1, 1.0, 10.0]))
         sol = solve_trs_exact(g, H, delta)
         _, dq_c = cauchy_decrease(g, H, delta)
-        _, _, dq_e = eigen_decrease(g, H, delta, 1.0)
+        _, _, dq_e = eigen_decrease(g, H, delta)
         assert sol.model_decrease >= max(dq_c, dq_e) - 1e-10
         assert_kkt(g, H, delta, sol)
+        # The Krylov space starts at g, so every subspace dimension, down to
+        # the Cauchy problem at m = 1, dominates the Cauchy point.
+        for m in range(1, n + 1):
+            kr, _ = solve_trs_krylov(g, lambda v: H @ v, delta, max_dim=m)
+            assert kr.model_decrease >= dq_c - 1e-12 * max(1.0, dq_c)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
@@ -186,19 +191,19 @@ def test_cauchy_maximizes_along_the_gradient_ray(rng):
 # --- eigen_decrease --------------------------------------------------------
 
 def test_eigen_pure_negative_curvature():
-    u, alpha, dq = eigen_decrease(np.zeros(2), np.diag([-1.0, 1.0]), 2.0, 1.0)
+    u, alpha, dq = eigen_decrease(np.zeros(2), np.diag([-1.0, 1.0]), 2.0)
     assert abs(u[0]) == pytest.approx(1.0, abs=1e-12) and u[1] == pytest.approx(0.0, abs=1e-12)
     assert alpha == pytest.approx(2.0, abs=1e-12)
     assert dq == pytest.approx(2.0, abs=1e-12)
 
 
 def test_eigen_psd_returns_zero():
-    _, alpha, dq = eigen_decrease(np.array([3.0, -1.0]), np.eye(2), 5.0, 0.9)
+    _, alpha, dq = eigen_decrease(np.array([3.0, -1.0]), np.eye(2), 5.0)
     assert alpha == 0.0 and dq == 0.0
 
 
 def test_eigen_semidefinite_with_orthogonal_gradient():
-    u, alpha, dq = eigen_decrease(np.array([0.0, 1.0]), np.diag([-1.0, 0.0]), 1.0, 1.0)
+    u, alpha, dq = eigen_decrease(np.array([0.0, 1.0]), np.diag([-1.0, 0.0]), 1.0)
     assert abs(u[0]) == pytest.approx(1.0, abs=1e-12)
     assert float(u @ np.array([0.0, 1.0])) <= 0.0
     assert dq == pytest.approx(0.5, abs=1e-12)
@@ -209,14 +214,13 @@ def test_eigen_direction_conditions_hold(rng):
         n = int(rng.integers(1, 6))
         H = random_symmetric(rng, n)
         g = rng.uniform(-2, 2, n)
-        chi = float(rng.uniform(0.5, 1.0))
-        u, alpha, dq = eigen_decrease(g, H, 1.0, chi)
+        u, alpha, dq = eigen_decrease(g, H, 1.0)
         lam_min = np.linalg.eigvalsh(H)[0]
         if lam_min >= 0:
             assert dq == 0.0
             continue
         assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
-        assert float(u @ H @ u) <= chi * lam_min + 1e-8
+        assert float(u @ H @ u) <= lam_min + 1e-8
         assert float(u @ g) <= 1e-12
         assert 0.0 <= alpha <= 1.0 + 1e-12
         assert dq >= 0.0
@@ -282,7 +286,7 @@ def test_krylov_zero_gradient_uses_the_seed():
     pair = min_eigpair(H)
     sub, _ = solve_trs_krylov(np.zeros(6), lambda v: H @ v, 2.0, max_dim=6,
                               seed_direction=pair.vector)
-    u, alpha, dq_e = eigen_decrease(np.zeros(6), H, 2.0, 1.0)
+    u, alpha, dq_e = eigen_decrease(np.zeros(6), H, 2.0)
     assert sub.model_decrease >= dq_e - 1e-10
 
 
