@@ -24,6 +24,7 @@ References
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
@@ -130,24 +131,25 @@ class DenseModel:
         1/Delta over t >= max(0, -lambda_min), with the hard case (gradient
         orthogonal to the critical eigenspace and interior pseudo-inverse
         solution) resolved by an explicit eigenvector correction to the
-        boundary.  Near the hard case (gradient small but not negligible on
-        the critical eigenspace) t cannot always be resolved to the secular
-        tolerance in floating point; the Newton iteration then keeps its
-        feasible bracket end and reaches the boundary along the critical
-        eigenvector with the smaller of the two steps (More-Sorensen), so
-        ||d|| = Delta to rounding on every boundary solution.
+        boundary.  phi is concave and increasing, so a Newton step from the
+        left of the root never passes it; the feasible bracket end is itself
+        an admissible iterate, which is the root when g lies along the
+        critical eigenvector (every 1-D model with negative curvature).  Near
+        the hard case (gradient small but not negligible on the critical
+        eigenspace) t cannot always be resolved to the secular tolerance in
+        floating point; the Newton iteration then keeps its feasible bracket
+        end and reaches the boundary along the critical eigenvector with the
+        smaller of the two steps (More-Sorensen), so ||d|| = Delta to
+        rounding on every boundary solution.  When ||g||/Delta is below one
+        ulp of t_lo the bracket has no width and the critical coordinates are
+        dropped before that push.  One evaluation of phi costs a few numpy
+        calls on the cached spectrum; the floating-point error state is set
+        once per solve.
         """
         _check_radius(delta)
         g, H, lam, Q, gt = self.g, self.H, self.lam, self.Q, self.gt
         n = g.shape[0]
         t_lo = max(0.0, -lam[0])
-
-        def coords_at(t: float) -> Array:
-            denom = lam + t
-            with np.errstate(divide="ignore", invalid="ignore"):
-                c = -gt / denom
-            # 0/0 means no gradient on a critical direction: contributes nothing.
-            return np.where((denom == 0.0) & (gt == 0.0), 0.0, c)
 
         def finish(d: Array, t: float, boundary: bool, hard: bool) -> TrsSolution:
             dq = -(float(np.dot(g, d)) + 0.5 * float(np.dot(d, H @ d)))
@@ -163,8 +165,9 @@ class DenseModel:
         scale = max(1.0, float(np.max(np.abs(lam))))
         crit = (lam + t_lo) <= _GAP_TOL * scale
         g_crit = float(np.linalg.norm(gt[crit])) if np.any(crit) else 0.0
+        gnorm = float(np.linalg.norm(g))
 
-        if g_crit <= _HARD_TOL * max(1.0, float(np.linalg.norm(g))):
+        if g_crit <= _HARD_TOL * max(1.0, gnorm):
             dp = np.zeros(n)
             free = ~crit
             dp[free] = -gt[free] / (lam[free] + t_lo)
@@ -178,58 +181,70 @@ class DenseModel:
                 if norm_dp == 0.0:
                     theta = delta
                 else:
-                    theta = float(np.sqrt(max(0.0, delta * delta - norm_dp * norm_dp)))
+                    theta = math.sqrt(max(0.0, delta * delta - norm_dp * norm_dp))
                 return finish(Q @ dp + theta * u, t_lo, True, True)
 
         # Boundary solution with t strictly above t_lo: safeguarded Newton on
         # phi(t) = 1/||d(t)|| - 1/Delta, increasing with phi(t_lo) <= 0.
-        gnorm = float(np.linalg.norm(g))
+        neg_gt, gt2 = -gt, gt * gt
+
+        def phi_and_slope(t: float) -> tuple[float, float, Array]:
+            # phi(t), phi'(t) and the coordinates of d(t) in the eigenbasis.
+            denom = lam + t
+            c = neg_gt / denom
+            s3 = gt2 / denom ** 3
+            if denom[0] == 0.0:
+                # lam ascends and t >= t_lo, so only leading entries vanish.
+                # 0/0 means no gradient on a critical direction: contributes
+                # nothing.
+                zero = (denom == 0.0) & (gt == 0.0)
+                c[zero] = 0.0
+                s3[zero] = 0.0
+            n2 = float(np.dot(c, c))
+            if not math.isfinite(n2) or n2 == 0.0:
+                return -1.0 / delta, 0.0, c
+            nrm = math.sqrt(n2)
+            return 1.0 / nrm - 1.0 / delta, float(s3.sum()) / nrm ** 3, c
+
         lo = t_lo
         hi = t_lo + gnorm / delta
-        # Guard: widen until phi(hi) >= 0 (covers rounding at the analytic bound).
-        def phi_and_slope(t: float) -> tuple[float, float, Array]:
-            c = coords_at(t)
-            n2 = float(np.dot(c, c))
-            if not np.isfinite(n2) or n2 == 0.0:
-                return -1.0 / delta, 0.0, c
-            nrm = np.sqrt(n2)
-            denom = lam + t
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                s3 = np.where((denom == 0.0) & (gt == 0.0), 0.0, gt * gt / denom ** 3)
-            slope = float(np.sum(s3)) / nrm ** 3
-            return 1.0 / nrm - 1.0 / delta, slope, c
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # Guard: widen until phi(hi) >= 0 (covers rounding at the analytic bound).
+            for _ in range(60):
+                val_hi, _, _ = phi_and_slope(hi)
+                if val_hi >= 0.0:
+                    break
+                hi = t_lo + 2.0 * (hi - t_lo)
 
-        for _ in range(60):
-            val_hi, _, _ = phi_and_slope(hi)
-            if val_hi >= 0.0:
-                break
-            hi = t_lo + 2.0 * (hi - t_lo)
-
-        t = 0.5 * (lo + hi)
-        for _ in range(200):
-            val, slope, coords = phi_and_slope(t)
-            if abs(val) * delta <= _SECULAR_TOL:
-                return finish(Q @ coords, t, True, False)
-            if val < 0.0:
-                lo = t
-            else:
-                hi = t
-            t_new = t - val / slope if slope > 0.0 and np.isfinite(slope) else t
-            if not (lo < t_new < hi):
-                t_new = 0.5 * (lo + hi)
-            if t_new == t and hi - lo <= 1e-15 * max(1.0, t):
-                break
-            t = t_new
-        # Near the hard case (t close to -lambda_1, the gradient small on the
-        # critical eigenvector) ||d(t)|| changes too fast for t to be resolved in
-        # floating point.  Take the feasible end hi and reach the boundary along
-        # the critical eigenvector by the root of smaller magnitude, which
-        # changes the model least (More-Sorensen).
-        coords = coords_at(hi)
-        p = coords[0]
-        r = max(0.0, delta * delta - float(np.dot(coords, coords)))
-        if r > 0.0:
-            coords[0] += np.copysign(r / (abs(p) + np.sqrt(p * p + r)), p)
+            t = 0.5 * (lo + hi)
+            for _ in range(200):
+                val, slope, coords = phi_and_slope(t)
+                if abs(val) * delta <= _SECULAR_TOL:
+                    return finish(Q @ coords, t, True, False)
+                if val < 0.0:
+                    lo = t
+                else:
+                    hi = t
+                t_new = t - val / slope if slope > 0.0 and math.isfinite(slope) else t
+                if not (lo < t_new <= hi):
+                    t_new = 0.5 * (lo + hi)
+                if t_new == t and hi - lo <= 1e-15 * max(1.0, t):
+                    break
+                t = t_new
+            # Near the hard case (t close to -lambda_1, the gradient small on the
+            # critical eigenvector) ||d(t)|| changes too fast for t to be resolved
+            # in floating point.  Take the feasible end hi and reach the boundary
+            # along the critical eigenvector by the root of smaller magnitude,
+            # which changes the model least (More-Sorensen).
+            _, _, coords = phi_and_slope(hi)
+            if hi == t_lo:
+                # ||g||/Delta is below one ulp of t_lo: the critical coordinates
+                # are -gt/0.  Zero them, keeping the sign of -gt for the push.
+                coords[crit] = np.copysign(0.0, neg_gt[crit])
+            p = coords[0]
+            r = max(0.0, delta * delta - float(np.dot(coords, coords)))
+            if r > 0.0:
+                coords[0] += math.copysign(r / (abs(p) + math.sqrt(p * p + r)), p)
         return finish(Q @ coords, hi, True, False)
 
 

@@ -147,6 +147,15 @@ def test_fd_check_rejects_nonpositive_step(capsys):
     capsys.readouterr()
 
 
+def test_fd_check_rejects_large_steps(capsys):
+    # At h >= 0.1 the tolerance 100 h^2 would pass the normalised errors'
+    # whole scale of 1; it is capped at 1e-2.
+    assert main(["fd-check", "--problem", "cosine_sum", "--h", "1e200"]) == 3
+    assert main(["fd-check", "--problem", "cosine_sum", "--h", "1"]) == 3
+    assert main(["fd-check", "--problem", "cosine_sum"]) == 0
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "--problem", "quadratic_psd", "--n", "3", "--x0", "1,2,nan"],
     ["run", "--problem", "quadratic_psd", "--varsigma", "inf"],
@@ -167,6 +176,20 @@ def test_unwritable_output_paths_are_usage_errors(tmp_path, capsys):
     assert main(["sharpness", "--K", "2", "--out", missing]) == 2
     err = capsys.readouterr().err
     assert err.count("error: ") == 2 and "No such file" in err
+
+
+def test_run_opens_out_before_iterating(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def record(oracle, x0, config):
+        calls.append(x0)
+        raise AssertionError("run must not start when --out cannot be opened")
+
+    monkeypatch.setattr("astr2.cli.run", record)
+    missing = str(tmp_path / "missing" / "out.csv")
+    assert main(["run", "--problem", "quadratic_psd", "--n", "2", "--out", missing]) == 2
+    assert calls == []
+    assert "No such file" in capsys.readouterr().err
 
 
 def test_solver_abort_exits_with_code_one(monkeypatch, capsys):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -92,6 +94,39 @@ def test_near_hard_case_lands_on_the_boundary():
     kr, _ = solve_trs_krylov(g, lambda v: H @ v, delta, max_dim=len(g))
     assert abs(kr.model_decrease - sol.model_decrease) <= 1e-10
     bf = brute_force_decrease(g, H, delta, rng=np.random.default_rng([7, 224]))
+    assert abs(sol.model_decrease - bf) <= 1e-9
+
+
+@pytest.mark.parametrize("g, H", [
+    ([70.0], [[-1.0]]),
+    ([1.0], [[-1.0]]),
+    ([0.5], [[-2e-3]]),
+    ([3.0, 0.0], [[-1.0, 0.0], [0.0, 2.0]]),
+])
+@pytest.mark.parametrize("delta", [1.0, 0.5, 0.25])
+def test_root_at_the_bracket_end_is_taken_exactly(g, H, delta):
+    # g lies along the lambda_min eigenvector, so the secular root is the
+    # bracket end t_lo + ||g||/Delta itself; Newton must accept it rather
+    # than bisect towards it.
+    g, H = np.array(g), np.array(H)
+    sol = DenseModel(g, H).solve(delta)
+    assert sol.multiplier == abs(g[0]) / delta - H[0, 0]
+    assert sol.on_boundary and not sol.hard_case
+    assert abs(np.linalg.norm(sol.d) - delta) <= 1e-15
+
+
+def test_near_hard_case_with_a_degenerate_bracket_stays_finite():
+    # ||g||/Delta = 2e-12 is below one ulp of t_lo = 1e5, so the bracket
+    # [t_lo, t_lo + ||g||/Delta] has no width and the critical coordinate is
+    # -gt/0 there.
+    g = np.array([2e-12, 0.0])
+    H = np.diag([-1e5, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = DenseModel(g, H).solve(1.0)
+        bf = brute_force_decrease(g, H, 1.0, rng=np.random.default_rng(0))
+    assert np.all(np.isfinite(sol.d))
+    assert np.linalg.norm(sol.d) == pytest.approx(1.0, rel=1e-14)
     assert abs(sol.model_decrease - bf) <= 1e-9
 
 
