@@ -209,10 +209,11 @@ class DenseModel:
         lo = t_lo
         hi = t_lo + gnorm / delta
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # Guard: widen until phi(hi) >= 0 (covers rounding at the analytic bound).
+            # Guard: widen until phi(hi) >= 0 (covers rounding at the analytic
+            # bound).  A bracket of no width cannot be widened by doubling.
             for _ in range(60):
                 val_hi, _, _ = phi_and_slope(hi)
-                if val_hi >= 0.0:
+                if val_hi >= 0.0 or hi == t_lo:
                     break
                 hi = t_lo + 2.0 * (hi - t_lo)
 
