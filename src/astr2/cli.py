@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import nullcontext
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -72,25 +71,18 @@ TRACE_HEADER = ",".join(name for name, _, _, _ in _TRACE_COLUMNS)
 _BREAKPOINT_FIELDS = ("x", "f", "g", "hess", "phi", "s", "dq")
 
 
-def _csv_text(header: str, rows: Iterable[Iterable[str]]) -> str:
-    """A header line and one line per row of formatted cells, '\\n' line endings."""
+def _write_csv(path: str, header: str, rows: Iterable[Iterable[str]]) -> None:
+    """Write a header line and one line per row of formatted cells, '\\n' line endings."""
     lines = [header]
     lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _write_csv(path: str, header: str, rows: Iterable[Iterable[str]]) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(_csv_text(header, rows))
-
-
-def _trace_rows(trace: list[IterateRecord]) -> Iterable[list[str]]:
-    return ([fmt(getattr(r, field)) for _, field, fmt, _ in _TRACE_COLUMNS] for r in trace)
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_trace_csv(path: str, trace: list[IterateRecord]) -> None:
     """Write a trace in the fixed 12-column format, '\\n' line endings."""
-    _write_csv(path, TRACE_HEADER, _trace_rows(trace))
+    rows = ([fmt(getattr(r, field)) for _, field, fmt, _ in _TRACE_COLUMNS] for r in trace)
+    _write_csv(path, TRACE_HEADER, rows)
 
 
 def parse_trace_csv(path: str) -> list[IterateRecord]:
@@ -159,12 +151,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         record_f=args.record_f,
     )
     x0 = _parse_x0(args.x0, oracle.n, args.seed, oracle)
-    # Open --out before the run, so that an unwritable path costs no iterations.
-    out = open(args.out, "w", newline="") if args.out is not None else nullcontext()
-    with out as fh:
-        trace = run(oracle, x0, config)
-        if fh is not None:
-            fh.write(_csv_text(TRACE_HEADER, _trace_rows(trace)))
+    if args.out is not None:
+        # Check --out without truncating it, so that an unwritable path costs
+        # no iterations and a failed run keeps an earlier trace.
+        open(args.out, "a").close()
+    trace = run(oracle, x0, config)
+    if args.out is not None:
+        write_trace_csv(args.out, trace)
     e1, e2, e3, e4 = rate_envelopes(trace)
     print(f"iterations                      : {len(trace)}")
     print(f"sup_k sum ||g_j||^2             : {_fmt(e1)}")

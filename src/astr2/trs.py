@@ -132,9 +132,11 @@ class DenseModel:
         orthogonal to the critical eigenspace and interior pseudo-inverse
         solution) resolved by an explicit eigenvector correction to the
         boundary.  phi is concave and increasing, so a Newton step from the
-        left of the root never passes it; the feasible bracket end is itself
-        an admissible iterate, which is the root when g lies along the
-        critical eigenvector (every 1-D model with negative curvature).  Near
+        left of the root never passes it.  The feasible bracket end is tested
+        as a root when the bracket is set up; it is the root when g lies
+        along the critical eigenvector (every 1-D model with negative
+        curvature), which then costs one evaluation.  A Newton step onto an
+        end already rejected bisects instead of evaluating it again.  Near
         the hard case (gradient small but not negligible on the critical
         eigenspace) t cannot always be resolved to the secular tolerance in
         floating point; the Newton iteration then keeps its feasible bracket
@@ -211,8 +213,12 @@ class DenseModel:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             # Guard: widen until phi(hi) >= 0 (covers rounding at the analytic
             # bound).  A bracket of no width cannot be widened by doubling.
+            # The end is itself the root when g lies along the critical
+            # eigenvector (every 1-D model with negative curvature).
             for _ in range(60):
-                val_hi, _, _ = phi_and_slope(hi)
+                val_hi, _, coords = phi_and_slope(hi)
+                if abs(val_hi) * delta <= _SECULAR_TOL:
+                    return finish(Q @ coords, hi, True, False)
                 if val_hi >= 0.0 or hi == t_lo:
                     break
                 hi = t_lo + 2.0 * (hi - t_lo)
@@ -227,7 +233,9 @@ class DenseModel:
                 else:
                     hi = t
                 t_new = t - val / slope if slope > 0.0 and math.isfinite(slope) else t
-                if not (lo < t_new <= hi):
+                # hi has been evaluated and is not a root, so a step onto it
+                # bisects instead.
+                if not (lo < t_new < hi):
                     t_new = 0.5 * (lo + hi)
                 if t_new == t and hi - lo <= 1e-15 * max(1.0, t):
                     break

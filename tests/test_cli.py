@@ -192,6 +192,18 @@ def test_run_opens_out_before_iterating(tmp_path, monkeypatch, capsys):
     assert "No such file" in capsys.readouterr().err
 
 
+def test_failed_run_keeps_an_earlier_out_file(tmp_path, monkeypatch, capsys):
+    def abort(oracle, x0, config):
+        raise SolverAbort("non-finite gradient at iteration 3", [])
+
+    out = tmp_path / "trace.csv"
+    out.write_text("earlier trace\n")
+    monkeypatch.setattr("astr2.cli.run", abort)
+    assert main(["run", "--problem", "quadratic_psd", "--n", "2", "--out", str(out)]) == 1
+    assert out.read_text() == "earlier trace\n"
+    capsys.readouterr()
+
+
 def test_solver_abort_exits_with_code_one(monkeypatch, capsys):
     def abort(oracle, x0, config):
         raise SolverAbort("non-finite gradient at iteration 3", [])

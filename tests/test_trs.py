@@ -1,3 +1,4 @@
+import sys
 import warnings
 
 import numpy as np
@@ -81,6 +82,23 @@ def _trs_check_instance(seed, index, max_n=8, radii=(0.1, 1.0, 10.0)):
     return g, H, delta
 
 
+def _solve_counting_evaluations(model, delta):
+    # Solve, counting the calls of the secular function inside solve.
+    calls = []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "phi_and_slope":
+            calls.append(frame)
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        sol = model.solve(delta)
+    finally:
+        sys.setprofile(previous)
+    return sol, len(calls)
+
+
 def test_near_hard_case_lands_on_the_boundary():
     # t is within 1.1e-5 of -lambda_1 and the gradient's critical component is
     # 1.1e-4, so the secular equation cannot be solved to _SECULAR_TOL: the
@@ -109,10 +127,30 @@ def test_root_at_the_bracket_end_is_taken_exactly(g, H, delta):
     # bracket end t_lo + ||g||/Delta itself; Newton must accept it rather
     # than bisect towards it.
     g, H = np.array(g), np.array(H)
-    sol = DenseModel(g, H).solve(delta)
+    sol, evaluations = _solve_counting_evaluations(DenseModel(g, H), delta)
     assert sol.multiplier == abs(g[0]) / delta - H[0, 0]
     assert sol.on_boundary and not sol.hard_case
     assert abs(np.linalg.norm(sol.d) - delta) <= 1e-15
+    assert evaluations == 1
+
+
+@pytest.mark.parametrize("g, H, delta", [
+    ([-0.009744053964982612], [[-0.14395634862343704]], 717.9042075827562),
+    ([1.6806942019435917e-12], [[-0.08852890525941773]], 0.03937920920350738),
+])
+def test_unresolved_root_at_the_bracket_end_does_not_stall(g, H, delta):
+    # The root is the bracket end, but lambda + t cancels there, so phi misses
+    # the secular tolerance at it.  Newton steps from the left keep landing
+    # on that end; they must bisect towards it rather than re-evaluate it
+    # (which took 80 and 202 evaluations) and finish on the boundary.
+    g, H = np.array(g), np.array(H)
+    sol, evaluations = _solve_counting_evaluations(DenseModel(g, H), delta)
+    assert evaluations <= 45
+    assert sol.multiplier == abs(g[0]) / delta - H[0, 0]
+    assert sol.on_boundary
+    assert np.linalg.norm(sol.d) == pytest.approx(delta, rel=1e-14)
+    bf = brute_force_decrease(g, H, delta, rng=np.random.default_rng(0))
+    assert abs(sol.model_decrease - bf) <= 1e-9 * max(1.0, bf)
 
 
 def test_near_hard_case_with_a_degenerate_bracket_stays_finite():
