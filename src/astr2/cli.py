@@ -143,7 +143,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = Astr2Config(
         scaling=_build_scaling(args),
         max_iter=args.max_iter,
-        tau=args.tau,
         xi=args.xi,
         eps1=args.eps1,
         eps2=args.eps2,
@@ -286,7 +285,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--mu1", type=float, default=0.5)
     p_run.add_argument("--mu2", type=float, default=1.0 / 3.0)
     p_run.add_argument("--kappa-w", type=float, default=1.0)
-    p_run.add_argument("--tau", type=float, default=1.0)
     p_run.add_argument("--xi", type=float, default=1.0)
     p_run.add_argument("--max-iter", type=int, default=100)
     p_run.add_argument("--eps1", type=float, default=None)

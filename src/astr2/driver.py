@@ -9,8 +9,9 @@ scaled-gradient step s = -g/w^L or a trust-region step of radius Delta^Q;
 accept the trial point unconditionally.  With a dense Hessian the measure
 and the step are two solves of one :class:`~astr2.trs.DenseModel`, so H_k is
 eigendecomposed once per iteration; in subspace mode each is its own Lanczos
-solve from g_k, and the step is checked against the eigen decrease (the
-Krylov space contains g_k, so the step already dominates the Cauchy point).
+solve from g_k.  The Krylov space contains g_k, so the subspace step
+dominates the Cauchy point and every other point of that space; negative
+curvature outside it is seen only by the termination certificate.
 The objective value is never read by the step computation; with
 ``record_f`` set, f is evaluated once per iteration purely for the trace.
 """
@@ -29,7 +30,6 @@ from .scaling import AdagradScaling, DivergentScaling
 from .trs import (
     DenseModel,
     LanczosNoConvergence,
-    eigen_decrease,
     min_eigpair,
     solve_trs_krylov,
 )
@@ -64,7 +64,6 @@ class Astr2Config:
 
     scaling: Union[AdagradScaling, DivergentScaling]
     max_iter: int
-    tau: float = 1.0
     xi: float = 1.0
     eps1: Optional[float] = None
     eps2: Optional[float] = None
@@ -72,8 +71,6 @@ class Astr2Config:
     record_f: bool = False
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.tau <= 1.0:
-            raise ValueError(f"tau must be in (0, 1], got {self.tau!r}")
         if not self.xi >= 1.0:
             raise ValueError(f"xi must be >= 1, got {self.xi!r}")
         if not (isinstance(self.max_iter, (int, np.integer)) and self.max_iter >= 1):
@@ -133,13 +130,12 @@ def astr2_step(
 
     subspace = config.subspace_max_dim is not None
     H: Optional[Array] = None
-    eigpair = None
     if subspace:
         hvp = _checked_hvp(oracle, x, k)
         seed = None
         if norm_g == 0.0:
-            eigpair = _min_eigpair_with_fallback(oracle, x, hvp)
-            seed = eigpair.vector
+            # The Krylov space of g = 0 is {0}; grow it from the eigenvector.
+            seed = _min_eigpair_with_fallback(oracle, x, hvp).vector
         phi, _ = phi2_subspace(
             g, hvp, _MEASURE_RADIUS, config.subspace_max_dim, seed_direction=seed
         )
@@ -165,23 +161,13 @@ def astr2_step(
         Hs = hvp(s) if H is None else H @ s
         dq = -(float(np.dot(g, s)) + 0.5 * float(np.dot(s, Hs)))
     else:
-        if not subspace:
-            sol = model.solve(delta_q)
-            s, dq = sol.d, sol.model_decrease
-        else:
+        if subspace:
             sol, _ = solve_trs_krylov(
-                g, hvp, delta_q, config.subspace_max_dim,
-                seed_direction=eigpair.vector if eigpair is not None else None,
+                g, hvp, delta_q, config.subspace_max_dim, seed_direction=seed
             )
-            s, dq = sol.d, sol.model_decrease
-            # The Krylov space starts at g, so its first solve is the Cauchy
-            # problem and the step dominates the Cauchy decrease; it can still
-            # miss the negative curvature, so check the eigen decrease.
-            if eigpair is None:
-                eigpair = _min_eigpair_with_fallback(oracle, x, hvp)
-            u, alpha_e, dq_e = eigen_decrease(g, hvp, delta_q, eigpair=eigpair)
-            if dq + 1e-10 < config.tau * dq_e:
-                s, dq = alpha_e * u, dq_e
+        else:
+            sol = model.solve(delta_q)
+        s, dq = sol.d, sol.model_decrease
 
     x_next = x + s
     f_val: Optional[float] = None
@@ -229,13 +215,22 @@ def run(oracle: ProblemOracle, x0: Array, config: Astr2Config) -> list[IterateRe
 
     Stops after ``max_iter`` iterations, or earlier as soon as the recorded
     iteration satisfies phi1 <= eps1 and phi2 <= eps2/2 at radius 1 (when the
-    thresholds are set).  In subspace mode phi2 is measured on a Krylov
-    space that can miss the negative curvature, so the iterate must also
-    certify max(0, -lambda_min)/2 <= eps2/2 with a Lanczos estimate of
-    lambda_min (with unit radius, phi2 >= -lambda_min/2); the estimate is
-    computed only once the measured test holds.  The scaling template in
-    ``config`` is copied, so repeated runs from the same config are
-    identical.
+    thresholds are set).
+
+    In subspace mode phi2 is the decrease on the Krylov space grown from
+    g_k, and the quadratic step solves the subproblem on the same kind of
+    space at radius Delta^Q, so it dominates the Cauchy decrease and the
+    Krylov-space decrease, but not the decrease along an eigenvector that
+    the space misses.  A saddle whose negative curvature is orthogonal to
+    every Krylov space the run grows is therefore not escaped (g along
+    x_1 and curvature -1 along x_2, say).  Only the termination certificate
+    checks lambda_min: the iterate must also certify
+    max(0, -lambda_min)/2 <= eps2/2 with a Lanczos estimate of lambda_min
+    (with unit radius, phi2 >= -lambda_min/2), computed only once the
+    measured test holds, so such a saddle is refused there.
+
+    The scaling template in ``config`` is copied, so repeated runs from the
+    same config are identical.
 
     Raises
     ------

@@ -40,6 +40,7 @@ _GAP_TOL = 1e-12  # relative eigenvalue gap defining the critical eigenspace
 _BRUTE_ANGLES = 10_000  # angle grid of brute_force_decrease for n = 2
 _BRUTE_STARTS = 100  # random sphere-ascent restarts of brute_force_decrease for n >= 3
 _BRUTE_ITERS = 300  # projected-gradient steps per restart
+_LANCZOS_BASIS_BYTES = 2 ** 28  # memory cap of a matrix-free min_eigpair basis
 
 
 class LanczosNoConvergence(RuntimeError):
@@ -294,22 +295,13 @@ def cauchy_decrease(
     return alpha, max(dq, 0.0)
 
 
-def eigen_decrease(
-    g: Array,
-    H: Union[Array, HvpHandle],
-    delta: float,
-    eigpair: Optional[EigenPair] = None,
-) -> tuple[Optional[Array], float, float]:
-    """Best model decrease along an approximate minimum-curvature direction.
+def eigen_decrease(g: Array, H: Array, delta: float) -> tuple[Array, float, float]:
+    """Best model decrease along the minimum-curvature direction of a dense H.
 
-    The direction u is the unit vector of a minimum eigenpair of H, oriented
-    so that u^T g <= 0; u^T H u is the value of the pair (lambda_min[H] for
-    the exact pair).  When that value is >= 0 the decrease is defined as 0
-    (no negative curvature to exploit) and u is still returned for
-    inspection.  Pass ``eigpair`` to reuse an already computed (approximate)
-    minimum eigenpair, such as a :func:`min_eigpair` Lanczos pair converged
-    to its ``tol``; with a dense ``H`` and no pair the exact
-    eigendecomposition is used.
+    The direction u is the unit minimum eigenvector of H (from
+    :func:`min_eigpair`), oriented so that u^T g <= 0.  When lambda_min[H]
+    is >= 0 the decrease is defined as 0 (no negative curvature to exploit)
+    and u is still returned for inspection.
 
     Returns
     -------
@@ -317,15 +309,11 @@ def eigen_decrease(
     """
     _check_radius(delta)
     g = np.asarray(g, dtype=float)
-    if eigpair is None:
-        if callable(H):
-            raise ValueError("eigen_decrease needs an EigenPair when H is matrix-free")
-        eigpair = min_eigpair(H)
-    u = _flip_sign(np.asarray(eigpair.vector, dtype=float), g)
+    eigpair = min_eigpair(H)
+    u = _flip_sign(eigpair.vector, g)
     if eigpair.value >= 0.0:
         return u, 0.0, 0.0
-    Hu = H(u) if callable(H) else np.asarray(H, dtype=float) @ u
-    curv = float(np.dot(u, Hu))
+    curv = float(np.dot(u, np.asarray(H, dtype=float) @ u))
     slope = float(np.dot(g, u))  # <= 0 by the sign convention
     if curv < 0.0:
         alpha = delta
@@ -395,7 +383,10 @@ def min_eigpair(
     smallest Ritz pair is at most ``tol`` (relative to theta when theta > 1),
     or when the basis spans the whole space (the Ritz pair is then exact).
     A small residual puts theta within ``tol`` of *some* eigenvalue of H,
-    not necessarily of lambda_min.
+    not necessarily of lambda_min.  ``maxiter`` defaults to n, where the
+    basis spans the space, capped so that the basis of m n-vectors stays
+    within ``_LANCZOS_BASIS_BYTES`` (256 MiB; 335 steps at n = 1e5).  As
+    m <= n, each m x m Ritz matrix is no larger than the basis.
 
     Raises
     ------
@@ -413,7 +404,7 @@ def min_eigpair(
         if n is None:
             raise ValueError("matrix-free min_eigpair needs the dimension n")
         if maxiter is None:
-            maxiter = max(4 * n, 200)
+            maxiter = min(n, _LANCZOS_BASIS_BYTES // (8 * n))
         rng = np.random.default_rng(1842962133)  # fixed seed: deterministic runs
         v = rng.standard_normal(n)
         v /= np.linalg.norm(v)
@@ -466,8 +457,8 @@ def solve_trs_krylov(
     decrease stagnates (relative gain < 1e-8), the recurrence breaks down
     (current best is returned), or ``max_dim`` is reached.  The returned
     decrease dominates every feasible point of the final subspace, in
-    particular the Cauchy point and any subspace eigen-point, hence exceeds
-    tau * max(dq_C, dq_E-in-subspace) for every tau <= 1.
+    particular the Cauchy point (the space starts at g) and any subspace
+    eigen-point; it does not dominate an eigen-point outside the subspace.
 
     Returns
     -------

@@ -101,7 +101,6 @@ def envelope_run():
         scaling=AdagradScaling(varsigma=1.0, mu=0.5, nu=1.0 / 3.0,
                                theta_l=1.0, theta_q=1.0),
         max_iter=10_000,
-        tau=0.9,
         xi=1.0,
     )
     trace = run(oracle, np.asarray(oracle.x0, dtype=float), config)
@@ -232,7 +231,7 @@ def test_criterion_5_rate_envelopes_flatten(envelope_run):
     assert envelope_run["seconds"] < 60.0
 
 
-def audit_decrease_inequalities(oracle, trace, tau, xi):
+def audit_decrease_inequalities(oracle, trace, xi):
     L1 = oracle.lipschitz_g
     L2 = oracle.lipschitz_h
     audited_l = audited_q = 0
@@ -245,7 +244,8 @@ def audit_decrease_inequalities(oracle, trace, tau, xi):
         else:
             lead = min(1.0 / (2.0 * (1.0 + L1)), 1.0 / rec.w_q,
                        1.0 / rec.w_q ** 2)
-            bound = (-(tau / (4.0 * xi)) * lead * rec.hatphi ** 3
+            # tau = 1: the dense step solves the subproblem exactly.
+            bound = (-(1.0 / (4.0 * xi)) * lead * rec.hatphi ** 3
                      + (L2 / 6.0) * rec.hatphi ** 3 / rec.w_q ** 3)
             audited_q += 1
         assert drop <= bound + 1e-8
@@ -269,7 +269,7 @@ def test_criterion_6_per_iteration_decrease_inequalities():
         )
         start = np.asarray(oracle.x0, dtype=float) if x0 is None else x0
         trace = run(oracle, start, config)
-        nl, nq = audit_decrease_inequalities(oracle, trace, config.tau, config.xi)
+        nl, nq = audit_decrease_inequalities(oracle, trace, config.xi)
         total_l += nl
         total_q += nq
     assert total_l > 0

@@ -62,9 +62,13 @@ def test_run_rejects_wrong_x0_length(capsys):
 
 
 def test_run_rejects_bad_parameters(capsys):
-    assert main(["run", "--problem", "quadratic_psd", "--tau", "0"]) == 2
     assert main(["run", "--problem", "quadratic_psd", "--eps1", "1e-6"]) == 2
     capsys.readouterr()
+
+
+def test_run_has_no_tau_option(capsys):
+    assert main(["run", "--problem", "quadratic_psd", "--tau", "0.9"]) == 2
+    assert "--tau" in capsys.readouterr().err
 
 
 def test_run_random_start_is_seeded(tmp_path):

@@ -57,7 +57,7 @@ TRACE_RUNS = {
     "subspace_l": lambda: _trace(
         100, np.random.default_rng(0).standard_normal(100), 20, subspace_max_dim=20
     ),
-    # subspace, two Q iterations with min_eigpair, then L
+    # subspace, two Q iterations, then L
     "subspace_q_eig": lambda: _trace(100, _near_max(1, 100), 10, subspace_max_dim=20),
     # subspace of dimension 5, all Q
     "subspace_q_small": lambda: _trace(30, _near_max(2, 30), 30, varsigma=1e6, subspace_max_dim=5),
