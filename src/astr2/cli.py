@@ -71,18 +71,28 @@ TRACE_HEADER = ",".join(name for name, _, _, _ in _TRACE_COLUMNS)
 _BREAKPOINT_FIELDS = ("x", "f", "g", "hess", "phi", "s", "dq")
 
 
-def _write_csv(path: str, header: str, rows: Iterable[Iterable[str]]) -> None:
-    """Write a header line and one line per row of formatted cells, '\\n' line endings."""
-    lines = [header]
-    lines.extend(",".join(row) for row in rows)
+def _write_csv(path: str, header: str, lines: Iterable[str]) -> None:
+    """Write a header line and the given lines, '\\n' line endings."""
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([header, *lines]) + "\n")
+
+
+def _float_lines(columns: Sequence[np.ndarray], index: bool = False) -> list[str]:
+    """One line per row of the float columns, each cell as _fmt writes it
+    (``%.17g``); with ``index`` every line starts with its row number."""
+    cells = ["%.17g"] * len(columns)
+    lists = [c.tolist() for c in columns]
+    if index:
+        cells.insert(0, "%d")
+        lists.insert(0, range(len(lists[0])))
+    fmt = ",".join(cells)
+    return [fmt % row for row in zip(*lists)]
 
 
 def write_trace_csv(path: str, trace: list[IterateRecord]) -> None:
     """Write a trace in the fixed 12-column format, '\\n' line endings."""
-    rows = ([fmt(getattr(r, field)) for _, field, fmt, _ in _TRACE_COLUMNS] for r in trace)
-    _write_csv(path, TRACE_HEADER, rows)
+    lines = (",".join(fmt(getattr(r, field)) for _, field, fmt, _ in _TRACE_COLUMNS) for r in trace)
+    _write_csv(path, TRACE_HEADER, lines)
 
 
 def parse_trace_csv(path: str) -> list[IterateRecord]:
@@ -175,14 +185,10 @@ def cmd_sharpness(args: argparse.Namespace) -> int:
         seq = gen_divergent_example(args.mu2, args.eps, varsigma, args.kappa_w, args.K)
     interp = hermite_interpolant(seq)
     xs, fs, fps, fpps = sample_figure(seq, interp, args.samples_per_interval, args.f0_shift)
-    _write_csv(args.out, "x,f,fp,fpp", (map(_fmt, row) for row in zip(xs, fs, fps, fpps)))
+    _write_csv(args.out, "x,f,fp,fpp", _float_lines((xs, fs, fps, fpps)))
     bp_path = _companion_path(args.out)
     columns = [getattr(seq, name) for name in _BREAKPOINT_FIELDS]
-    _write_csv(
-        bp_path,
-        ",".join(("k",) + _BREAKPOINT_FIELDS),
-        ([str(k), *map(_fmt, row)] for k, row in enumerate(zip(*columns))),
-    )
+    _write_csv(bp_path, ",".join(("k",) + _BREAKPOINT_FIELDS), _float_lines(columns, index=True))
 
     config = Astr2Config(scaling=seq.scaling, max_iter=seq.K + 1)
     ok = replay_check(seq, config)

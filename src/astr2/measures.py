@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .trs import _check_radius, solve_trs_exact, solve_trs_krylov
+from .trs import _check_radius, _symmetrize, solve_trs_exact, solve_trs_krylov
 
 Array = np.ndarray
 
@@ -84,7 +84,7 @@ def combined_measures(g: Array, H: Array, xi: float, delta: float) -> Optimality
     g = np.asarray(g, dtype=float)
     value, d = phi2(g, H, delta)
     gnorm2 = float(np.dot(g, g))
-    lam_min = float(np.linalg.eigvalsh(0.5 * (np.asarray(H, float) + np.asarray(H, float).T))[0])
+    lam_min = float(np.linalg.eigvalsh(_symmetrize(H))[0])
     return OptimalityReport(
         phi1=phi1(g, delta),
         phi2=value,

@@ -37,6 +37,23 @@ def test_zeta_domain():
             zeta(s)
 
 
+def _zeta_reference(s):
+    # The direct sum as math.fsum computes it, plus the same tail.
+    direct = math.fsum(np.power(np.arange(1, 10 ** 6 + 1.0), -s))
+    a = float(10 ** 6 + 1)
+    tail = a ** (1.0 - s) / (s - 1.0) + 0.5 * a ** (-s) + (s / 12.0) * a ** (-s - 1.0)
+    return direct + tail
+
+
+@pytest.mark.parametrize(
+    "s",
+    [1.0 + 1e-9, 1.03, 2.0, 3.999]
+    + [1.0 + 3.0 * eps for eps in np.linspace(0.009, 0.011, 5).tolist()],
+)
+def test_zeta_equals_the_fsum_expression_bit_for_bit(s):
+    assert zeta(s) == _zeta_reference(s)
+
+
 # --- generators ------------------------------------------------------------
 
 def test_adagrad_sequence_closed_forms():
@@ -249,8 +266,28 @@ def test_sample_figure_curvature_stays_bounded():
 def test_sample_figure_validates_sampling_density():
     seq = gen_adagrad_example(0.5, 1.0 / 3.0, 0.01, 0.01, 3)
     interp = hermite_interpolant(seq)
-    with pytest.raises(ValueError):
-        sample_figure(seq, interp, 0)
+    for bad in (0, 2.5):
+        with pytest.raises(ValueError):
+            sample_figure(seq, interp, bad)
+
+
+@pytest.mark.parametrize("family", ["adagrad", "divergent"])
+@pytest.mark.parametrize("points", [1, 2, 7, 20])
+def test_sample_figure_equals_per_interval_linspace(family, points):
+    if family == "adagrad":
+        seq = gen_adagrad_example(0.5, 1.0 / 3.0, 0.01, 0.01, 60)
+    else:
+        seq = gen_divergent_example(1.0 / 3.0, 0.01, 1.0, 1.0, 60)
+    interp = hermite_interpolant(seq)
+    xs = interp.xs
+    x_ref = np.concatenate(
+        [np.linspace(xs[i], xs[i + 1], points, endpoint=False) for i in range(len(xs) - 1)]
+        + [xs[-1:]]
+    )
+    x, f, fp, fpp = sample_figure(seq, interp, points)
+    np.testing.assert_array_equal(x, x_ref)
+    for got, want in zip((f, fp, fpp), interp.evaluate(x_ref)):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_second_derivative_difference_quotients_stay_bounded():

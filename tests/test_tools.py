@@ -65,10 +65,11 @@ def test_code_size_counts_an_added_statement(code_size, tmp_path):
     assert more_lines == lines + 1
 
 
-def test_trace_digest_is_reproducible(tmp_path):
-    argv = [sys.executable, str(_TOOLS / "trace_digest.py"), "--workload", "matrix_free",
+@pytest.mark.parametrize("workload", ["matrix_free", "worst_case"])
+def test_trace_digest_is_reproducible(tmp_path, workload):
+    argv = [sys.executable, str(_TOOLS / "trace_digest.py"), "--workload", workload,
             "--seeds", "1", "--workdir", str(tmp_path / "work")]
     first, second = (subprocess.run(argv, capture_output=True, text=True, check=True).stdout
                      for _ in range(2))
-    assert re.fullmatch(r"matrix_free seed 1: [0-9a-f]{64}\n", first)
+    assert re.fullmatch(workload + r" seed 1: [0-9a-f]{64}\n", first)
     assert second == first

@@ -9,6 +9,7 @@ from astr2 import (
     DenseModel,
     brute_force_decrease,
     cauchy_decrease,
+    combined_measures,
     eigen_decrease,
     min_eigpair,
     solve_trs_exact,
@@ -402,6 +403,28 @@ def test_dense_model_solves_every_radius_from_one_eigh(rng, monkeypatch):
             np.testing.assert_array_equal(a.d, b.d)
             assert (a.multiplier, a.model_decrease, a.on_boundary, a.hard_case) == (
                 b.multiplier, b.model_decrease, b.on_boundary, b.hard_case)
+
+
+def test_symmetrization_does_not_overflow_near_the_largest_double():
+    # (H + H^T) / 2 overflows for entries above ~9e307; 0.5 H + 0.5 H^T does not.
+    g = np.ones(2)
+    symmetric = np.array([[1e308, 0.0], [0.0, 1.0]])
+    asymmetric = np.array([[1e308, 0.0], [1e290, 1.0]])  # within the symmetry tolerance
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for H in (symmetric, asymmetric):
+            sol = DenseModel(g, H).solve(1.0)
+            assert np.isfinite(sol.multiplier)
+            assert float(np.linalg.norm(sol.d)) == pytest.approx(1.0, rel=1e-15)
+            assert 0.0 < sol.model_decrease < np.inf
+            bf = brute_force_decrease(g, H, 1.0, rng=np.random.default_rng(3))
+            assert bf == pytest.approx(sol.model_decrease, rel=1e-12)
+        # the Newton point -H^{-1} g lies on the unit sphere
+        sol = DenseModel(g, symmetric).solve(1.0)
+        np.testing.assert_array_equal(sol.d, [-1e-308, -1.0])
+        assert sol.model_decrease == 0.5
+        assert_kkt(g, symmetric, 1.0, sol)
+        assert combined_measures(g, symmetric, 1.0, 1.0).phi2 == 0.5
 
 
 # --- brute_force_decrease --------------------------------------------------
