@@ -116,23 +116,9 @@ def parse_trace_csv(path: str) -> list[IterateRecord]:
 
 
 def _build_scaling(args: argparse.Namespace):
-    varsigma = 1.0 if args.varsigma is None else args.varsigma
     if args.scaling == "adagrad":
-        return AdagradScaling(
-            varsigma=varsigma,
-            mu=args.mu,
-            nu=args.nu,
-            theta_l=args.theta,
-            theta_q=args.theta,
-        )
-    return DivergentScaling(
-        varsigma=varsigma,
-        kappa_w=args.kappa_w,
-        nu1=args.mu1,
-        mu1=args.mu1,
-        nu2=args.mu2,
-        mu2=args.mu2,
-    )
+        return AdagradScaling(varsigma=args.varsigma, mu=args.mu, nu=args.nu, theta=args.theta)
+    return DivergentScaling(kappa_w=args.kappa_w, mu1=args.mu1, mu2=args.mu2)
 
 
 def _parse_x0(spec: str, n: int, seed: int, oracle) -> np.ndarray:
@@ -178,11 +164,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_sharpness(args: argparse.Namespace) -> int:
     if args.family == "adagrad":
-        varsigma = 0.01 if args.varsigma is None else args.varsigma
-        seq = gen_adagrad_example(args.mu, args.nu, args.eps, varsigma, args.K)
+        seq = gen_adagrad_example(args.mu, args.nu, args.eps, args.varsigma, args.K)
     else:
-        varsigma = 1.0 if args.varsigma is None else args.varsigma
-        seq = gen_divergent_example(args.mu2, args.eps, varsigma, args.kappa_w, args.K)
+        seq = gen_divergent_example(args.mu2, args.eps, args.kappa_w, args.K)
     interp = hermite_interpolant(seq)
     xs, fs, fps, fpps = sample_figure(seq, interp, args.samples_per_interval, args.f0_shift)
     _write_csv(args.out, "x,f,fp,fpp", _float_lines((xs, fs, fps, fpps)))
@@ -267,6 +251,15 @@ def cmd_fd_check(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _add_scaling_flags(p: argparse.ArgumentParser, varsigma: float) -> None:
+    """The weight flags that ``run`` and ``sharpness`` share."""
+    p.add_argument("--mu", type=float, default=0.5, help="adagrad: L-weight exponent")
+    p.add_argument("--nu", type=float, default=1.0 / 3.0, help="adagrad: Q-weight exponent")
+    p.add_argument("--varsigma", type=float, default=varsigma, help="adagrad: accumulator start")
+    p.add_argument("--mu2", type=float, default=1.0 / 3.0, help="divergent: Q-weight exponent")
+    p.add_argument("--kappa-w", type=float, default=1.0, help="divergent: weight coefficient")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="astr2",
@@ -282,15 +275,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="'default', 'random', or comma-separated floats")
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--scaling", choices=("adagrad", "divergent"), default="adagrad")
-    p_run.add_argument("--mu", type=float, default=0.5)
-    p_run.add_argument("--nu", type=float, default=1.0 / 3.0)
-    p_run.add_argument("--varsigma", type=float, default=None)
+    _add_scaling_flags(p_run, varsigma=1.0)
     p_run.add_argument("--theta", type=float, default=1.0,
                        help="adagrad: emit w in [theta*w_hat, w_hat], alternating "
                             "between the two ends; 1 emits w_hat")
-    p_run.add_argument("--mu1", type=float, default=0.5)
-    p_run.add_argument("--mu2", type=float, default=1.0 / 3.0)
-    p_run.add_argument("--kappa-w", type=float, default=1.0)
+    p_run.add_argument("--mu1", type=float, default=0.5, help="divergent: L-weight exponent")
     p_run.add_argument("--xi", type=float, default=1.0)
     p_run.add_argument("--max-iter", type=int, default=100)
     p_run.add_argument("--eps1", type=float, default=None)
@@ -302,13 +291,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sh = sub.add_parser("sharpness", help="generate a worst-case figure table")
     p_sh.add_argument("--family", choices=("adagrad", "divergent"), default="adagrad")
-    p_sh.add_argument("--mu", type=float, default=0.5)
-    p_sh.add_argument("--nu", type=float, default=1.0 / 3.0)
-    p_sh.add_argument("--mu2", type=float, default=1.0 / 3.0)
+    _add_scaling_flags(p_sh, varsigma=0.01)
     p_sh.add_argument("--eps", type=float, default=0.01)
-    p_sh.add_argument("--varsigma", type=float, default=None,
-                      help="default 0.01 (adagrad) or 1.0 (divergent)")
-    p_sh.add_argument("--kappa-w", type=float, default=1.0)
     p_sh.add_argument("--K", type=int, default=10)
     p_sh.add_argument("--samples-per-interval", type=int, default=20)
     p_sh.add_argument("--f0-shift", type=float, default=None)

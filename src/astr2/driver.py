@@ -79,8 +79,9 @@ class Astr2Config:
             raise ValueError("eps1 and eps2 must be supplied together")
         if self.eps1 is not None and not (self.eps1 > 0 and self.eps2 > 0):
             raise ValueError("termination thresholds must be positive")
-        if self.subspace_max_dim is not None and self.subspace_max_dim < 1:
-            raise ValueError(f"subspace_max_dim must be >= 1, got {self.subspace_max_dim!r}")
+        dim = self.subspace_max_dim
+        if dim is not None and not (isinstance(dim, (int, np.integer)) and dim >= 1):
+            raise ValueError(f"subspace_max_dim must be an integer >= 1, got {dim!r}")
 
 
 @dataclass(frozen=True)

@@ -89,7 +89,7 @@ def combined_measures(g: Array, H: Array, xi: float, delta: float) -> Optimality
         phi1=phi1(g, delta),
         phi2=value,
         hatphi=min(value, xi),
-        psi=min(1.0, max(gnorm2, value ** 3)),
+        psi=min(1.0, max(gnorm2, min(value, 1.0) ** 3)),
         eta=max(0.0, -lam_min),
         argmin_d=d,
     )

@@ -171,7 +171,7 @@ def gen_adagrad_example(
 
 
 def gen_divergent_example(
-    mu2: float, eps: float, varsigma: float, kappa_w: float, K: int
+    mu2: float, eps: float, kappa_w: float, K: int
 ) -> SharpnessSequence:
     """Worst-case sequence for the divergent weights w_k = kappa_w (k+1)^{mu2}.
 
@@ -180,7 +180,7 @@ def gen_divergent_example(
     dq_k = phi_k s_k^2 = 1/(kappa_w^2 (k+1)^{3 gamma + 2 mu2}), and
     f_0 = zeta(3 gamma + 2 mu2) = zeta(1 + 3 eps).
     """
-    scaling = DivergentScaling(varsigma=varsigma, kappa_w=kappa_w, nu2=mu2, mu2=mu2)
+    scaling = DivergentScaling(kappa_w=kappa_w, mu2=mu2)
     gamma_floor = (1.0 - 2.0 * mu2) / 3.0
     if not 0.0 < eps < 1.0 - gamma_floor:
         raise ValueError(
@@ -293,6 +293,8 @@ def sample_figure(
     p = points_per_interval
     if not (isinstance(p, (int, np.integer)) and p >= 1):
         raise ValueError(f"points_per_interval must be an integer >= 1, got {p!r}")
+    if f0_shift is not None and not np.isfinite(f0_shift):
+        raise ValueError(f"f0_shift must be finite, got {f0_shift!r}")
     xs = interpolant.xs
     # np.linspace(xs[i], xs[i+1], p, endpoint=False) for every i at once, by
     # linspace's own arithmetic: j * ((xs[i+1] - xs[i]) / p) + xs[i].
@@ -356,7 +358,7 @@ def replay_check(seq: SharpnessSequence, config: Astr2Config) -> bool:
         if not isinstance(config.scaling, AdagradScaling):
             raise ValueError("adagrad sequence needs AdagradScaling in the config")
         st = config.scaling
-        if st.theta_l != 1.0 or st.theta_q != 1.0:
+        if st.theta != 1.0:
             raise ValueError("replay requires the upper weights, theta = 1")
         if st.a_accum != 0.0 or st.b_accum != 0.0:
             raise ValueError("replay requires fresh accumulators")

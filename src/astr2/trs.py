@@ -383,7 +383,6 @@ def min_eigpair(
     H: Union[Array, HvpHandle],
     n: Optional[int] = None,
     tol: float = 1e-8,
-    maxiter: Optional[int] = None,
 ) -> EigenPair:
     """Minimum eigenpair of a symmetric matrix, dense or matrix-free.
 
@@ -393,10 +392,10 @@ def min_eigpair(
     smallest Ritz pair is at most ``tol`` (relative to theta when theta > 1),
     or when the basis spans the whole space (the Ritz pair is then exact).
     A small residual puts theta within ``tol`` of *some* eigenvalue of H,
-    not necessarily of lambda_min.  ``maxiter`` defaults to n, where the
-    basis spans the space, capped so that the basis of m n-vectors stays
-    within ``_LANCZOS_BASIS_BYTES`` (256 MiB; 335 steps at n = 1e5).  As
-    m <= n, each m x m Ritz matrix is no larger than the basis.
+    not necessarily of lambda_min.  The step cap is n, where the basis
+    spans the space, lowered so that the basis of m n-vectors stays within
+    ``_LANCZOS_BASIS_BYTES`` (256 MiB; 335 steps at n = 1e5).  As m <= n,
+    each m x m Ritz matrix is no larger than the basis.
 
     Raises
     ------
@@ -413,8 +412,7 @@ def min_eigpair(
     else:
         if n is None:
             raise ValueError("matrix-free min_eigpair needs the dimension n")
-        if maxiter is None:
-            maxiter = min(n, _LANCZOS_BASIS_BYTES // (8 * n))
+        maxiter = min(n, _LANCZOS_BASIS_BYTES // (8 * n))
         rng = np.random.default_rng(1842962133)  # fixed seed: deterministic runs
         v = rng.standard_normal(n)
         v /= np.linalg.norm(v)
@@ -526,10 +524,15 @@ def kkt_residuals(g: Array, H: Array, delta: float, sol: TrsSolution) -> dict[st
     H = _symmetrize(H)
     dnorm = float(np.linalg.norm(sol.d))
     lam_min = float(np.linalg.eigvalsh(H)[0])
+    r = (H + sol.multiplier * np.eye(len(g))) @ sol.d + g
+    with np.errstate(over="ignore"):
+        stationarity = float(np.linalg.norm(r))
+    if stationarity == math.inf:
+        stationarity = math.hypot(*r)  # rescaled: finite entries whose squares overflow
     return {
         "feasibility": max(0.0, dnorm - delta),
         "complementarity": abs(sol.multiplier * (delta - dnorm)),
-        "stationarity": float(np.linalg.norm((H + sol.multiplier * np.eye(len(g))) @ sol.d + g)),
+        "stationarity": stationarity,
         "psd": max(0.0, -(sol.multiplier + lam_min)),
         "multiplier_sign": max(0.0, -sol.multiplier),
     }

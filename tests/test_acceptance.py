@@ -88,9 +88,8 @@ def adagrad_replay():
 
 @pytest.fixture(scope="module")
 def divergent_replay():
-    seq = gen_divergent_example(mu2=1.0 / 3.0, eps=0.01, varsigma=1.0, kappa_w=1.0,
-                                K=200)
-    return replay_bundle(seq, DivergentScaling(varsigma=1.0, kappa_w=1.0))
+    seq = gen_divergent_example(mu2=1.0 / 3.0, eps=0.01, kappa_w=1.0, K=200)
+    return replay_bundle(seq, DivergentScaling(kappa_w=1.0))
 
 
 @pytest.fixture(scope="module")
@@ -98,8 +97,7 @@ def envelope_run():
     t0 = time.perf_counter()
     oracle, log = with_counting(make_problem("cosine_sum", 10))
     config = Astr2Config(
-        scaling=AdagradScaling(varsigma=1.0, mu=0.5, nu=1.0 / 3.0,
-                               theta_l=1.0, theta_q=1.0),
+        scaling=AdagradScaling(varsigma=1.0, mu=0.5, nu=1.0 / 3.0, theta=1.0),
         max_iter=10_000,
         xi=1.0,
     )
@@ -155,8 +153,7 @@ def test_criterion_3_figure_tables_interpolate_and_telescope():
     t0 = time.perf_counter()
     for seq in (
         gen_adagrad_example(mu=0.5, nu=1.0 / 3.0, eps=0.01, varsigma=0.01, K=10),
-        gen_divergent_example(mu2=1.0 / 3.0, eps=0.01, varsigma=1.0, kappa_w=1.0,
-                              K=10),
+        gen_divergent_example(mu2=1.0 / 3.0, eps=0.01, kappa_w=1.0, K=10),
     ):
         interp = hermite_interpolant(seq)
         m = seq.K + 1

@@ -119,6 +119,20 @@ def test_sharpness_divergent_family(tmp_path, capsys):
     assert "replay   : ok" in capsys.readouterr().out
 
 
+def test_divergent_sharpness_reads_no_varsigma(tmp_path, capsys):
+    # The divergent weights are the top of their band, kappa_w (k+1)^mu2;
+    # --varsigma belongs to adagrad and leaves divergent files unchanged.
+    outputs = []
+    for extra in ([], ["--varsigma", "2"]):
+        out = tmp_path / f"fig{len(extra)}.csv"
+        assert main(["sharpness", "--family", "divergent", "--K", "10",
+                     *extra, "--out", str(out)]) == 0
+        bp = tmp_path / f"fig{len(extra)}.breakpoints.csv"
+        outputs.append((out.read_bytes(), bp.read_bytes()))
+    assert outputs[0] == outputs[1]
+    capsys.readouterr()
+
+
 def test_sharpness_rejects_out_of_range_eps(tmp_path, capsys):
     out = tmp_path / "fig.csv"
     assert main(["sharpness", "--family", "adagrad", "--eps", "0",
@@ -166,8 +180,11 @@ def test_fd_check_rejects_large_steps(capsys):
     ["run", "--problem", "quadratic_psd", "--scaling", "divergent", "--kappa-w", "inf"],
     ["trs-check", "--count", "2", "--radii", "inf"],
     ["trs-check", "--count", "2", "--radii", "1,nan"],
+    ["sharpness", "--K", "2", "--f0-shift", "inf", "--out", "fig.csv"],
+    ["sharpness", "--K", "2", "--f0-shift", "nan", "--out", "fig.csv"],
 ])
-def test_non_finite_inputs_are_parameter_errors(argv, capsys):
+def test_non_finite_inputs_are_parameter_errors(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err

@@ -53,8 +53,9 @@ def test_config_validation():
         adagrad_config(eps1=1e-6)                 # eps2 missing
     with pytest.raises(ValueError):
         adagrad_config(eps1=1e-6, eps2=-1.0)
-    with pytest.raises(ValueError):
-        adagrad_config(subspace_max_dim=0)
+    for dim in (0, 2.5):
+        with pytest.raises(ValueError):
+            adagrad_config(subspace_max_dim=dim)
 
 
 def test_branch_rule_ties_go_to_the_linear_step():
@@ -216,7 +217,7 @@ def test_subspace_termination_needs_a_curvature_certificate():
 
 def test_divergent_scaling_drives_the_radii_down():
     oracle = make_problem("cosine_sum", 4)
-    scaling = DivergentScaling(varsigma=1.0, kappa_w=1.0)
+    scaling = DivergentScaling(kappa_w=1.0)
     cfg = Astr2Config(scaling=scaling, max_iter=40)
     trace = run(oracle, 0.4 * np.ones(4), cfg)
     for r in trace:

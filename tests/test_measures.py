@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from astr2 import combined_measures, phi1, phi2, phi2_subspace, solve_trs_exact
+from astr2.trs import _symmetrize, kkt_residuals
 
 from conftest import random_symmetric
 
@@ -83,6 +86,22 @@ def test_combined_measures_eta_zero_on_psd():
     rep = combined_measures(np.ones(2), np.eye(2), 1.0, 1.0)
     assert rep.eta == 0.0
     assert rep.phi1 == pytest.approx(np.sqrt(2.0), rel=1e-15)
+
+
+def test_reporting_helpers_survive_huge_finite_curvature():
+    # phi2 is about 1.25e271 here: its cube and the squares of the KKT
+    # residual overflow, though every reported value is finite.
+    g = np.array([1.0, 1.0])
+    H = np.array([[1e308, 0.0], [1e290, 1.0]])
+    sol = solve_trs_exact(g, H, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = combined_measures(g, H, 1.0, 1.0)
+        res = kkt_residuals(g, H, 1.0, sol)
+    assert rep.phi2 > 1e270 and rep.psi == 1.0 and rep.hatphi == 1.0
+    r = (_symmetrize(H) + sol.multiplier * np.eye(2)) @ sol.d + g
+    scale = np.abs(r).max()
+    assert res["stationarity"] == pytest.approx(scale * np.linalg.norm(r / scale), rel=1e-15)
 
 
 def test_combined_measures_psi_formula(rng):

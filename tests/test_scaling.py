@@ -12,11 +12,17 @@ def test_adagrad_validation():
     with pytest.raises(ValueError):
         AdagradScaling(nu=0.0)
     with pytest.raises(ValueError):
-        AdagradScaling(theta_l=0.0)
+        AdagradScaling(theta=0.0)
+    with pytest.raises(ValueError):
+        AdagradScaling(theta=1.5)
     with pytest.raises(ValueError):
         AdagradScaling(varsigma=np.inf)
     with pytest.raises(ValueError):
         AdagradScaling(varsigma=np.nan)
+    # One theta for both weights; the accumulators are state, not settings.
+    for removed in ("theta_l", "theta_q", "a_accum", "b_accum"):
+        with pytest.raises(TypeError):
+            AdagradScaling(**{removed: 1.0})
 
 
 def test_adagrad_upper_weights_follow_the_accumulators():
@@ -44,10 +50,9 @@ def test_adagrad_rejects_unknown_branch():
 
 
 def test_adagrad_oscillate_policy_alternates_the_band():
-    state = AdagradScaling(varsigma=1.0, mu=0.5, nu=0.5,
-                           theta_l=0.25, theta_q=0.5)
+    state = AdagradScaling(varsigma=1.0, mu=0.5, nu=0.5, theta=0.25)
     w_l0, w_q0 = adagrad_weights(state, 0, "L", 3.0, 0.0)
-    assert w_l0 == 0.25 * 2.0 and w_q0 == 0.5 * 1.0
+    assert w_l0 == 0.25 * 2.0 and w_q0 == 0.25 * 1.0
     w_l1, w_q1 = adagrad_weights(state, 1, "L", 5.0, 0.0)
     assert w_l1 == 3.0 and w_q1 == 1.0
 
@@ -65,46 +70,33 @@ def test_adagrad_weights_never_decrease_under_upper_policy(rng):
 
 def test_divergent_validation():
     with pytest.raises(ValueError):
-        DivergentScaling(varsigma=0.0)
-    with pytest.raises(ValueError):
-        DivergentScaling(kappa_w=0.5)          # below max(1, varsigma)
+        DivergentScaling(kappa_w=0.5)          # below 1
     with pytest.raises(ValueError):
         DivergentScaling(kappa_w=np.inf)
     with pytest.raises(ValueError):
-        DivergentScaling(nu2=0.4, mu2=0.3)     # band inverted
+        DivergentScaling(kappa_w=np.nan)
+    with pytest.raises(ValueError):
+        DivergentScaling(mu1=1.0)
+    with pytest.raises(ValueError):
+        DivergentScaling(mu1=0.0)
     with pytest.raises(ValueError):
         DivergentScaling(mu2=0.5)              # must stay below 1/2
     with pytest.raises(ValueError):
-        DivergentScaling(kappa_w=2.0, coeff=3.0)
+        DivergentScaling(mu2=0.0)
+    # The weights are the band's top: its lower end and the second names
+    # of kappa_w, mu1 and mu2 are not settings.
+    for removed in ("varsigma", "nu1", "nu2", "coeff", "e1", "e2"):
+        with pytest.raises(TypeError):
+            DivergentScaling(**{removed: 0.5})
 
 
 def test_divergent_weights_power_law():
-    state = DivergentScaling(varsigma=1.0, kappa_w=2.0, nu1=0.5, mu1=0.5,
-                             nu2=1.0 / 3.0, mu2=1.0 / 3.0)
-    for k in (0, 1, 7, 99):
-        w_l, w_q = divergent_weights(state, k)
-        assert w_l == 2.0 * (k + 1.0) ** 0.5
-        assert w_q == 2.0 * (k + 1.0) ** (1.0 / 3.0)
-
-
-def test_divergent_coefficient_and_exponents_default_to_the_band_top():
-    state = DivergentScaling(varsigma=0.5, kappa_w=3.0, nu1=0.25, mu1=0.75,
-                             nu2=0.1, mu2=0.4)
-    assert state.coeff == 3.0
-    assert state.e1 == 0.75 and state.e2 == 0.4
-    w_l, w_q = divergent_weights(state, 3)
-    assert w_l == 3.0 * 4.0 ** 0.75
-    assert w_q == 3.0 * 4.0 ** 0.4
-
-
-def test_divergent_weights_stay_inside_the_band():
-    state = DivergentScaling(varsigma=0.5, kappa_w=2.0, nu1=0.3, mu1=0.6,
-                             nu2=0.2, mu2=0.45, coeff=1.0, e1=0.5, e2=0.3)
-    for k in range(50):
-        w_l, w_q = divergent_weights(state, k)
-        base = k + 1.0
-        assert 0.5 * base ** 0.3 - 1e-12 <= w_l <= 2.0 * base ** 0.6 + 1e-12
-        assert 0.5 * base ** 0.2 - 1e-12 <= w_q <= 2.0 * base ** 0.45 + 1e-12
+    for kappa_w, mu1, mu2 in ((2.0, 0.5, 1.0 / 3.0), (3.0, 0.75, 0.4)):
+        state = DivergentScaling(kappa_w=kappa_w, mu1=mu1, mu2=mu2)
+        for k in (0, 1, 3, 7, 99):
+            w_l, w_q = divergent_weights(state, k)
+            assert w_l == kappa_w * (k + 1.0) ** mu1
+            assert w_q == kappa_w * (k + 1.0) ** mu2
 
 
 def test_divergent_rejects_negative_iteration():

@@ -117,7 +117,7 @@ def test_adagrad_parameter_validation():
 def test_divergent_sequence_closed_forms():
     mu2, eps = 1.0 / 3.0, 0.01
     gamma = (1.0 - 2.0 * mu2) / 3.0 + eps
-    seq = gen_divergent_example(mu2, eps, 1.0, 1.0, 10)
+    seq = gen_divergent_example(mu2, eps, 1.0, 10)
     assert seq.s[7] == 8.0 ** (-(gamma + mu2))
     k = np.arange(11) + 1.0
     np.testing.assert_allclose(seq.phi, k ** (-gamma), rtol=1e-15)
@@ -130,22 +130,23 @@ def test_divergent_sequence_closed_forms():
 
 
 def test_divergent_parameter_validation():
-    good = dict(mu2=1.0 / 3.0, eps=0.01, varsigma=1.0, kappa_w=1.0, K=5)
+    good = dict(mu2=1.0 / 3.0, eps=0.01, kappa_w=1.0, K=5)
     for bad in (dict(mu2=0.0), dict(mu2=0.5), dict(eps=0.0),
                 dict(eps=1.0 - (1.0 - 2.0 / 3.0) / 3.0),
-                dict(kappa_w=0.5), dict(varsigma=0.0), dict(K=0),
-                dict(varsigma=2.0, kappa_w=3.0)):
+                dict(kappa_w=0.5), dict(kappa_w=np.inf), dict(K=0)):
         kw = {**good, **bad}
         with pytest.raises(ValueError):
             gen_divergent_example(**kw)
+    with pytest.raises(TypeError):   # the band's lower end is not a setting
+        gen_divergent_example(**good, varsigma=1.0)
 
 
 def test_sequences_carry_the_scaling_that_replays_them():
     for seq in (gen_adagrad_example(0.5, 1.0 / 3.0, 0.01, 0.01, 20),
-                gen_divergent_example(0.25, 0.01, 0.5, 2.0, 20)):
+                gen_divergent_example(0.25, 0.01, 2.0, 20)):
         assert replay_check(seq, Astr2Config(scaling=seq.scaling, max_iter=1))
     # the stored template is left fresh by the generator and by the replay
-    assert seq.scaling == DivergentScaling(varsigma=0.5, kappa_w=2.0, nu2=0.25, mu2=0.25)
+    assert seq.scaling == DivergentScaling(kappa_w=2.0, mu2=0.25)
     ada = gen_adagrad_example(0.5, 1.0 / 3.0, 0.01, 0.01, 5).scaling
     assert ada.a_accum == 0.0 and ada.b_accum == 0.0
 
@@ -204,7 +205,7 @@ def test_quintic_matches_independent_vandermonde_solve():
 
 def test_quintic_breakpoint_residuals():
     for seq in (gen_adagrad_example(0.5, 1.0 / 3.0, 0.01, 0.01, 10),
-                gen_divergent_example(1.0 / 3.0, 0.01, 1.0, 1.0, 10)):
+                gen_divergent_example(1.0 / 3.0, 0.01, 1.0, 10)):
         interp = hermite_interpolant(seq)
         m = seq.K + 1
         p, dp, ddp = interp.evaluate(seq.x[:m])
@@ -230,7 +231,7 @@ def test_quintic_domain_and_data_validation():
 
 def test_telescoping_sum():
     for seq in (gen_adagrad_example(0.5, 1.0 / 3.0, 0.01, 0.01, 200),
-                gen_divergent_example(1.0 / 3.0, 0.01, 1.0, 1.0, 200)):
+                gen_divergent_example(1.0 / 3.0, 0.01, 1.0, 200)):
         assert abs(math.fsum(seq.dq) - (seq.f[0] - seq.f[-1])) <= 1e-12
 
 
@@ -277,7 +278,7 @@ def test_sample_figure_equals_per_interval_linspace(family, points):
     if family == "adagrad":
         seq = gen_adagrad_example(0.5, 1.0 / 3.0, 0.01, 0.01, 60)
     else:
-        seq = gen_divergent_example(1.0 / 3.0, 0.01, 1.0, 1.0, 60)
+        seq = gen_divergent_example(1.0 / 3.0, 0.01, 1.0, 60)
     interp = hermite_interpolant(seq)
     xs = interp.xs
     x_ref = np.concatenate(
@@ -314,9 +315,9 @@ def test_replay_adagrad_figure_parameters():
 
 
 def test_replay_divergent_figure_parameters():
-    seq = gen_divergent_example(1.0 / 3.0, 0.01, 1.0, 1.0, 10)
+    seq = gen_divergent_example(1.0 / 3.0, 0.01, 1.0, 10)
     cfg = Astr2Config(
-        scaling=DivergentScaling(varsigma=1.0, kappa_w=1.0),
+        scaling=DivergentScaling(kappa_w=1.0),
         max_iter=11,
     )
     assert replay_check(seq, cfg) is True
@@ -328,9 +329,9 @@ def test_replay_detects_perturbed_varsigma():
 
 
 def test_replay_detects_perturbed_divergent_coefficient():
-    seq = gen_divergent_example(1.0 / 3.0, 0.01, 1.0, 1.0, 10)
+    seq = gen_divergent_example(1.0 / 3.0, 0.01, 1.0, 10)
     cfg = Astr2Config(
-        scaling=DivergentScaling(varsigma=1.0, kappa_w=1.1),
+        scaling=DivergentScaling(kappa_w=1.1),
         max_iter=11,
     )
     assert replay_check(seq, cfg) is False
@@ -342,7 +343,7 @@ def test_replay_structural_mismatches_raise():
     with pytest.raises(ValueError):
         replay_check(seq, wrong_family)
     oscillating = Astr2Config(
-        scaling=AdagradScaling(varsigma=0.01, theta_l=0.5, theta_q=0.5),
+        scaling=AdagradScaling(varsigma=0.01, theta=0.5),
         max_iter=6,
     )
     with pytest.raises(ValueError):
