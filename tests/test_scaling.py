@@ -91,12 +91,21 @@ def test_divergent_validation():
 
 
 def test_divergent_weights_power_law():
-    for kappa_w, mu1, mu2 in ((2.0, 0.5, 1.0 / 3.0), (3.0, 0.75, 0.4)):
-        state = DivergentScaling(kappa_w=kappa_w, mu1=mu1, mu2=mu2)
-        for k in (0, 1, 3, 7, 99):
-            w_l, w_q = divergent_weights(state, k)
-            assert w_l == kappa_w * (k + 1.0) ** mu1
-            assert w_q == kappa_w * (k + 1.0) ** mu2
+    state = DivergentScaling(kappa_w=2.0, mu1=0.5, mu2=1.0 / 3.0)
+    for k in (0, 1, 7, 99):
+        w_l, w_q = divergent_weights(state, k)
+        assert w_l == 2.0 * (k + 1.0) ** 0.5
+        assert w_q == 2.0 * (k + 1.0) ** (1.0 / 3.0)
+
+
+def test_divergent_coefficient_and_exponents_default_to_the_band_top():
+    state = DivergentScaling(kappa_w=3.0, mu1=0.75, mu2=0.4)
+    # The coefficient and exponents are kappa_w, mu1 and mu2 themselves.
+    for removed in ("coeff", "e1", "e2"):
+        assert not hasattr(state, removed)
+    w_l, w_q = divergent_weights(state, 3)
+    assert w_l == 3.0 * 4.0 ** 0.75
+    assert w_q == 3.0 * 4.0 ** 0.4
 
 
 def test_divergent_rejects_negative_iteration():
