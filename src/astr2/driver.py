@@ -30,6 +30,7 @@ from .scaling import AdagradScaling, DivergentScaling
 from .trs import (
     DenseModel,
     LanczosNoConvergence,
+    _check_count,
     min_eigpair,
     solve_trs_krylov,
 )
@@ -73,15 +74,13 @@ class Astr2Config:
     def __post_init__(self) -> None:
         if not self.xi >= 1.0:
             raise ValueError(f"xi must be >= 1, got {self.xi!r}")
-        if not (isinstance(self.max_iter, (int, np.integer)) and self.max_iter >= 1):
-            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        _check_count("max_iter", self.max_iter)
         if (self.eps1 is None) != (self.eps2 is None):
             raise ValueError("eps1 and eps2 must be supplied together")
         if self.eps1 is not None and not (self.eps1 > 0 and self.eps2 > 0):
             raise ValueError("termination thresholds must be positive")
-        dim = self.subspace_max_dim
-        if dim is not None and not (isinstance(dim, (int, np.integer)) and dim >= 1):
-            raise ValueError(f"subspace_max_dim must be an integer >= 1, got {dim!r}")
+        if self.subspace_max_dim is not None:
+            _check_count("subspace_max_dim", self.subspace_max_dim)
 
 
 @dataclass(frozen=True)

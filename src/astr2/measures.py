@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .trs import _check_radius, _symmetrize, solve_trs_exact, solve_trs_krylov
+from .trs import _check_count, _check_radius, _symmetrize, solve_trs_exact, solve_trs_krylov
 
 Array = np.ndarray
 
@@ -64,8 +64,7 @@ def phi2_subspace(
     restricted measure is 0 by definition.
     """
     _check_radius(delta)
-    if max_dim < 0:
-        raise ValueError(f"max_dim must be >= 0, got {max_dim!r}")
+    _check_count("max_dim", max_dim, 0)
     if max_dim == 0:
         return 0.0, 0
     sol, dim = solve_trs_krylov(g, hvp, delta, max_dim, seed_direction=seed_direction)

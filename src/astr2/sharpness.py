@@ -26,6 +26,7 @@ import numpy as np
 from .driver import Astr2Config, SolverAbort, run
 from .oracle import ProblemOracle
 from .scaling import AdagradScaling, DivergentScaling
+from .trs import _check_count
 
 Array = np.ndarray
 
@@ -148,11 +149,6 @@ def _generate(
     )
 
 
-def _check_K(K: int) -> None:
-    if not (isinstance(K, (int, np.integer)) and K >= 1):
-        raise ValueError(f"K must be an integer >= 1, got {K!r}")
-
-
 def gen_adagrad_example(
     mu: float, nu: float, eps: float, varsigma: float, K: int
 ) -> SharpnessSequence:
@@ -166,7 +162,7 @@ def gen_adagrad_example(
     scaling = AdagradScaling(varsigma=varsigma, mu=mu, nu=nu)
     if not 0.0 < eps < 2.0 / 3.0:
         raise ValueError(f"eps must be in (0, 2/3), got {eps!r}")
-    _check_K(K)
+    _check_count("K", K)
     return _generate("adagrad", scaling, K, 1.0 / 3.0 + eps, zeta(1.0 + 3.0 * eps))
 
 
@@ -186,7 +182,7 @@ def gen_divergent_example(
         raise ValueError(
             f"eps must be in (0, {1.0 - gamma_floor!r}) for mu2={mu2!r}, got {eps!r}"
         )
-    _check_K(K)
+    _check_count("K", K)
     gamma = gamma_floor + eps
     return _generate("divergent", scaling, K, gamma, zeta(3.0 * gamma + 2.0 * mu2))
 
@@ -291,8 +287,7 @@ def sample_figure(
     a shift is given; the construction itself is never shifted.
     """
     p = points_per_interval
-    if not (isinstance(p, (int, np.integer)) and p >= 1):
-        raise ValueError(f"points_per_interval must be an integer >= 1, got {p!r}")
+    _check_count("points_per_interval", p)
     if f0_shift is not None and not np.isfinite(f0_shift):
         raise ValueError(f"f0_shift must be finite, got {f0_shift!r}")
     xs = interpolant.xs

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -74,6 +74,11 @@ class EigenPair:
 def _check_radius(delta: float) -> None:
     if not (np.isfinite(delta) and delta > 0):
         raise ValueError(f"delta must be positive and finite, got {delta!r}")
+
+
+def _check_count(name: str, value: int, least: int = 1) -> None:
+    if not (isinstance(value, (int, np.integer)) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _check_symmetric(H: Array) -> Array:
@@ -335,45 +340,45 @@ def eigen_decrease(g: Array, H: Array, delta: float) -> tuple[Array, float, floa
     return u, alpha, max(dq, 0.0)
 
 
-def _orthogonalize(w: Array, V: list[Array]) -> Array:
-    # One Gram-Schmidt pass against the orthonormal basis V, in place.
-    for u in V:
-        w -= np.dot(w, u) * u
-    return w
+def _lanczos(hvp: HvpHandle, v: Array, steps: int) -> Iterator[tuple[Array, Array, float]]:
+    """Lanczos with full reorthogonalization, started from the unit vector v.
 
-
-def _lanczos_step(
-    hvp: HvpHandle, V: list[Array], alphas: list[float], betas: list[float]
-) -> tuple[Array, float]:
-    """Expand the Lanczos basis V by one product with H.
-
-    Appends alpha_m = v_m^T H v_m to ``alphas`` and returns the residual w of
-    the three-term recurrence, fully reorthogonalized against V, with its
-    norm beta_m.  The caller appends beta_m and w / beta_m (or a restart).
+    After the m-th product with H yields ``(T_m, V_m, beta_m)``: the m x m
+    tridiagonal Lanczos matrix, the m basis vectors (rows of one array
+    preallocated with min(steps, n) rows) and the norm of the next residual.
+    Stops after ``steps`` products, n at most, or at breakdown, beta_m <=
+    1e-12 max(1, |alpha_m|), which it reports as beta_m = 0: the span of
+    V_m is then invariant under H to rounding.
     """
-    w = np.asarray(hvp(V[-1]), dtype=float)
-    a = float(np.dot(V[-1], w))
-    alphas.append(a)
-    w = w - a * V[-1] - (betas[-1] * V[-2] if betas else 0.0)
-    w = _orthogonalize(w, V)
-    return w, float(np.linalg.norm(w))
+    V = np.empty((min(steps, v.shape[0]), v.shape[0]))
+    V[:1] = v  # no row at all when steps = 0
+    alphas: list[float] = []
+    betas: list[float] = []
+    for m in range(1, len(V) + 1):
+        w = np.asarray(hvp(V[m - 1]), dtype=float)
+        a = float(np.dot(V[m - 1], w))
+        alphas.append(a)
+        w = w - a * V[m - 1] - (betas[-1] * V[m - 2] if betas else 0.0)
+        for u in V[:m]:
+            w -= np.dot(w, u) * u
+        b = float(np.linalg.norm(w))
+        T = np.diag(alphas)
+        if m > 1:
+            idx = np.arange(m - 1)
+            T[idx, idx + 1] = T[idx + 1, idx] = betas
+        if b <= 1e-12 * max(1.0, abs(a)):
+            yield T, V[:m], 0.0
+            return
+        yield T, V[:m], b
+        if m < len(V):
+            betas.append(b)
+            V[m] = w / b
 
 
-def _tridiagonal(alphas: list[float], betas: list[float]) -> Array:
-    """The Lanczos matrix T_m: the m ``alphas`` on the diagonal, the m-1
-    ``betas`` beside it."""
-    m = len(alphas)
-    T = np.diag(alphas)
-    if m > 1:
-        idx = np.arange(m - 1)
-        T[idx, idx + 1] = betas
-        T[idx + 1, idx] = betas
-    return T
-
-
-def _combine(y: Array, V: list[Array]) -> Array:
-    """sum_i y_i v_i over the first len(y) basis vectors."""
-    d = np.zeros(V[0].shape[0])
+def _combine(y: Array, V: Array) -> Array:
+    """sum_i y_i v_i over the basis rows of V, summed row by row (``y @ V``
+    sums in another order and moves the last bits of the steps)."""
+    d = np.zeros(V.shape[1])
     for coeff, vec in zip(y, V):
         d += coeff * vec
     return d
@@ -390,10 +395,12 @@ def min_eigpair(
     Lanczos with full reorthogonalization from a deterministic random start,
     stopped when the Ritz residual ||H u - theta u|| = |beta_j * y_j| of the
     smallest Ritz pair is at most ``tol`` (relative to theta when theta > 1),
-    or when the basis spans the whole space (the Ritz pair is then exact).
-    A small residual puts theta within ``tol`` of *some* eigenvalue of H,
-    not necessarily of lambda_min.  The step cap is n, where the basis
-    spans the space, lowered so that the basis of m n-vectors stays within
+    at breakdown (beta_j = 0: the Ritz pair is exact on an invariant
+    subspace, which need not hold lambda_min; there is no restart), or when
+    the basis spans the whole space (the Ritz pair is then exact).  A small
+    residual puts theta within ``tol`` of *some* eigenvalue of H, not
+    necessarily of lambda_min.  The step cap is n, where the basis spans the
+    space, lowered so that the basis of m n-vectors stays within
     ``_LANCZOS_BASIS_BYTES`` (256 MiB; 335 steps at n = 1e5).  As m <= n,
     each m x m Ritz matrix is no larger than the basis.
 
@@ -412,33 +419,19 @@ def min_eigpair(
     else:
         if n is None:
             raise ValueError("matrix-free min_eigpair needs the dimension n")
+        _check_count("n", n)
         maxiter = min(n, _LANCZOS_BASIS_BYTES // (8 * n))
         rng = np.random.default_rng(1842962133)  # fixed seed: deterministic runs
         v = rng.standard_normal(n)
         v /= np.linalg.norm(v)
-        V = [v]
-        alphas: list[float] = []
-        betas: list[float] = []
         theta = 0.0
-        for _ in range(maxiter):
-            w, b = _lanczos_step(H, V, alphas, betas)
-            ritz_vals, ritz_vecs = np.linalg.eigh(_tridiagonal(alphas, betas))
+        for T, V, b in _lanczos(H, v, maxiter):
+            ritz_vals, ritz_vecs = np.linalg.eigh(T)
             theta, y = float(ritz_vals[0]), ritz_vecs[:, 0]
-            tol_eff = tol if theta < 0.0 else tol * max(1.0, theta)
-            if abs(b * y[-1]) <= tol_eff:
+            if abs(b * y[-1]) <= (tol if theta < 0.0 else tol * max(1.0, theta)):
                 break
-            if b <= 1e-14 * max(1.0, abs(alphas[-1])):
-                # Invariant subspace: deflate by restarting orthogonally to it.
-                w = _orthogonalize(rng.standard_normal(n), V)
-                b = float(np.linalg.norm(w))
-                if b <= 1e-14:
-                    break  # space exhausted; Ritz data is exact
-                betas.append(0.0)
-            else:
-                betas.append(b)
-            V.append(w / b)
         else:
-            if len(V) < n:  # else the basis spans the space and the Ritz pair is exact
+            if maxiter < n:  # else the basis spans the space and the Ritz pair is exact
                 raise LanczosNoConvergence(
                     f"no convergence in {maxiter} Lanczos iterations "
                     f"(last Ritz value {theta:.6g})"
@@ -462,19 +455,19 @@ def solve_trs_krylov(
     GLTR-style: Lanczos from g/||g|| (or from ``seed_direction`` when g = 0)
     with full reorthogonalization; after each expansion the tridiagonal
     subproblem is solved exactly and the iteration stops when the subspace
-    decrease stagnates (relative gain < 1e-8), the recurrence breaks down
-    (current best is returned), or ``max_dim`` is reached.  The returned
-    decrease dominates every feasible point of the final subspace, in
-    particular the Cauchy point (the space starts at g) and any subspace
-    eigen-point; it does not dominate an eigen-point outside the subspace.
+    decrease stagnates (relative gain < 1e-8), at breakdown (the space is
+    invariant, so the current best is exact in it; there is no restart), or
+    when ``max_dim`` (or n) is reached.  The returned decrease dominates
+    every feasible point of the final subspace, in particular the Cauchy
+    point (the space starts at g) and any subspace eigen-point; it does not
+    dominate an eigen-point outside the subspace.
 
     Returns
     -------
     (TrsSolution, subspace_dim)
     """
     _check_radius(delta)
-    if max_dim < 1:
-        raise ValueError(f"max_dim must be >= 1, got {max_dim!r}")
+    _check_count("max_dim", max_dim)
     g = np.asarray(g, dtype=float)
     n = g.shape[0]
     gnorm = float(np.linalg.norm(g))
@@ -490,25 +483,15 @@ def solve_trs_krylov(
         # Krylov space of g = 0 with no seed is {0}: the zero step is optimal there.
         return TrsSolution(np.zeros(n), 0.0, 0.0, False, False), 0
 
-    V = [v]
-    alphas: list[float] = []
-    betas: list[float] = []
     prev_dq = 0.0
-    for m in range(1, max_dim + 1):
-        w, b = _lanczos_step(hvp, V, alphas, betas)
+    for T, V, _ in _lanczos(hvp, v, max_dim):
+        m = len(V)
         g_sub = np.zeros(m)
         g_sub[0] = gnorm
-        sol = solve_trs_exact(g_sub, _tridiagonal(alphas, betas), delta)
-
-        gain = sol.model_decrease - prev_dq
-        prev_dq = sol.model_decrease
-        if m > 1 and gain < 1e-8 * max(sol.model_decrease, 1e-300):
+        sol = solve_trs_exact(g_sub, T, delta)
+        if m > 1 and sol.model_decrease - prev_dq < 1e-8 * max(sol.model_decrease, 1e-300):
             break
-        if b <= 1e-12 * max(1.0, abs(alphas[-1])):
-            break  # breakdown: invariant subspace reached, current best is exact in it
-        if m < max_dim:
-            betas.append(b)
-            V.append(w / b)
+        prev_dq = sol.model_decrease
     return replace(sol, d=_combine(sol.d, V)), m
 
 

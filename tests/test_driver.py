@@ -163,11 +163,10 @@ def test_abort_carries_the_partial_trace():
     assert "non-finite" in info.value.reason
 
 
-def test_lanczos_failure_without_dense_hessian_aborts_with_the_trace(monkeypatch):
+def _bowl_beyond_the_lanczos_budget(monkeypatch, dense):
     # The measured test holds at x0 (tiny g on a positive definite Hessian),
     # so the certificate runs min_eigpair; a basis budget of three vectors
-    # cannot resolve 50 distinct eigenvalues, and with no dense Hessian to
-    # fall back to the run aborts with the first record.
+    # cannot resolve 50 distinct eigenvalues.
     import astr2.trs
 
     n = 50
@@ -175,13 +174,25 @@ def test_lanczos_failure_without_dense_hessian_aborts_with_the_trace(monkeypatch
     monkeypatch.setattr(astr2.trs, "_LANCZOS_BASIS_BYTES", 3 * 8 * n)
     oracle = ProblemOracle(name="matrix_free_bowl", n=n,
                            gradient=lambda x: np.full(n, 1e-6),
-                           hessian=None,
+                           hessian=(lambda x: np.diag(diag)) if dense else None,
                            hvp=lambda x, v: diag * v)
     cfg = adagrad_config(max_iter=10, eps1=1e-3, eps2=1e-3, subspace_max_dim=5)
+    return oracle, np.zeros(n), cfg
+
+
+def test_lanczos_failure_without_dense_hessian_aborts_with_the_trace(monkeypatch):
+    # With no dense Hessian to fall back to, the run aborts with the first record.
+    oracle, x0, cfg = _bowl_beyond_the_lanczos_budget(monkeypatch, dense=False)
     with pytest.raises(SolverAbort) as info:
-        run(oracle, np.zeros(n), cfg)
+        run(oracle, x0, cfg)
     assert [r.k for r in info.value.trace] == [0]
     assert "no convergence in 3 Lanczos iterations" in info.value.reason
+
+
+def test_lanczos_failure_falls_back_to_the_dense_hessian(monkeypatch):
+    # The dense eigenpair certifies x0 in place of the failed Lanczos one.
+    oracle, x0, cfg = _bowl_beyond_the_lanczos_budget(monkeypatch, dense=True)
+    assert [r.k for r in run(oracle, x0, cfg)] == [0]
 
 
 def test_non_finite_hvp_on_a_subspace_linear_step_aborts():

@@ -69,6 +69,12 @@ def test_phi2_subspace_degenerate_dimension_zero():
     assert phi2_subspace(np.ones(3), lambda v: v, 1.0, 0) == (0.0, 0)
 
 
+def test_phi2_subspace_max_dim_must_be_a_nonnegative_integer():
+    for max_dim in (-1, 2.5):
+        with pytest.raises(ValueError):
+            phi2_subspace(np.ones(3), lambda v: v, 1.0, max_dim)
+
+
 def test_combined_measures_clipping_and_clamping():
     # phi = 5 with xi = 1 clips hatphi to 1
     g = np.zeros(1)

@@ -15,7 +15,7 @@ from astr2 import (
     solve_trs_exact,
     solve_trs_krylov,
 )
-from astr2.trs import kkt_residuals
+from astr2.trs import LanczosNoConvergence, kkt_residuals
 
 from conftest import random_symmetric
 
@@ -326,8 +326,37 @@ def test_min_eigpair_matrix_free_matches_dense(rng):
 
 
 def test_min_eigpair_requires_dimension_for_handles():
-    with pytest.raises(ValueError):
-        min_eigpair(lambda v: v)
+    for n in (None, 0, 2.5):
+        with pytest.raises(ValueError):
+            min_eigpair(lambda v: v, n=n)
+
+
+def test_min_eigpair_without_room_for_one_basis_vector_raises(monkeypatch):
+    import astr2.trs
+
+    monkeypatch.setattr(astr2.trs, "_LANCZOS_BASIS_BYTES", 8 * 50 - 1)
+    with pytest.raises(LanczosNoConvergence, match="in 0 Lanczos iterations"):
+        min_eigpair(lambda v: v, n=50)
+
+
+def _three_eigenvalue_diagonal():
+    # 50 entries taking three distinct values, one negative: every Krylov
+    # space has dimension <= 3, so Lanczos breaks down after three products.
+    return np.repeat([-1.5, 0.5, 3.0], [10, 15, 25])
+
+
+def test_min_eigpair_stops_at_breakdown():
+    diag = _three_eigenvalue_diagonal()
+    calls = {"n": 0}
+
+    def hvp(v):
+        calls["n"] += 1
+        return diag * v
+
+    # tol far below rounding: only the breakdown can end the iteration early
+    pair = min_eigpair(hvp, n=len(diag), tol=1e-300)
+    assert calls["n"] == 3
+    assert pair.value == pytest.approx(-1.5, abs=1e-12)
 
 
 # --- solve_trs_krylov ------------------------------------------------------
@@ -362,6 +391,21 @@ def test_krylov_zero_gradient_uses_the_seed():
                               seed_direction=pair.vector)
     u, alpha, dq_e = eigen_decrease(np.zeros(6), H, 2.0)
     assert sub.model_decrease >= dq_e - 1e-10
+
+
+def test_krylov_stops_at_breakdown():
+    diag = _three_eigenvalue_diagonal()
+    g = np.linspace(0.1, 1.0, len(diag))  # weight on all three eigenvalues
+    sub, dim = solve_trs_krylov(g, lambda v: diag * v, 1.0, max_dim=10)
+    assert dim == 3
+    exact = solve_trs_exact(g, np.diag(diag), 1.0)
+    assert sub.model_decrease == pytest.approx(exact.model_decrease, abs=1e-12)
+
+
+def test_krylov_max_dim_must_be_a_positive_integer():
+    for max_dim in (0, -1, 2.5):
+        with pytest.raises(ValueError):
+            solve_trs_krylov(np.ones(3), lambda v: v, 1.0, max_dim=max_dim)
 
 
 def test_krylov_zero_gradient_without_seed_is_the_zero_step():

@@ -2,6 +2,7 @@
 
     python3 tools/trace_digest.py --workload dense_saddle --seeds 1,2,3
     python3 tools/trace_digest.py --workload worst_case --seeds 1,2,3 --src ../old/src
+    python3 tools/trace_digest.py --workload golden --src ../old/src
 
 Runs one untimed pass of a ``perfbench`` workload per seed and prints the
 ``perfbench.workloads.digest`` of it: SHA-256 over every trace field bit
@@ -12,6 +13,12 @@ program of its parent (``--src``).  The workload definitions are imported
 from ``perfbench/`` as they are; nothing there is changed.  BLAS is pinned
 to one thread, as in the benchmark.  Command outputs name their files, so
 every run writes into the same fixed directory (``--workdir``).
+
+``--workload golden`` instead prints one SHA-256 per ``TRACE_RUNS`` entry of
+``tests/test_golden.py``: the branch string and every record field bit for
+bit.  Those runs are fixed, so ``--seeds`` and ``--workdir`` do not apply.
+The golden test compares to rtol 1e-12, which lets bit moves through;
+unlike the perfbench workloads, these runs combine Krylov bases into Q steps.
 """
 
 from __future__ import annotations
@@ -22,6 +29,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"  # before numpy loads
 
 import argparse
+import hashlib
+import struct
 import sys
 import tempfile
 from pathlib import Path
@@ -40,12 +49,16 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",")]
 
-    sys.path[:0] = [str(args.src.resolve()), str(ROOT / "perfbench")]
+    sys.path[:0] = [str(args.src.resolve()), str(ROOT / "perfbench"), str(ROOT / "tests")]
+    if args.workload == "golden":
+        for name, hexdigest in _golden_digests():
+            print(f"golden {name}: {hexdigest}")
+        return 0
     from probes import Recorder, patched
     from workloads import WORKLOADS, digest
 
     if args.workload not in WORKLOADS:
-        p.error(f"unknown workload {args.workload!r}; choices: {', '.join(WORKLOADS)}")
+        p.error(f"unknown workload {args.workload!r}; choices: {', '.join(WORKLOADS)}, golden")
     workload = WORKLOADS[args.workload]
     args.workdir.mkdir(parents=True, exist_ok=True)
     for seed in seeds:
@@ -55,6 +68,17 @@ def main(argv=None) -> int:
             out = workload.run_pass(inputs, rec)
         print(f"{args.workload} seed {seed}: {digest(rec.traces, out)}")
     return 0
+
+
+def _golden_digests():
+    from test_golden import RECORD_FIELDS, TRACE_RUNS
+
+    for name, make in TRACE_RUNS.items():
+        trace = make()
+        h = hashlib.sha256(trace["branch"].encode())
+        for field in RECORD_FIELDS:
+            h.update(struct.pack(f"<{len(trace[field])}d", *trace[field]))
+        yield name, h.hexdigest()
 
 
 if __name__ == "__main__":
