@@ -16,6 +16,7 @@ from .trs import (
     TrsSolution,
     EigenPair,
     DenseModel,
+    KrylovModel,
     solve_trs_exact,
     cauchy_decrease,
     eigen_decrease,
@@ -48,6 +49,7 @@ __all__ = [
     "TrsSolution",
     "EigenPair",
     "DenseModel",
+    "KrylovModel",
     "solve_trs_exact",
     "cauchy_decrease",
     "eigen_decrease",

@@ -6,10 +6,11 @@ by ||g_k||^2 >= hatphi_k^3 (ties go to the linear branch); feed the decided
 branch's term to the scaling state and emit the weights; form the radii
 Delta^L = ||g||/w^L, Delta^Q = hatphi/w^Q; take either the closed-form
 scaled-gradient step s = -g/w^L or a trust-region step of radius Delta^Q;
-accept the trial point unconditionally.  With a dense Hessian the measure
-and the step are two solves of one :class:`~astr2.trs.DenseModel`, so H_k is
-eigendecomposed once per iteration; in subspace mode each is its own Lanczos
-solve from g_k.  The Krylov space contains g_k, so the subspace step
+accept the trial point unconditionally.  The measure and the step are two
+solves of one local model: a :class:`~astr2.trs.DenseModel`, which
+eigendecomposes H_k once per iteration, or in subspace mode a
+:class:`~astr2.trs.KrylovModel`, whose one Lanczos run from g_k serves both
+radii.  The Krylov space contains g_k, so the subspace step
 dominates the Cauchy point and every other point of that space; negative
 curvature outside it is seen only by the termination certificate.
 The objective value is never read by the step computation; with
@@ -24,15 +25,14 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .measures import phi2_subspace
 from .oracle import ProblemOracle
 from .scaling import AdagradScaling, DivergentScaling
 from .trs import (
     DenseModel,
+    KrylovModel,
     LanczosNoConvergence,
     _check_count,
     min_eigpair,
-    solve_trs_krylov,
 )
 
 Array = np.ndarray
@@ -128,18 +128,7 @@ def astr2_step(
         raise ValueError(f"non-finite gradient at iteration {k}")
     norm_g = float(np.linalg.norm(g))
 
-    subspace = config.subspace_max_dim is not None
-    H: Optional[Array] = None
-    if subspace:
-        hvp = _checked_hvp(oracle, x, k)
-        seed = None
-        if norm_g == 0.0:
-            # The Krylov space of g = 0 is {0}; grow it from the eigenvector.
-            seed = _min_eigpair_with_fallback(oracle, x, hvp).vector
-        phi, _ = phi2_subspace(
-            g, hvp, _MEASURE_RADIUS, config.subspace_max_dim, seed_direction=seed
-        )
-    else:
+    if config.subspace_max_dim is None:
         if oracle.hessian is None:
             raise ValueError(
                 f"problem {oracle.name!r} has no dense Hessian; set subspace_max_dim"
@@ -148,7 +137,14 @@ def astr2_step(
         if not np.all(np.isfinite(H)):
             raise ValueError(f"non-finite Hessian at iteration {k}")
         model = DenseModel(g, H)
-        phi = model.solve(_MEASURE_RADIUS).model_decrease
+    else:
+        hvp = _checked_hvp(oracle, x, k)
+        seed = None
+        if norm_g == 0.0:
+            # The Krylov space of g = 0 is {0}; grow it from the eigenvector.
+            seed = _min_eigpair_with_fallback(oracle, x, hvp).vector
+        model = KrylovModel(g, hvp, config.subspace_max_dim, seed)
+    phi = model.solve(_MEASURE_RADIUS).model_decrease
 
     hatphi = min(phi, config.xi)
     branch = "L" if norm_g * norm_g >= hatphi ** 3 else "Q"
@@ -158,15 +154,9 @@ def astr2_step(
 
     if branch == "L":
         s = -g / w_l
-        Hs = hvp(s) if H is None else H @ s
-        dq = -(float(np.dot(g, s)) + 0.5 * float(np.dot(s, Hs)))
+        dq = -(float(np.dot(g, s)) + 0.5 * float(np.dot(s, model.hvp(s))))
     else:
-        if subspace:
-            sol, _ = solve_trs_krylov(
-                g, hvp, delta_q, config.subspace_max_dim, seed_direction=seed
-            )
-        else:
-            sol = model.solve(delta_q)
+        sol = model.solve(delta_q)
         s, dq = sol.d, sol.model_decrease
 
     x_next = x + s
@@ -218,8 +208,9 @@ def run(oracle: ProblemOracle, x0: Array, config: Astr2Config) -> list[IterateRe
     thresholds are set).
 
     In subspace mode phi2 is the decrease on the Krylov space grown from
-    g_k, and the quadratic step solves the subproblem on the same kind of
-    space at radius Delta^Q, so it dominates the Cauchy decrease and the
+    g_k, and the quadratic step solves the subproblem at radius Delta^Q on
+    the same Lanczos run, extended only if that radius needs a larger
+    space, so it dominates the Cauchy decrease and the
     Krylov-space decrease, but not the decrease along an eigenvector that
     the space misses.  A saddle whose negative curvature is orthogonal to
     every Krylov space the run grows is therefore not escaped (g along

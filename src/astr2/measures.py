@@ -15,7 +15,7 @@ eta = max(0, -lambda_min[H]).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -54,7 +54,6 @@ def phi2_subspace(
     hvp: Callable[[Array], Array],
     delta: float,
     max_dim: int,
-    seed_direction: Optional[Array] = None,
 ) -> tuple[float, int]:
     """Second-order measure restricted to a grown Krylov subspace.
 
@@ -67,7 +66,7 @@ def phi2_subspace(
     _check_count("max_dim", max_dim, 0)
     if max_dim == 0:
         return 0.0, 0
-    sol, dim = solve_trs_krylov(g, hvp, delta, max_dim, seed_direction=seed_direction)
+    sol, dim = solve_trs_krylov(g, hvp, delta, max_dim)
     return sol.model_decrease, dim
 
 

@@ -8,7 +8,7 @@ and its certificates: an exact eigendecomposition-based solver with
 safeguarded Newton iteration on the secular equation and an explicit
 hard-case branch, the classical Cauchy-point and eigen-point decreases, a
 minimum-eigenpair routine (dense, or matrix-free Lanczos), a GLTR-style
-Krylov solver for subspace-restricted solves, and a brute-force reference
+Krylov model for subspace-restricted solves, and a brute-force reference
 used to cross-check the exact solver.
 
 References
@@ -81,12 +81,17 @@ def _check_count(name: str, value: int, least: int = 1) -> None:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def _check_finite(name: str, a: Array) -> Array:
+    a = np.asarray(a, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return a
+
+
 def _check_symmetric(H: Array) -> Array:
-    H = np.asarray(H, dtype=float)
+    H = _check_finite("H", H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"H must be square, got shape {H.shape}")
-    if not np.all(np.isfinite(H)):
-        raise ValueError("H contains non-finite entries")
     if (H == H.T).all():
         # What the symmetrisation returns, but for the sign of a zero paired
         # with a negative zero; at n = 1 this skips two thirds of the cost.
@@ -130,15 +135,17 @@ class DenseModel:
     """
 
     def __init__(self, g: Array, H: Array):
-        g = np.asarray(g, dtype=float)
-        if not np.all(np.isfinite(g)):
-            raise ValueError("g contains non-finite entries")
+        g = _check_finite("g", g)
         H = _check_symmetric(H)
         if H.shape[0] != g.shape[0]:
             raise ValueError(f"shape mismatch: g has {g.shape[0]} entries, H is {H.shape}")
         self.g, self.H = g, H
         self.lam, self.Q = np.linalg.eigh(H)
         self.gt = self.Q.T @ g
+
+    def hvp(self, v: Array) -> Array:
+        """H v with the model's (symmetrized) Hessian."""
+        return self.H @ v
 
     def solve(self, delta: float) -> TrsSolution:
         """Globally solve the trust-region subproblem of radius ``delta`` > 0.
@@ -443,6 +450,100 @@ def min_eigpair(
     return EigenPair(value=theta, vector=u)
 
 
+class KrylovModel:
+    """The local model of one iterate restricted to a Krylov space grown from g.
+
+    GLTR-style [3]: Lanczos from g/||g|| (or from ``seed_direction`` when
+    g = 0) with full reorthogonalization.  :meth:`solve` answers the
+    subproblem at any radius on the leading tridiagonal blocks and draws
+    more Hessian-vector products only when that radius needs a larger
+    space, so the measure at radius 1 and the step at another radius share
+    one Lanczos run.
+
+    The model keeps the suspended ``_lanczos`` generator, its basis (one
+    array of min(max_dim, n) rows, allocated up front) and the largest
+    tridiagonal T drawn so far: O(mn + m^2) memory for a space of
+    dimension m, and no per-m tridiagonals or eigendecompositions.  Each
+    smaller tridiagonal is a leading block of T, bit for bit the matrix a
+    fresh run builds.  There is no restart: at breakdown the space is
+    invariant and the model stops growing.
+
+    Parameters
+    ----------
+    g : ndarray
+        Gradient of the model at the center.
+    hvp : callable
+        v -> H v, also exposed as :attr:`hvp`.
+    max_dim : int
+        Largest subspace dimension (capped at n).
+    seed_direction : ndarray, optional
+        Start of the space when g = 0.  Without it the space of g = 0 is {0}
+        and every solve returns the zero step.
+    """
+
+    def __init__(
+        self,
+        g: Array,
+        hvp: HvpHandle,
+        max_dim: int,
+        seed_direction: Optional[Array] = None,
+    ):
+        _check_count("max_dim", max_dim)
+        self.g, self.hvp = _check_finite("g", g), hvp
+        self.gnorm = float(np.linalg.norm(self.g))
+        self.dim = 0  # subspace dimension of the last solve
+        self._T = self._V = np.empty((0, 0))
+        if seed_direction is not None:
+            seed_direction = _check_finite("seed_direction", seed_direction)
+        v = None
+        if self.gnorm > 0.0:
+            v = self.g / self.gnorm
+        elif seed_direction is not None:
+            vn = float(np.linalg.norm(seed_direction))
+            if vn == 0.0:
+                raise ValueError("seed_direction must be nonzero")
+            v = seed_direction / vn
+        self._steps = None if v is None else _lanczos(hvp, v, max_dim)
+
+    def _grow(self) -> bool:
+        # One more product; False once the space stopped growing.
+        step = next(self._steps, None)
+        if step is None:
+            return False
+        self._T, self._V, _ = step
+        return True
+
+    def solve(self, delta: float) -> TrsSolution:
+        """Solve the subproblem of radius ``delta`` > 0 on the Krylov space.
+
+        After each dimension m the tridiagonal subproblem is solved exactly,
+        and the iteration stops when the subspace decrease stagnates
+        (relative gain < 1e-8), at breakdown (the current best is exact in
+        the invariant space), or at ``max_dim`` (or n).  Sets :attr:`dim`.
+        The decrease dominates every feasible point of the final subspace,
+        in particular the Cauchy point (the space starts at g) and any
+        subspace eigen-point; it does not dominate an eigen-point outside
+        the subspace.
+        """
+        _check_radius(delta)
+        if self._steps is None:
+            # Krylov space of g = 0 with no seed is {0}: the zero step is optimal there.
+            self.dim = 0
+            return TrsSolution(np.zeros(self.g.shape[0]), 0.0, 0.0, False, False)
+        prev_dq = 0.0
+        m = 0
+        while m < len(self._T) or self._grow():
+            m += 1
+            g_sub = np.zeros(m)
+            g_sub[0] = self.gnorm
+            sol = solve_trs_exact(g_sub, self._T[:m, :m], delta)
+            if m > 1 and sol.model_decrease - prev_dq < 1e-8 * max(sol.model_decrease, 1e-300):
+                break
+            prev_dq = sol.model_decrease
+        self.dim = m
+        return replace(sol, d=_combine(sol.d, self._V[:m]))
+
+
 def solve_trs_krylov(
     g: Array,
     hvp: HvpHandle,
@@ -450,49 +551,15 @@ def solve_trs_krylov(
     max_dim: int,
     seed_direction: Optional[Array] = None,
 ) -> tuple[TrsSolution, int]:
-    """Solve the subproblem restricted to a grown Krylov subspace.
-
-    GLTR-style: Lanczos from g/||g|| (or from ``seed_direction`` when g = 0)
-    with full reorthogonalization; after each expansion the tridiagonal
-    subproblem is solved exactly and the iteration stops when the subspace
-    decrease stagnates (relative gain < 1e-8), at breakdown (the space is
-    invariant, so the current best is exact in it; there is no restart), or
-    when ``max_dim`` (or n) is reached.  The returned decrease dominates
-    every feasible point of the final subspace, in particular the Cauchy
-    point (the space starts at g) and any subspace eigen-point; it does not
-    dominate an eigen-point outside the subspace.
+    """Solve the subproblem restricted to a grown Krylov subspace:
+    :meth:`KrylovModel.solve` on a model built for this one call.
 
     Returns
     -------
     (TrsSolution, subspace_dim)
     """
-    _check_radius(delta)
-    _check_count("max_dim", max_dim)
-    g = np.asarray(g, dtype=float)
-    n = g.shape[0]
-    gnorm = float(np.linalg.norm(g))
-    if gnorm > 0.0:
-        v = g / gnorm
-    elif seed_direction is not None:
-        v = np.asarray(seed_direction, dtype=float)
-        vn = float(np.linalg.norm(v))
-        if vn == 0.0:
-            raise ValueError("seed_direction must be nonzero")
-        v = v / vn
-    else:
-        # Krylov space of g = 0 with no seed is {0}: the zero step is optimal there.
-        return TrsSolution(np.zeros(n), 0.0, 0.0, False, False), 0
-
-    prev_dq = 0.0
-    for T, V, _ in _lanczos(hvp, v, max_dim):
-        m = len(V)
-        g_sub = np.zeros(m)
-        g_sub[0] = gnorm
-        sol = solve_trs_exact(g_sub, T, delta)
-        if m > 1 and sol.model_decrease - prev_dq < 1e-8 * max(sol.model_decrease, 1e-300):
-            break
-        prev_dq = sol.model_decrease
-    return replace(sol, d=_combine(sol.d, V)), m
+    model = KrylovModel(g, hvp, max_dim, seed_direction)
+    return model.solve(delta), model.dim
 
 
 def kkt_residuals(g: Array, H: Array, delta: float, sol: TrsSolution) -> dict[str, float]:

@@ -296,7 +296,7 @@ def test_subspace_quadratic_steps_need_no_eigenpair(monkeypatch):
     trace = run(oracle, x0, cfg)
     assert "".join(r.branch for r in trace) == "Q" * 30
     assert callers == []
-    assert log.hvp == 143
+    assert log.hvp == 84  # the step reuses the measure's Lanczos run
 
     # With eps set, the certificate runs once per iterate that passes the
     # measured test; here only the last one, after two Q iterations.
@@ -307,6 +307,23 @@ def test_subspace_quadratic_steps_need_no_eigenpair(monkeypatch):
     assert [r.branch for r in trace].count("Q") == 2
     assert len(trace) < 200
     assert callers == ["_terminates"]
+
+
+def test_zero_gradient_start_grows_the_krylov_space_from_the_eigenvector():
+    # At x = 0, g = 0 and H = -I: the seed eigenpair costs one product and the
+    # measure one more (breakdown), and the step reuses the measure's space.
+    oracle, log = with_counting(make_problem("cosine_sum", 8))
+    x0 = np.zeros(8)
+    (dense,) = run(oracle, x0, adagrad_config(max_iter=1))
+    log.hvp = 0
+    (sub,) = run(oracle, x0, adagrad_config(max_iter=1, subspace_max_dim=3))
+    assert log.hvp == 2
+    assert sub.branch == dense.branch == "Q"
+    assert sub.phi == pytest.approx(0.5, rel=1e-12)
+    for field in ("phi", "dq", "delta_q"):
+        assert getattr(sub, field) == pytest.approx(getattr(dense, field), rel=1e-12)
+    # The Krylov step lies along one combined basis row: 1 ulp above delta_q.
+    assert sub.norm_s == pytest.approx(sub.delta_q, rel=1e-15)
 
 
 @pytest.mark.parametrize("n", [100, 300, 1000])

@@ -61,6 +61,8 @@ TRACE_RUNS = {
     "subspace_q_eig": lambda: _trace(100, _near_max(1, 100), 10, subspace_max_dim=20),
     # subspace of dimension 5, all Q
     "subspace_q_small": lambda: _trace(30, _near_max(2, 30), 30, varsigma=1e6, subspace_max_dim=5),
+    # subspace from g = 0: the first Krylov space grows from the eigenvector seed
+    "subspace_zero_gradient": lambda: _trace(8, np.zeros(8), 20, subspace_max_dim=3),
 }
 
 

@@ -69,6 +69,11 @@ def test_phi2_subspace_degenerate_dimension_zero():
     assert phi2_subspace(np.ones(3), lambda v: v, 1.0, 0) == (0.0, 0)
 
 
+def test_phi2_subspace_rejects_a_nan_gradient():
+    with pytest.raises(ValueError, match="g contains non-finite entries"):
+        phi2_subspace(np.array([np.nan, 1.0]), lambda v: v, 1.0, 2)
+
+
 def test_phi2_subspace_max_dim_must_be_a_nonnegative_integer():
     for max_dim in (-1, 2.5):
         with pytest.raises(ValueError):

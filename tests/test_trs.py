@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from astr2 import (
     DenseModel,
+    KrylovModel,
     brute_force_decrease,
     cauchy_decrease,
     combined_measures,
@@ -413,6 +414,57 @@ def test_krylov_zero_gradient_without_seed_is_the_zero_step():
     assert dim == 0
     assert sol.model_decrease == 0.0
     np.testing.assert_array_equal(sol.d, np.zeros(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_krylov_rejects_a_non_finite_gradient_or_seed(bad):
+    # A NaN gradient has no nonzero norm to start from; it must not read as g = 0.
+    g = np.array([bad, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="g contains non-finite entries"):
+            KrylovModel(g, lambda v: v, 2)
+        with pytest.raises(ValueError, match="g contains non-finite entries"):
+            solve_trs_krylov(g, lambda v: v, 1.0, max_dim=2)
+        with pytest.raises(ValueError, match="seed_direction contains non-finite entries"):
+            solve_trs_krylov(np.zeros(2), lambda v: v, 1.0, max_dim=2,
+                             seed_direction=np.array([bad, 1.0]))
+
+
+def _krylov_instances():
+    H = random_symmetric(np.random.default_rng(5), 8)
+    diag = _three_eigenvalue_diagonal()
+    return [
+        (np.random.default_rng(6).uniform(-2, 2, 8), lambda v: H @ v, 8),
+        (np.linspace(0.1, 1.0, len(diag)), lambda v: diag * v, 10),  # breakdown at 3
+    ]
+
+
+@pytest.mark.parametrize("radii", [(1.0, 1e-3), (1.0, 10.0), (10.0, 1.0)])
+@pytest.mark.parametrize("case", [0, 1])
+def test_krylov_model_resumes_bit_for_bit(radii, case):
+    # Each solve of one model equals a fresh one-shot solve at that radius,
+    # and the model draws only the products the larger of the two needs.
+    g, hvp, max_dim = _krylov_instances()[case]
+    calls = {"n": 0}
+
+    def counted(v):
+        calls["n"] += 1
+        return hvp(v)
+
+    fresh, counts = [], []
+    for delta in radii:
+        calls["n"] = 0
+        fresh.append(solve_trs_krylov(g, counted, delta, max_dim))
+        counts.append(calls["n"])
+    calls["n"] = 0
+    model = KrylovModel(g, counted, max_dim)
+    for delta, (want, want_dim) in zip(radii, fresh):
+        got = model.solve(delta)
+        np.testing.assert_array_equal(got.d, want.d)
+        assert (got.multiplier, got.model_decrease, model.dim) == (
+            want.multiplier, want.model_decrease, want_dim)
+    assert calls["n"] == max(counts)
 
 
 def test_krylov_subspace_decrease_is_monotone_in_dimension(rng):
