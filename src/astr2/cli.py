@@ -168,14 +168,13 @@ def cmd_sharpness(args: argparse.Namespace) -> int:
     else:
         seq = gen_divergent_example(args.mu2, args.eps, args.kappa_w, args.K)
     interp = hermite_interpolant(seq)
-    xs, fs, fps, fpps = sample_figure(seq, interp, args.samples_per_interval, args.f0_shift)
+    xs, fs, fps, fpps = sample_figure(interp, args.samples_per_interval, args.f0_shift)
     _write_csv(args.out, "x,f,fp,fpp", _float_lines((xs, fs, fps, fpps)))
     bp_path = _companion_path(args.out)
     columns = [getattr(seq, name) for name in _BREAKPOINT_FIELDS]
     _write_csv(bp_path, ",".join(("k",) + _BREAKPOINT_FIELDS), _float_lines(columns, index=True))
 
-    config = Astr2Config(scaling=seq.scaling, max_iter=seq.K + 1)
-    ok = replay_check(seq, config)
+    ok = replay_check(seq)
     print(f"samples  : {len(xs)} -> {args.out}")
     print(f"breakpts : {seq.K + 1} -> {bp_path}")
     print(f"replay   : {'ok' if ok else 'MISMATCH'}")

@@ -44,7 +44,6 @@ def phi1(g: Array, delta: float) -> float:
 
 def phi2(g: Array, H: Array, delta: float) -> tuple[float, Array]:
     """Second-order measure and the model minimizer achieving it."""
-    _check_radius(delta)
     sol = solve_trs_exact(g, H, delta)
     return sol.model_decrease, sol.d
 
@@ -78,7 +77,6 @@ def combined_measures(g: Array, H: Array, xi: float, delta: float) -> Optimality
     """
     if not xi >= 1.0:
         raise ValueError(f"xi must be >= 1, got {xi!r}")
-    _check_radius(delta)
     g = np.asarray(g, dtype=float)
     value, d = phi2(g, H, delta)
     gnorm2 = float(np.dot(g, g))

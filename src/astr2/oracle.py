@@ -13,7 +13,7 @@ Hessian Lipschitz constants are known exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -75,7 +75,7 @@ def _quadratic_psd(n: int) -> ProblemOracle:
         name="quadratic_psd",
         n=n,
         gradient=gradient,
-        hessian=hessian if n <= DENSE_HESSIAN_MAX_DIM else None,
+        hessian=hessian,
         hvp=hvp,
         f_diagnostic=f,
         lipschitz_g=1.0,
@@ -121,7 +121,7 @@ def _rosenbrock(n: int) -> ProblemOracle:
         name="rosenbrock",
         n=n,
         gradient=gradient,
-        hessian=hessian if n <= DENSE_HESSIAN_MAX_DIM else None,
+        hessian=hessian,
         hvp=hvp,
         f_diagnostic=f,
         lipschitz_g=None,
@@ -179,7 +179,7 @@ def _cosine_sum(n: int) -> ProblemOracle:
         name="cosine_sum",
         n=n,
         gradient=gradient,
-        hessian=hessian if n <= DENSE_HESSIAN_MAX_DIM else None,
+        hessian=hessian,
         hvp=hvp,
         f_diagnostic=f,
         lipschitz_g=1.0,
@@ -216,7 +216,8 @@ def make_problem(name: str, n: int) -> ProblemOracle:
     Returns
     -------
     ProblemOracle
-        Oracle with deterministic, side-effect-free evaluation maps.
+        Oracle with deterministic, side-effect-free evaluation maps; its
+        dense Hessian is dropped when n > ``DENSE_HESSIAN_MAX_DIM``.
 
     Raises
     ------
@@ -232,7 +233,10 @@ def make_problem(name: str, n: int) -> ProblemOracle:
         raise ValueError(f"problem {name!r} requires n = {exact_n}, got {n}")
     if n < min_n:
         raise ValueError(f"problem {name!r} requires n >= {min_n}, got {n}")
-    return factory(int(n))
+    oracle = factory(int(n))
+    if n > DENSE_HESSIAN_MAX_DIM:
+        oracle = replace(oracle, hessian=None)
+    return oracle
 
 
 def finite_diff_check(oracle: ProblemOracle, x: Array, h: float) -> FiniteDiffReport:

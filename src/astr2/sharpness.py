@@ -17,7 +17,6 @@ actual iteration loop on a synthetic oracle reproduces it to the last bit.
 from __future__ import annotations
 
 import copy
-import dataclasses
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -274,7 +273,6 @@ def hermite_interpolant(seq: SharpnessSequence) -> PiecewiseQuintic:
 
 
 def sample_figure(
-    seq: SharpnessSequence,
     interpolant: PiecewiseQuintic,
     points_per_interval: int,
     f0_shift: Optional[float] = None,
@@ -284,7 +282,9 @@ def sample_figure(
     Each interval contributes ``points_per_interval`` samples including its
     left breakpoint; the final breakpoint is appended, so every breakpoint
     appears exactly once.  The f column is shifted by (f0_shift - f_0) when
-    a shift is given; the construction itself is never shifted.
+    a shift is given, f_0 being the first sample: it sits at t = 0 of the
+    first piece, where the quintic is exactly the breakpoint value.  The
+    construction itself is never shifted.
     """
     p = points_per_interval
     _check_count("points_per_interval", p)
@@ -297,7 +297,7 @@ def sample_figure(
     x_samp = np.append(np.arange(p) * step[:, None] + xs[:-1, None], xs[-1])
     f, fp, fpp = interpolant.evaluate(x_samp)
     if f0_shift is not None:
-        f = f + (f0_shift - seq.f[0])
+        f = f + (f0_shift - f[0])
     return x_samp, f, fp, fpp
 
 
@@ -340,40 +340,20 @@ def _replay_oracle(seq: SharpnessSequence) -> ProblemOracle:
     )
 
 
-def replay_check(seq: SharpnessSequence, config: Astr2Config) -> bool:
+def replay_check(seq: SharpnessSequence) -> bool:
     """Drive the actual iteration loop over the stored breakpoints.
 
-    The scaling state in ``config`` must be structurally capable of the
-    construction (matching family; Adagrad with theta = 1 and fresh
-    accumulators), else ValueError.  Numeric disagreement of the
-    replayed trace (branch, step length, quadratic radius, decrease, or an
-    iterate drifting off the breakpoints) returns False.
+    The run is ``Astr2Config(scaling=seq.scaling, max_iter=seq.K + 1)``:
+    no thresholds, the dense model, and xi = 1, which no phi_k <= 1 can
+    clip, so hatphi = phi.  Any disagreement of the replayed trace
+    (branch, step length, quadratic radius, decrease, or an iterate
+    drifting off the breakpoints) returns False; so does a scaling state
+    that cannot reproduce the sequence (theta < 1, used accumulators, the
+    other family).
     """
-    if seq.family == "adagrad":
-        if not isinstance(config.scaling, AdagradScaling):
-            raise ValueError("adagrad sequence needs AdagradScaling in the config")
-        st = config.scaling
-        if st.theta != 1.0:
-            raise ValueError("replay requires the upper weights, theta = 1")
-        if st.a_accum != 0.0 or st.b_accum != 0.0:
-            raise ValueError("replay requires fresh accumulators")
-    elif seq.family == "divergent":
-        if not isinstance(config.scaling, DivergentScaling):
-            raise ValueError("divergent sequence needs DivergentScaling in the config")
-    else:
-        raise ValueError(f"unknown sequence family {seq.family!r}")
-
-    cfg = dataclasses.replace(
-        config,
-        max_iter=seq.K + 1,
-        eps1=None,
-        eps2=None,
-        subspace_max_dim=None,
-        record_f=False,
-    )
-    oracle = _replay_oracle(seq)
+    config = Astr2Config(scaling=seq.scaling, max_iter=seq.K + 1)
     try:
-        trace = run(oracle, np.array([seq.x[0]]), cfg)
+        trace = run(_replay_oracle(seq), np.array([seq.x[0]]), config)
     except SolverAbort:
         return False
     if len(trace) != seq.K + 1:

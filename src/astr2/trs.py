@@ -92,6 +92,8 @@ def _check_symmetric(H: Array) -> Array:
     H = _check_finite("H", H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"H must be square, got shape {H.shape}")
+    if H.shape[0] == 0:
+        raise ValueError("H must be at least 1 x 1")
     if (H == H.T).all():
         # What the symmetrisation returns, but for the sign of a zero paired
         # with a negative zero; at n = 1 this skips two thirds of the cost.
@@ -122,9 +124,9 @@ class DenseModel:
     """The local model g^T d + (1/2) d^T H d of one iterate, factorised once.
 
     H is symmetry-checked and eigendecomposed here, once; :meth:`solve` then
-    answers the subproblem at any radius from the cached ``lam``, ``Q`` and
-    ``gt = Q^T g``, so the measure at radius 1 and the step at another radius
-    share one ``eigh``.
+    answers the subproblem at any radius from the cached ``lam``, ``Q``,
+    ``gt = Q^T g`` and ``gnorm = ||g||``, so the measure at radius 1 and the
+    step at another radius share one ``eigh``.
 
     Parameters
     ----------
@@ -140,6 +142,7 @@ class DenseModel:
         if H.shape[0] != g.shape[0]:
             raise ValueError(f"shape mismatch: g has {g.shape[0]} entries, H is {H.shape}")
         self.g, self.H = g, H
+        self.gnorm = float(np.linalg.norm(g))
         self.lam, self.Q = np.linalg.eigh(H)
         self.gt = self.Q.T @ g
 
@@ -172,7 +175,7 @@ class DenseModel:
         once per solve.
         """
         _check_radius(delta)
-        g, H, lam, Q, gt = self.g, self.H, self.lam, self.Q, self.gt
+        g, H, lam, Q, gt, gnorm = self.g, self.H, self.lam, self.Q, self.gt, self.gnorm
         n = g.shape[0]
         t_lo = max(0.0, -lam[0])
 
@@ -190,7 +193,6 @@ class DenseModel:
         scale = max(1.0, float(np.max(np.abs(lam))))
         crit = (lam + t_lo) <= _GAP_TOL * scale
         g_crit = float(np.linalg.norm(gt[crit])) if np.any(crit) else 0.0
-        gnorm = float(np.linalg.norm(g))
 
         if g_crit <= _HARD_TOL * max(1.0, gnorm):
             dp = np.zeros(n)
@@ -286,14 +288,12 @@ def solve_trs_exact(g: Array, H: Array, delta: float) -> TrsSolution:
     return DenseModel(g, H).solve(delta)
 
 
-def cauchy_decrease(
-    g: Array, H: Union[Array, HvpHandle], delta: float
-) -> tuple[float, float]:
+def cauchy_decrease(g: Array, H: Array, delta: float) -> tuple[float, float]:
     """Best model decrease along the scaled negative gradient.
 
     Maximizes alpha ||g||^2 - (alpha^2/2) g^T H g over
     {alpha >= 0 : alpha ||g|| <= Delta}; closed form from the sign of the
-    curvature along g.  ``H`` may be a dense matrix or an hvp callable.
+    curvature along g.
 
     Returns
     -------
@@ -306,8 +306,7 @@ def cauchy_decrease(
     if gnorm2 == 0.0:
         return 0.0, 0.0
     gnorm = np.sqrt(gnorm2)
-    Hg = H(g) if callable(H) else np.asarray(H, dtype=float) @ g
-    curv = float(np.dot(g, Hg))
+    curv = float(np.dot(g, np.asarray(H, dtype=float) @ g))
     alpha_max = delta / gnorm
     if curv <= 0.0:
         alpha = alpha_max
@@ -545,20 +544,17 @@ class KrylovModel:
 
 
 def solve_trs_krylov(
-    g: Array,
-    hvp: HvpHandle,
-    delta: float,
-    max_dim: int,
-    seed_direction: Optional[Array] = None,
+    g: Array, hvp: HvpHandle, delta: float, max_dim: int
 ) -> tuple[TrsSolution, int]:
     """Solve the subproblem restricted to a grown Krylov subspace:
-    :meth:`KrylovModel.solve` on a model built for this one call.
+    :meth:`KrylovModel.solve` on a model built for this one call (the
+    Krylov space of g = 0 is {0}, so that case returns the zero step).
 
     Returns
     -------
     (TrsSolution, subspace_dim)
     """
-    model = KrylovModel(g, hvp, max_dim, seed_direction)
+    model = KrylovModel(g, hvp, max_dim)
     return model.solve(delta), model.dim
 
 

@@ -70,7 +70,7 @@ def replay_bundle(seq, scaling):
     oracle, log = with_counting(oracle_from_breakpoints(seq))
     config = Astr2Config(scaling=scaling, max_iter=seq.K + 1)
     trace = run(oracle, np.array([seq.x[0]]), config)
-    ok = replay_check(seq, config)
+    ok = replay_check(seq)
     return {
         "seq": seq,
         "trace": trace,

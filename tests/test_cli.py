@@ -215,7 +215,7 @@ def test_run_opens_out_before_iterating(tmp_path, monkeypatch, capsys):
 
 def test_failed_run_keeps_an_earlier_out_file(tmp_path, monkeypatch, capsys):
     def abort(oracle, x0, config):
-        raise SolverAbort("non-finite gradient at iteration 3", [])
+        raise SolverAbort("g contains non-finite entries", [])
 
     out = tmp_path / "trace.csv"
     out.write_text("earlier trace\n")
@@ -227,13 +227,13 @@ def test_failed_run_keeps_an_earlier_out_file(tmp_path, monkeypatch, capsys):
 
 def test_solver_abort_exits_with_code_one(monkeypatch, capsys):
     def abort(oracle, x0, config):
-        raise SolverAbort("non-finite gradient at iteration 3", [])
+        raise SolverAbort("g contains non-finite entries", [])
 
     monkeypatch.setattr("astr2.cli.run", abort)
     assert main(["run", "--problem", "quadratic_psd", "--n", "2"]) == 1
     assert capsys.readouterr().err == (
         "error: solver abort after 0 recorded iterations: "
-        "non-finite gradient at iteration 3\n"
+        "g contains non-finite entries\n"
     )
 
 

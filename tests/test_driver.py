@@ -163,6 +163,46 @@ def test_abort_carries_the_partial_trace():
     assert "non-finite" in info.value.reason
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_dense_hessian_aborts_with_the_trace(bad):
+    base = make_problem("cosine_sum", 3)
+    calls = {"n": 0}
+
+    def hessian(x):
+        calls["n"] += 1
+        H = base.hessian(x)
+        if calls["n"] == 3:
+            H[1, 1] = bad
+        return H
+
+    oracle = dataclasses.replace(base, hessian=hessian)
+    with pytest.raises(SolverAbort) as info:
+        run(oracle, base.x0, adagrad_config(max_iter=5))
+    assert [r.k for r in info.value.trace] == [0, 1]
+    assert "non-finite" in info.value.reason
+
+
+@pytest.mark.filterwarnings("error")
+def test_nan_gradient_in_subspace_mode_aborts_with_the_trace():
+    # A NaN gradient must not read as g = 0 (which would draw an eigenpair).
+    base = make_problem("cosine_sum", 5)
+    calls = {"n": 0}
+
+    def gradient(x):
+        calls["n"] += 1
+        g = base.gradient(x)
+        if calls["n"] == 3:
+            g[0] = np.nan
+        return g
+
+    oracle = dataclasses.replace(base, gradient=gradient, hessian=None)
+    with pytest.raises(SolverAbort) as info:
+        run(oracle, base.x0, adagrad_config(max_iter=5, subspace_max_dim=2))
+    assert [r.k for r in info.value.trace] == [0, 1]
+    assert "non-finite" in info.value.reason
+
+
 def _bowl_beyond_the_lanczos_budget(monkeypatch, dense):
     # The measured test holds at x0 (tiny g on a positive definite Hessian),
     # so the certificate runs min_eigpair; a basis budget of three vectors

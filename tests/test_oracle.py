@@ -26,6 +26,12 @@ def test_rosenbrock_needs_two_variables():
         make_problem("rosenbrock", 1)
 
 
+def test_dense_hessian_is_dropped_above_the_cap():
+    for name in ("quadratic_psd", "rosenbrock", "cosine_sum"):
+        assert make_problem(name, 1000).hessian is not None
+        assert make_problem(name, 1001).hessian is None
+
+
 def test_quadratic_psd_closed_forms():
     oracle = make_problem("quadratic_psd", 5)
     x = np.array([1.0, -2.0, 0.5, 0.0, 3.0])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -6,7 +7,6 @@ import pytest
 
 from astr2 import (
     AdagradScaling,
-    Astr2Config,
     DivergentScaling,
     PiecewiseQuintic,
     gen_adagrad_example,
@@ -144,7 +144,7 @@ def test_divergent_parameter_validation():
 def test_sequences_carry_the_scaling_that_replays_them():
     for seq in (gen_adagrad_example(0.5, 1.0 / 3.0, 0.01, 0.01, 20),
                 gen_divergent_example(0.25, 0.01, 2.0, 20)):
-        assert replay_check(seq, Astr2Config(scaling=seq.scaling, max_iter=1))
+        assert replay_check(seq)
     # the stored template is left fresh by the generator and by the replay
     assert seq.scaling == DivergentScaling(kappa_w=2.0, mu2=0.25)
     ada = gen_adagrad_example(0.5, 1.0 / 3.0, 0.01, 0.01, 5).scaling
@@ -240,7 +240,7 @@ def test_telescoping_sum():
 def test_sample_figure_hits_breakpoints_and_shifts():
     seq = gen_adagrad_example(0.5, 1.0 / 3.0, 0.01, 0.01, 10)
     interp = hermite_interpolant(seq)
-    x, f, fp, fpp = sample_figure(seq, interp, 20, f0_shift=100.0)
+    x, f, fp, fpp = sample_figure(interp, 20, f0_shift=100.0)
     assert len(x) == 10 * 20 + 1
     assert f[0] == pytest.approx(100.0, abs=1e-12)
     # every breakpoint appears with the interpolation data (shifted f)
@@ -258,7 +258,7 @@ def test_sample_figure_curvature_stays_bounded():
     # while f drops), but the swing is uniformly bounded
     seq = gen_adagrad_example(0.5, 1.0 / 3.0, 0.01, 0.01, 10)
     interp = hermite_interpolant(seq)
-    _, _, fp, fpp = sample_figure(seq, interp, 200)
+    _, _, fp, fpp = sample_figure(interp, 200)
     assert np.max(np.abs(fpp)) < 7.0
     assert fpp[0] == pytest.approx(-2.0, abs=1e-9)
     assert np.min(fp) > -2.0
@@ -269,7 +269,7 @@ def test_sample_figure_validates_sampling_density():
     interp = hermite_interpolant(seq)
     for bad in (0, 2.5):
         with pytest.raises(ValueError):
-            sample_figure(seq, interp, bad)
+            sample_figure(interp, bad)
 
 
 @pytest.mark.parametrize("family", ["adagrad", "divergent"])
@@ -285,16 +285,28 @@ def test_sample_figure_equals_per_interval_linspace(family, points):
         [np.linspace(xs[i], xs[i + 1], points, endpoint=False) for i in range(len(xs) - 1)]
         + [xs[-1:]]
     )
-    x, f, fp, fpp = sample_figure(seq, interp, points)
+    x, f, fp, fpp = sample_figure(interp, points)
     np.testing.assert_array_equal(x, x_ref)
     for got, want in zip((f, fp, fpp), interp.evaluate(x_ref)):
         np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("points", [1, 7, 20])
+def test_sample_figure_shift_is_taken_from_the_first_breakpoint(points):
+    # f[0] is the value at t = 0 of the first piece, exactly f_0.
+    for seq in (gen_adagrad_example(0.5, 1.0 / 3.0, 0.01, 0.01, 30),
+                gen_divergent_example(1.0 / 3.0, 0.01, 1.0, 30)):
+        interp = hermite_interpolant(seq)
+        _, f, _, _ = sample_figure(interp, points)
+        _, shifted, _, _ = sample_figure(interp, points, f0_shift=-7.25)
+        assert f[0] == seq.f[0]
+        np.testing.assert_array_equal(shifted, f + (-7.25 - seq.f[0]))
+
+
 def test_second_derivative_difference_quotients_stay_bounded():
     seq = gen_adagrad_example(0.5, 1.0 / 3.0, 0.01, 0.01, 10)
     interp = hermite_interpolant(seq)
-    x, _, _, fpp = sample_figure(seq, interp, 1000)
+    x, _, _, fpp = sample_figure(interp, 1000)
     quotients = np.abs(np.diff(fpp)) / np.diff(x)
     assert np.all(np.isfinite(quotients))
     assert np.max(quotients) < 1e3
@@ -302,56 +314,40 @@ def test_second_derivative_difference_quotients_stay_bounded():
 
 # --- replay ----------------------------------------------------------------
 
-def adagrad_replay_config(varsigma=0.01, mu=0.5, nu=1.0 / 3.0, K=10):
-    return Astr2Config(
-        scaling=AdagradScaling(varsigma=varsigma, mu=mu, nu=nu),
-        max_iter=K + 1,
-    )
-
-
 def test_replay_adagrad_figure_parameters():
     seq = gen_adagrad_example(0.5, 1.0 / 3.0, 0.01, 0.01, 10)
-    assert replay_check(seq, adagrad_replay_config()) is True
+    assert replay_check(seq) is True
 
 
 def test_replay_divergent_figure_parameters():
     seq = gen_divergent_example(1.0 / 3.0, 0.01, 1.0, 10)
-    cfg = Astr2Config(
-        scaling=DivergentScaling(kappa_w=1.0),
-        max_iter=11,
-    )
-    assert replay_check(seq, cfg) is True
+    assert replay_check(seq) is True
 
 
 def test_replay_detects_perturbed_varsigma():
     seq = gen_adagrad_example(0.5, 1.0 / 3.0, 0.01, 0.01, 10)
-    assert replay_check(seq, adagrad_replay_config(varsigma=0.011)) is False
+    perturbed = dataclasses.replace(seq, scaling=AdagradScaling(varsigma=0.011))
+    assert replay_check(perturbed) is False
 
 
 def test_replay_detects_perturbed_divergent_coefficient():
     seq = gen_divergent_example(1.0 / 3.0, 0.01, 1.0, 10)
-    cfg = Astr2Config(
-        scaling=DivergentScaling(kappa_w=1.1),
-        max_iter=11,
-    )
-    assert replay_check(seq, cfg) is False
+    perturbed = dataclasses.replace(seq, scaling=DivergentScaling(kappa_w=1.1))
+    assert replay_check(perturbed) is False
 
 
-def test_replay_structural_mismatches_raise():
-    seq = gen_adagrad_example(0.5, 1.0 / 3.0, 0.01, 0.01, 5)
-    wrong_family = Astr2Config(scaling=DivergentScaling(), max_iter=6)
-    with pytest.raises(ValueError):
-        replay_check(seq, wrong_family)
-    oscillating = Astr2Config(
-        scaling=AdagradScaling(varsigma=0.01, theta=0.5),
-        max_iter=6,
-    )
-    with pytest.raises(ValueError):
-        replay_check(seq, oscillating)
+def test_replay_structural_mismatches_return_false():
+    # A scaling state that cannot reproduce the sequence replays to a mismatch.
+    adagrad = gen_adagrad_example(0.5, 1.0 / 3.0, 0.01, 0.01, 5)
+    divergent = gen_divergent_example(1.0 / 3.0, 0.01, 1.0, 5)
     stale = AdagradScaling(varsigma=0.01)
     stale.b_accum = 3.0
-    with pytest.raises(ValueError):
-        replay_check(seq, Astr2Config(scaling=stale, max_iter=6))
-    seq.family = "unknown"
-    with pytest.raises(ValueError):
-        replay_check(seq, adagrad_replay_config())
+    for seq, scaling in (
+        (adagrad, AdagradScaling(varsigma=0.01, theta=0.5)),
+        (adagrad, stale),
+        (adagrad, DivergentScaling()),
+        (divergent, AdagradScaling(varsigma=0.01)),
+    ):
+        assert replay_check(dataclasses.replace(seq, scaling=scaling)) is False
+    # the unperturbed sequences replay
+    assert replay_check(adagrad) and replay_check(divergent)

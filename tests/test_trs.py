@@ -13,6 +13,7 @@ from astr2 import (
     combined_measures,
     eigen_decrease,
     min_eigpair,
+    phi2,
     solve_trs_exact,
     solve_trs_krylov,
 )
@@ -190,6 +191,25 @@ def test_validation_rejects_bad_inputs():
         solve_trs_exact(np.array([np.inf, 0.0]), np.eye(2), 1.0)
 
 
+def test_empty_dense_model_is_rejected():
+    # n = 0 has no lambda_min; every dense entry point says so instead of
+    # indexing an empty spectrum.
+    g, H = np.zeros(0), np.zeros((0, 0))
+    entry_points = (
+        lambda: DenseModel(g, H).solve(1.0),
+        lambda: solve_trs_exact(g, H, 1.0),
+        lambda: phi2(g, H, 1.0),
+        lambda: combined_measures(g, H, 1.0, 1.0),
+        lambda: min_eigpair(H),
+        lambda: eigen_decrease(g, H, 1.0),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in entry_points:
+            with pytest.raises(ValueError, match="at least 1 x 1"):
+                call()
+
+
 def test_decrease_dominates_cauchy_and_eigen_points(rng):
     for _ in range(200):
         n = int(rng.integers(1, 6))
@@ -240,13 +260,6 @@ def test_cauchy_negative_curvature_goes_to_the_boundary():
     alpha, dq = cauchy_decrease(np.array([1.0, 0.0]), np.diag([-1.0, 2.0]), 1.0)
     assert alpha == pytest.approx(1.0, abs=1e-15)
     assert dq == pytest.approx(1.5, abs=1e-15)
-
-
-def test_cauchy_accepts_hvp_handle():
-    H = np.diag([-1.0, 2.0])
-    a1, d1 = cauchy_decrease(np.array([1.0, 0.0]), H, 1.0)
-    a2, d2 = cauchy_decrease(np.array([1.0, 0.0]), lambda v: H @ v, 1.0)
-    assert a1 == a2 and d1 == d2
 
 
 def test_cauchy_maximizes_along_the_gradient_ray(rng):
@@ -388,8 +401,7 @@ def test_krylov_zero_gradient_uses_the_seed():
     rng = np.random.default_rng(11)
     H = random_symmetric(rng, 6)
     pair = min_eigpair(H)
-    sub, _ = solve_trs_krylov(np.zeros(6), lambda v: H @ v, 2.0, max_dim=6,
-                              seed_direction=pair.vector)
+    sub = KrylovModel(np.zeros(6), lambda v: H @ v, 6, pair.vector).solve(2.0)
     u, alpha, dq_e = eigen_decrease(np.zeros(6), H, 2.0)
     assert sub.model_decrease >= dq_e - 1e-10
 
@@ -427,8 +439,7 @@ def test_krylov_rejects_a_non_finite_gradient_or_seed(bad):
         with pytest.raises(ValueError, match="g contains non-finite entries"):
             solve_trs_krylov(g, lambda v: v, 1.0, max_dim=2)
         with pytest.raises(ValueError, match="seed_direction contains non-finite entries"):
-            solve_trs_krylov(np.zeros(2), lambda v: v, 1.0, max_dim=2,
-                             seed_direction=np.array([bad, 1.0]))
+            KrylovModel(np.zeros(2), lambda v: v, 2, np.array([bad, 1.0]))
 
 
 def _krylov_instances():
