@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -118,10 +118,10 @@ def astr2_step(
 
     Mutates ``scaling_state`` (accumulator update for the decided branch).
     The derivative values are validated where they are used: the model
-    rejects a non-finite g or H, and every Hessian-vector product is checked
-    as it is drawn.  Raises ValueError on such values and
-    LanczosNoConvergence when a matrix-free Lanczos solve fails with no
-    dense Hessian to fall back to; :func:`run` converts both to
+    rejects a non-finite g or H, and the Lanczos run checks every
+    Hessian-vector product as it is drawn.  Raises ValueError on such
+    values and LanczosNoConvergence when a matrix-free Lanczos solve fails
+    with no dense Hessian to fall back to; :func:`run` converts both to
     :class:`SolverAbort` with the partial trace attached.
     """
     x = np.asarray(x, dtype=float)
@@ -140,12 +140,11 @@ def astr2_step(
         H = oracle.hessian(x)
         model = DenseModel(g, H)
     else:
-        hvp = _checked_hvp(oracle, x)
         seed = None
         if norm_g == 0.0:
             # The Krylov space of g = 0 is {0}; grow it from the eigenvector.
-            seed = _min_eigpair_with_fallback(oracle, x, hvp).vector
-        model = KrylovModel(g, hvp, config.subspace_max_dim, seed)
+            seed = _min_eigpair_with_fallback(oracle, x).vector
+        model = KrylovModel(g, lambda v: oracle.hvp(x, v), config.subspace_max_dim, seed)
     phi = model.solve(_MEASURE_RADIUS).model_decrease
 
     hatphi = min(phi, config.xi)
@@ -155,8 +154,7 @@ def astr2_step(
     delta_q = hatphi / w_q
 
     if branch == "L":
-        s = -g / w_l
-        dq = -(float(np.dot(g, s)) + 0.5 * float(np.dot(s, model.hvp(s))))
+        s, dq = model.gradient_step(w_l)
     else:
         sol = model.solve(delta_q)
         s, dq = sol.d, sol.model_decrease
@@ -183,19 +181,9 @@ def astr2_step(
     return x_next, record
 
 
-def _checked_hvp(oracle: ProblemOracle, x: Array) -> Callable[[Array], Array]:
-    def hvp(v: Array) -> Array:
-        out = np.asarray(oracle.hvp(x, v), dtype=float)
-        if not np.all(np.isfinite(out)):
-            raise ValueError("non-finite Hessian-vector product")
-        return out
-
-    return hvp
-
-
-def _min_eigpair_with_fallback(oracle, x, hvp):
+def _min_eigpair_with_fallback(oracle, x):
     try:
-        return min_eigpair(hvp, n=oracle.n, tol=1e-8)
+        return min_eigpair(lambda v: oracle.hvp(x, v), n=oracle.n, tol=1e-8)
     except LanczosNoConvergence:
         if oracle.hessian is not None:
             return min_eigpair(np.asarray(oracle.hessian(x), dtype=float))
@@ -258,8 +246,7 @@ def _terminates(oracle: ProblemOracle, record: IterateRecord, config: Astr2Confi
         return False
     if config.subspace_max_dim is None:
         return True
-    hvp = _checked_hvp(oracle, record.x)
-    pair = _min_eigpair_with_fallback(oracle, record.x, hvp)
+    pair = _min_eigpair_with_fallback(oracle, record.x)
     return max(0.0, -pair.value) / 2.0 <= config.eps2 / 2.0
 
 

@@ -72,7 +72,7 @@ class EigenPair:
 
 
 def _check_radius(delta: float) -> None:
-    if not (np.isfinite(delta) and delta > 0):
+    if not (math.isfinite(delta) and delta > 0):
         raise ValueError(f"delta must be positive and finite, got {delta!r}")
 
 
@@ -126,7 +126,8 @@ class DenseModel:
     H is symmetry-checked and eigendecomposed here, once; :meth:`solve` then
     answers the subproblem at any radius from the cached ``lam``, ``Q``,
     ``gt = Q^T g`` and ``gnorm = ||g||``, so the measure at radius 1 and the
-    step at another radius share one ``eigh``.
+    step at another radius share one ``eigh``; :meth:`gradient_step` gives
+    the linear step and its decrease.
 
     Parameters
     ----------
@@ -141,14 +142,20 @@ class DenseModel:
         H = _check_symmetric(H)
         if H.shape[0] != g.shape[0]:
             raise ValueError(f"shape mismatch: g has {g.shape[0]} entries, H is {H.shape}")
+        self._factorise(g, H)
+
+    def _factorise(self, g, H):
+        # g and H as given: finite, H exactly symmetric (checked by the caller).
         self.g, self.H = g, H
-        self.gnorm = float(np.linalg.norm(g))
+        self.gnorm = math.sqrt(np.dot(g, g))
         self.lam, self.Q = np.linalg.eigh(H)
         self.gt = self.Q.T @ g
+        return self
 
-    def hvp(self, v: Array) -> Array:
-        """H v with the model's (symmetrized) Hessian."""
-        return self.H @ v
+    def gradient_step(self, w_l: float) -> tuple[Array, float]:
+        """The scaled gradient step s = -g/w_l and its model decrease."""
+        s = -self.g / w_l
+        return s, -(float(np.dot(self.g, s)) + 0.5 * float(np.dot(s, self.H @ s)))
 
     def solve(self, delta: float) -> TrsSolution:
         """Globally solve the trust-region subproblem of radius ``delta`` > 0.
@@ -190,15 +197,16 @@ class DenseModel:
             )
 
         # Pseudo-inverse solution at the left end of the multiplier range.
-        scale = max(1.0, float(np.max(np.abs(lam))))
+        # lam ascends, so the critical set is a prefix and the extremes bound |lam|.
+        scale = max(1.0, abs(lam[0]), abs(lam[-1]))
         crit = (lam + t_lo) <= _GAP_TOL * scale
-        g_crit = float(np.linalg.norm(gt[crit])) if np.any(crit) else 0.0
+        g_crit = math.sqrt(np.dot(gt[crit], gt[crit])) if crit[0] else 0.0
 
         if g_crit <= _HARD_TOL * max(1.0, gnorm):
             dp = np.zeros(n)
             free = ~crit
             dp[free] = -gt[free] / (lam[free] + t_lo)
-            norm_dp = float(np.linalg.norm(dp))
+            norm_dp = math.sqrt(np.dot(dp, dp))
             if norm_dp <= delta:
                 if t_lo == 0.0:
                     # PSD (possibly singular but compatible): interior optimum.
@@ -350,34 +358,40 @@ def _lanczos(hvp: HvpHandle, v: Array, steps: int) -> Iterator[tuple[Array, Arra
     """Lanczos with full reorthogonalization, started from the unit vector v.
 
     After the m-th product with H yields ``(T_m, V_m, beta_m)``: the m x m
-    tridiagonal Lanczos matrix, the m basis vectors (rows of one array
-    preallocated with min(steps, n) rows) and the norm of the next residual.
-    Stops after ``steps`` products, n at most, or at breakdown, beta_m <=
-    1e-12 max(1, |alpha_m|), which it reports as beta_m = 0: the span of
-    V_m is then invariant under H to rounding.
+    tridiagonal Lanczos matrix, the m basis vectors (leading blocks of one
+    tridiagonal and rows of one basis, both preallocated with min(steps, n)
+    rows, and never written again once yielded) and the norm of the next
+    residual.  Stops after ``steps`` products, n at most, or at breakdown,
+    beta_m <= 1e-12 max(1, |alpha_m|), which it reports as beta_m = 0: the
+    span of V_m is then invariant under H to rounding.
+
+    Each product is checked once, by its scalars: a NaN or infinite entry
+    of H v_m makes alpha_m = v_m^T H v_m non-finite (v_m is finite, and
+    0 * inf is NaN), and a product too large for the residual norm makes
+    beta_m overflow.  Either raises ValueError, so T_m and V_m stay finite.
     """
     V = np.empty((min(steps, v.shape[0]), v.shape[0]))
+    T = np.zeros((len(V), len(V)))
     V[:1] = v  # no row at all when steps = 0
-    alphas: list[float] = []
-    betas: list[float] = []
     for m in range(1, len(V) + 1):
         w = np.asarray(hvp(V[m - 1]), dtype=float)
-        a = float(np.dot(V[m - 1], w))
-        alphas.append(a)
-        w = w - a * V[m - 1] - (betas[-1] * V[m - 2] if betas else 0.0)
-        for u in V[:m]:
-            w -= np.dot(w, u) * u
-        b = float(np.linalg.norm(w))
-        T = np.diag(alphas)
-        if m > 1:
-            idx = np.arange(m - 1)
-            T[idx, idx + 1] = T[idx + 1, idx] = betas
+        with np.errstate(all="ignore"):
+            a = float(np.dot(V[m - 1], w))
+            if not math.isfinite(a):
+                raise ValueError("non-finite Hessian-vector product")
+            w = w - a * V[m - 1] - (T[m - 1, m - 2] * V[m - 2] if m > 1 else 0.0)
+            for u in V[:m]:
+                w -= np.dot(w, u) * u
+            b = math.sqrt(np.dot(w, w))
+        if not math.isfinite(b):
+            raise ValueError("Hessian-vector product overflows the Lanczos recurrence")
+        T[m - 1, m - 1] = a
         if b <= 1e-12 * max(1.0, abs(a)):
-            yield T, V[:m], 0.0
+            yield T[:m, :m], V[:m], 0.0
             return
-        yield T, V[:m], b
+        yield T[:m, :m], V[:m], b
         if m < len(V):
-            betas.append(b)
+            T[m, m - 1] = T[m - 1, m] = b
             V[m] = w / b
 
 
@@ -457,22 +471,24 @@ class KrylovModel:
     subproblem at any radius on the leading tridiagonal blocks and draws
     more Hessian-vector products only when that radius needs a larger
     space, so the measure at radius 1 and the step at another radius share
-    one Lanczos run.
+    one Lanczos run; :meth:`gradient_step` reads its curvature off that run.
 
-    The model keeps the suspended ``_lanczos`` generator, its basis (one
-    array of min(max_dim, n) rows, allocated up front) and the largest
-    tridiagonal T drawn so far: O(mn + m^2) memory for a space of
-    dimension m, and no per-m tridiagonals or eigendecompositions.  Each
-    smaller tridiagonal is a leading block of T, bit for bit the matrix a
-    fresh run builds.  There is no restart: at breakdown the space is
-    invariant and the model stops growing.
+    The model keeps the suspended ``_lanczos`` generator, with its basis
+    and tridiagonal (min(max_dim, n) rows each, allocated up front), and
+    the largest tridiagonal block T drawn so far: O(mn + m^2) memory for a
+    space of dimension m, and no per-m tridiagonals or eigendecompositions.
+    Each smaller tridiagonal is a leading block of T, bit for bit the
+    matrix a fresh run builds, and is solved without the finiteness and
+    symmetry checks of ``DenseModel(g, H)``: ``_lanczos`` has checked each
+    product.  There is no restart: at breakdown the space is invariant and
+    the model stops growing.
 
     Parameters
     ----------
     g : ndarray
         Gradient of the model at the center.
     hvp : callable
-        v -> H v, also exposed as :attr:`hvp`.
+        v -> H v.
     max_dim : int
         Largest subspace dimension (capped at n).
     seed_direction : ndarray, optional
@@ -488,7 +504,7 @@ class KrylovModel:
         seed_direction: Optional[Array] = None,
     ):
         _check_count("max_dim", max_dim)
-        self.g, self.hvp = _check_finite("g", g), hvp
+        self.g = _check_finite("g", g)
         self.gnorm = float(np.linalg.norm(self.g))
         self.dim = 0  # subspace dimension of the last solve
         self._T = self._V = np.empty((0, 0))
@@ -535,12 +551,26 @@ class KrylovModel:
             m += 1
             g_sub = np.zeros(m)
             g_sub[0] = self.gnorm
-            sol = solve_trs_exact(g_sub, self._T[:m, :m], delta)
+            sol = DenseModel.__new__(DenseModel)._factorise(g_sub, self._T[:m, :m]).solve(delta)
             if m > 1 and sol.model_decrease - prev_dq < 1e-8 * max(sol.model_decrease, 1e-300):
                 break
             prev_dq = sol.model_decrease
         self.dim = m
         return replace(sol, d=_combine(sol.d, self._V[:m]))
+
+    def gradient_step(self, w_l: float) -> tuple[Array, float]:
+        """The scaled gradient step s = -g/w_l and its model decrease.
+
+        s lies along the first basis vector g/||g||, so its curvature is
+        s^T H s = (||g||/w_l)^2 T[0, 0], read off the first Lanczos product:
+        after a solve this draws no product, before one it draws that one.
+        """
+        s = -self.g / w_l
+        if self.gnorm == 0.0:
+            return s, 0.0
+        if not len(self._T):
+            self._grow()
+        return s, float(-(np.dot(self.g, s) + 0.5 * (self.gnorm / w_l) ** 2 * self._T[0, 0]))
 
 
 def solve_trs_krylov(
@@ -564,12 +594,15 @@ def kkt_residuals(g: Array, H: Array, delta: float, sol: TrsSolution) -> dict[st
     Keys: ``feasibility`` (||d|| - Delta, positive part), ``complementarity``
     (lambda * (Delta - ||d||)), ``stationarity`` (||(H + lambda I) d + g||),
     ``psd`` (negative part of lambda + lambda_min[H]), ``multiplier_sign``
-    (negative part of lambda).
+    (negative part of lambda).  g and H are checked, and lambda_min[H]
+    computed, by building their ``DenseModel``; delta is checked as its
+    solve checks it.
     """
-    g = np.asarray(g, dtype=float)
-    H = _symmetrize(H)
+    _check_radius(delta)
+    model = DenseModel(g, H)
+    g, H = model.g, model.H
     dnorm = float(np.linalg.norm(sol.d))
-    lam_min = float(np.linalg.eigvalsh(H)[0])
+    lam_min = float(model.lam[0])
     r = (H + sol.multiplier * np.eye(len(g))) @ sol.d + g
     with np.errstate(over="ignore"):
         stationarity = float(np.linalg.norm(r))

@@ -10,6 +10,7 @@ from astr2 import (
     AdagradScaling,
     Astr2Config,
     DivergentScaling,
+    KrylovModel,
     SolverAbort,
     astr2_step,
     cauchy_decrease,
@@ -235,9 +236,10 @@ def test_lanczos_failure_falls_back_to_the_dense_hessian(monkeypatch):
     assert [r.k for r in run(oracle, x0, cfg)] == [0]
 
 
-def test_non_finite_hvp_on_a_subspace_linear_step_aborts():
-    # With max_dim 1 the measure spends the first hvp; the second is the
-    # linear step's s^T H s, which must be checked like every other product.
+def test_subspace_linear_step_draws_no_product_so_a_nan_surfaces_in_the_next_measure():
+    # With max_dim 1 the measure spends the first hvp and the linear step
+    # reads its curvature from it; the second product is iteration 1's
+    # measure, whose NaN aborts the run after one record.
     base = make_problem("cosine_sum", 5)
     calls = {"n": 0}
 
@@ -251,8 +253,70 @@ def test_non_finite_hvp_on_a_subspace_linear_step_aborts():
     with pytest.raises(SolverAbort) as info:
         run(oracle, base.x0, adagrad_config(max_iter=5, subspace_max_dim=1))
     assert calls["n"] == 2
-    assert info.value.trace == []
+    assert [(r.k, r.branch) for r in info.value.trace] == [(0, "L")]
     assert "non-finite Hessian-vector product" in info.value.reason
+
+
+def _diagonal_bowl(bad_product):
+    # f = sum_i d_i x_i^2 / 2 from x0 = (0, 1, 2, 3): g_0 = d_0 x_0 stays 0,
+    # so entry 0 of every Krylov basis vector is 0.  The products at x0 are
+    # exact; the first one at any other iterate is bad_product(H v).
+    d = np.arange(1.0, 5.0)
+    x0 = np.arange(4.0)
+
+    def hvp(x, v):
+        w = d * v
+        return w if np.array_equal(x, x0) else bad_product(w)
+
+    return ProblemOracle(name="diagonal_bowl", n=4, gradient=lambda x: d * x,
+                         hessian=None, hvp=hvp), x0
+
+
+def _with_entry(i, value):
+    def bad(w):
+        w = w.copy()
+        w[i] = value
+        return w
+
+    return bad
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad_product, reason", [
+    (_with_entry(1, np.nan), "non-finite Hessian-vector product"),
+    (_with_entry(1, np.inf), "non-finite Hessian-vector product"),
+    (_with_entry(0, np.inf), "non-finite Hessian-vector product"),  # 0 * inf in v^T H v
+    (lambda w: 1e300 * w, "overflows"),  # finite, but beta overflows
+], ids=["nan", "inf", "inf_where_the_basis_vector_is_0", "finite_overflow"])
+def test_bad_hessian_vector_product_aborts_with_the_trace(bad_product, reason):
+    oracle, x0 = _diagonal_bowl(bad_product)
+    with pytest.raises(SolverAbort) as info:
+        run(oracle, x0, adagrad_config(max_iter=5, subspace_max_dim=4))
+    assert [r.k for r in info.value.trace] == [0]
+    assert reason in info.value.reason
+
+
+def test_subspace_linear_iterations_draw_only_their_lanczos_products(monkeypatch):
+    # Frozen subspace_l run of test_golden.py: 20 L iterations.  Each draws
+    # one product per dimension of its measure's Krylov space and none for
+    # the step, whose curvature along g is the tridiagonal's T[0, 0].
+    import astr2.driver
+
+    dims = []
+
+    class RecordingModel(KrylovModel):
+        def solve(self, delta):
+            sol = super().solve(delta)
+            dims.append(self.dim)
+            return sol
+
+    monkeypatch.setattr(astr2.driver, "KrylovModel", RecordingModel)
+    oracle, log = with_counting(make_problem("cosine_sum", 100))
+    cfg = adagrad_config(max_iter=20, subspace_max_dim=20)
+    trace = run(oracle, np.random.default_rng(0).standard_normal(100), cfg)
+    assert "".join(r.branch for r in trace) == "L" * 20
+    assert len(dims) == 20
+    assert log.hvp == sum(dims) == 100
 
 
 def test_subspace_termination_needs_a_curvature_certificate():

@@ -17,7 +17,7 @@ from astr2 import (
     solve_trs_exact,
     solve_trs_krylov,
 )
-from astr2.trs import LanczosNoConvergence, kkt_residuals
+from astr2.trs import LanczosNoConvergence, TrsSolution, _lanczos, kkt_residuals
 
 from conftest import random_symmetric
 
@@ -210,6 +210,21 @@ def test_empty_dense_model_is_rejected():
                 call()
 
 
+@pytest.mark.parametrize("g, H, delta", [
+    (np.zeros(0), np.zeros((0, 0)), 1.0),
+    (np.array([np.nan, 0.0]), np.eye(2), 1.0),
+    (np.zeros(2), [[1.0, 0.0], [0.0]], 1.0),  # ragged
+    (np.zeros(2), np.eye(3), 1.0),
+    (np.zeros(2), np.eye(2), 0.0),
+], ids=["empty", "nan_g", "ragged_H", "shape_mismatch", "zero_radius"])
+def test_kkt_residuals_rejects_what_the_dense_model_rejects(g, H, delta):
+    sol = TrsSolution(np.zeros(len(g)), 0.0, 0.0, False, False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            kkt_residuals(g, H, delta, sol)
+
+
 def test_decrease_dominates_cauchy_and_eigen_points(rng):
     for _ in range(200):
         n = int(rng.integers(1, 6))
@@ -373,6 +388,24 @@ def test_min_eigpair_stops_at_breakdown():
     assert pair.value == pytest.approx(-1.5, abs=1e-12)
 
 
+def test_lanczos_tridiagonal_blocks_are_exact_and_never_rewritten():
+    # Each yielded T_m is, bit for bit, the tridiagonal np.diag builds from
+    # the alphas and betas, and later steps leave it as it was yielded.
+    H = random_symmetric(np.random.default_rng(3), 8)
+    blocks, alphas, betas = [], [], []
+    for T, V, b in _lanczos(lambda v: H @ v, np.full(8, 8 ** -0.5), 8):
+        alphas.append(float(np.dot(V[-1], H @ V[-1])))
+        want = np.diag(alphas)
+        idx = np.arange(len(betas))
+        want[idx, idx + 1] = want[idx + 1, idx] = betas
+        assert T.tobytes() == want.tobytes()
+        blocks.append((T, want))
+        betas.append(b)
+    assert len(blocks) == 8
+    for T, want in blocks:
+        assert T.tobytes() == want.tobytes()
+
+
 # --- solve_trs_krylov ------------------------------------------------------
 
 def test_krylov_full_dimension_matches_exact(rng):
@@ -413,6 +446,25 @@ def test_krylov_stops_at_breakdown():
     assert dim == 3
     exact = solve_trs_exact(g, np.diag(diag), 1.0)
     assert sub.model_decrease == pytest.approx(exact.model_decrease, abs=1e-12)
+
+
+def test_krylov_gradient_step_reads_its_curvature_from_the_first_product():
+    H = random_symmetric(np.random.default_rng(4), 6)
+    g = np.random.default_rng(5).uniform(-2, 2, 6)
+    calls = {"n": 0}
+
+    def hvp(v):
+        calls["n"] += 1
+        return H @ v
+
+    s, dq = KrylovModel(g, hvp, 6).gradient_step(2.0)  # no solve before it
+    want_s, want_dq = DenseModel(g, H).gradient_step(2.0)
+    np.testing.assert_array_equal(s, want_s)
+    assert dq == pytest.approx(want_dq, rel=1e-14)
+    assert calls["n"] == 1
+    s, dq = KrylovModel(np.zeros(6), hvp, 6).gradient_step(2.0)
+    assert dq == 0.0 and not s.any()
+    assert calls["n"] == 1
 
 
 def test_krylov_max_dim_must_be_a_positive_integer():
