@@ -123,9 +123,7 @@ def _build_scaling(args: argparse.Namespace):
 
 def _parse_x0(spec: str, n: int, seed: int, oracle) -> np.ndarray:
     if spec == "default":
-        if oracle.x0 is not None:
-            return np.asarray(oracle.x0, dtype=float)
-        return np.zeros(n)
+        return np.asarray(oracle.x0, dtype=float)
     if spec == "random":
         return np.random.default_rng(seed).standard_normal(n)
     vals = [float(tok) for tok in spec.split(",")]
@@ -164,7 +162,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_sharpness(args: argparse.Namespace) -> int:
     if args.family == "adagrad":
-        seq = gen_adagrad_example(args.mu, args.nu, args.eps, args.varsigma, args.K)
+        seq = gen_adagrad_example(args.nu, args.eps, args.varsigma, args.K)
     else:
         seq = gen_divergent_example(args.mu2, args.eps, args.kappa_w, args.K)
     interp = hermite_interpolant(seq)
@@ -252,7 +250,6 @@ def cmd_fd_check(args: argparse.Namespace) -> int:
 
 def _add_scaling_flags(p: argparse.ArgumentParser, varsigma: float) -> None:
     """The weight flags that ``run`` and ``sharpness`` share."""
-    p.add_argument("--mu", type=float, default=0.5, help="adagrad: L-weight exponent")
     p.add_argument("--nu", type=float, default=1.0 / 3.0, help="adagrad: Q-weight exponent")
     p.add_argument("--varsigma", type=float, default=varsigma, help="adagrad: accumulator start")
     p.add_argument("--mu2", type=float, default=1.0 / 3.0, help="divergent: Q-weight exponent")
@@ -267,7 +264,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run the optimizer and emit a trace")
+    # Flags match only in full: sharpness must reject --mu, not read it as --mu2.
+    p_run = sub.add_parser("run", help="run the optimizer and emit a trace", allow_abbrev=False)
     p_run.add_argument("--problem", required=True, choices=catalog_names())
     p_run.add_argument("--n", type=int, default=10)
     p_run.add_argument("--x0", default="default",
@@ -275,6 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--scaling", choices=("adagrad", "divergent"), default="adagrad")
     _add_scaling_flags(p_run, varsigma=1.0)
+    p_run.add_argument("--mu", type=float, default=0.5, help="adagrad: L-weight exponent")
     p_run.add_argument("--theta", type=float, default=1.0,
                        help="adagrad: emit w in [theta*w_hat, w_hat], alternating "
                             "between the two ends; 1 emits w_hat")
@@ -288,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default=None, help="trace CSV path")
     p_run.set_defaults(func=cmd_run)
 
-    p_sh = sub.add_parser("sharpness", help="generate a worst-case figure table")
+    p_sh = sub.add_parser("sharpness", help="generate a worst-case figure table", allow_abbrev=False)
     p_sh.add_argument("--family", choices=("adagrad", "divergent"), default="adagrad")
     _add_scaling_flags(p_sh, varsigma=0.01)
     p_sh.add_argument("--eps", type=float, default=0.01)
@@ -298,14 +297,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sh.add_argument("--out", required=True, help="figure CSV path")
     p_sh.set_defaults(func=cmd_sharpness)
 
-    p_trs = sub.add_parser("trs-check", help="cross-check the subproblem solver")
+    p_trs = sub.add_parser("trs-check", help="cross-check the subproblem solver", allow_abbrev=False)
     p_trs.add_argument("--count", type=int, default=1000)
     p_trs.add_argument("--max-n", type=int, default=5)
     p_trs.add_argument("--radii", default="0.1,1,10")
     p_trs.add_argument("--seed", type=int, default=42)
     p_trs.set_defaults(func=cmd_trs_check)
 
-    p_fd = sub.add_parser("fd-check", help="finite-difference oracle verification")
+    p_fd = sub.add_parser("fd-check", help="finite-difference oracle verification", allow_abbrev=False)
     p_fd.add_argument("--problem", required=True, choices=catalog_names())
     p_fd.add_argument("--n", type=int, default=10)
     p_fd.add_argument("--x0", default="random")

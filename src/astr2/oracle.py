@@ -273,6 +273,6 @@ def finite_diff_check(oracle: ProblemOracle, x: Array, h: float) -> FiniteDiffRe
     if oracle.hessian is not None:
         H = oracle.hessian(x)
     else:
-        H = np.column_stack([oracle.hvp(x, np.eye(n)[:, i]) for i in range(n)])
+        H = np.column_stack([oracle.hvp(x, e) for e in np.eye(n)])
     hess_err = float(np.linalg.norm(H_fd - H) / max(1.0, np.linalg.norm(H)))
     return FiniteDiffReport(gradient_error=grad_err, hessian_error=hess_err, h=float(h))

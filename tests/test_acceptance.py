@@ -82,7 +82,7 @@ def replay_bundle(seq, scaling):
 
 @pytest.fixture(scope="module")
 def adagrad_replay():
-    seq = gen_adagrad_example(mu=0.5, nu=1.0 / 3.0, eps=0.01, varsigma=0.01, K=200)
+    seq = gen_adagrad_example(nu=1.0 / 3.0, eps=0.01, varsigma=0.01, K=200)
     return replay_bundle(seq, AdagradScaling(varsigma=0.01, mu=0.5, nu=1.0 / 3.0))
 
 
@@ -152,7 +152,7 @@ def test_criterion_2_divergent_sharp_rate(divergent_replay):
 def test_criterion_3_figure_tables_interpolate_and_telescope():
     t0 = time.perf_counter()
     for seq in (
-        gen_adagrad_example(mu=0.5, nu=1.0 / 3.0, eps=0.01, varsigma=0.01, K=10),
+        gen_adagrad_example(nu=1.0 / 3.0, eps=0.01, varsigma=0.01, K=10),
         gen_divergent_example(mu2=1.0 / 3.0, eps=0.01, kappa_w=1.0, K=10),
     ):
         interp = hermite_interpolant(seq)

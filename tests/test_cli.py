@@ -133,6 +133,27 @@ def test_divergent_sharpness_reads_no_varsigma(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_sharpness_has_no_mu_option(tmp_path, capsys):
+    # mu is the exponent of the linear weight; the worst-case replay takes
+    # only quadratic steps.
+    assert main(["sharpness", "--mu", "0.5", "--out", str(tmp_path / "fig.csv")]) == 2
+    assert "--mu" in capsys.readouterr().err
+
+
+def test_sharpness_replay_mismatch_is_a_verification_failure(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("astr2.cli.replay_check", lambda seq: False)
+    assert main(["sharpness", "--K", "3", "--out", str(tmp_path / "fig.csv")]) == 3
+    captured = capsys.readouterr()
+    assert "replay   : MISMATCH" in captured.out
+    assert captured.err == "error: driver replay did not reproduce the sequence\n"
+
+
+def test_sharpness_breakpoints_beside_an_out_without_csv_suffix(tmp_path, capsys):
+    assert main(["sharpness", "--K", "3", "--out", str(tmp_path / "fig.txt")]) == 0
+    assert read_csv_rows(tmp_path / "fig.txt.breakpoints")[0] == "k,x,f,g,hess,phi,s,dq"
+    capsys.readouterr()
+
+
 def test_sharpness_rejects_out_of_range_eps(tmp_path, capsys):
     out = tmp_path / "fig.csv"
     assert main(["sharpness", "--family", "adagrad", "--eps", "0",

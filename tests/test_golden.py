@@ -68,7 +68,7 @@ TRACE_RUNS = {
 
 def _sequences():
     seqs = {
-        "adagrad": gen_adagrad_example(0.5, 1.0 / 3.0, 0.01, 0.01, 50),
+        "adagrad": gen_adagrad_example(1.0 / 3.0, 0.01, 0.01, 50),
         "divergent": gen_divergent_example(1.0 / 3.0, 0.01, 1.0, 50),
     }
     return {

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,16 @@ def test_hvp_matches_dense_hessian(name, n, rng):
         np.testing.assert_allclose(oracle.hvp(x, v), H @ v, rtol=1e-13, atol=1e-13)
 
 
+def test_finite_diff_check_on_an_hvp_only_oracle(rng):
+    # Without a dense Hessian the check assembles it from hvps of the
+    # coordinate vectors.
+    oracle = make_problem("cosine_sum", 6)
+    x = 0.5 * rng.standard_normal(6)
+    dense = finite_diff_check(oracle, x, 1e-5)
+    hvp_only = finite_diff_check(dataclasses.replace(oracle, hessian=None), x, 1e-5)
+    assert hvp_only == dense
+
+
 def test_default_starting_points_have_the_right_shape():
     for name in catalog_names():
         n = 2 if name == "saddle_cubic" else 8
@@ -113,8 +125,6 @@ def test_finite_diff_check_validates_inputs():
         finite_diff_check(oracle, np.zeros(3), 0.0)
     with pytest.raises(ValueError):
         finite_diff_check(oracle, np.zeros(3), np.inf)
-    import dataclasses
-
     stripped = dataclasses.replace(oracle, f_diagnostic=None)
     with pytest.raises(ValueError):
         finite_diff_check(stripped, np.zeros(3), 1e-5)

@@ -37,27 +37,32 @@ def test_zeta_domain():
             zeta(s)
 
 
-def _zeta_reference(s):
-    # The direct sum as math.fsum computes it, plus the same tail.
-    direct = math.fsum(np.power(np.arange(1, 10 ** 6 + 1.0), -s))
-    a = float(10 ** 6 + 1)
-    tail = a ** (1.0 - s) / (s - 1.0) + 0.5 * a ** (-s) + (s / 12.0) * a ** (-s - 1.0)
-    return direct + tail
+def _ulp_test_points():
+    # Seeded uniform points, points at 1e-15 .. 1e-1 from either end of the
+    # domain, and the points where zeta was checked against the exact sum.
+    offsets = np.geomspace(1e-15, 1e-1, 29)
+    return (
+        np.random.default_rng(14).uniform(1.0, 4.0, 150).tolist()
+        + (1.0 + offsets).tolist()
+        + (4.0 - offsets).tolist()
+        + [1.0 + 1e-9, 1.03, 2.0, 3.999]
+        + [1.0 + 3.0 * eps for eps in np.linspace(0.009, 0.011, 5).tolist()]
+    )
 
 
-@pytest.mark.parametrize(
-    "s",
-    [1.0 + 1e-9, 1.03, 2.0, 3.999]
-    + [1.0 + 3.0 * eps for eps in np.linspace(0.009, 0.011, 5).tolist()],
-)
-def test_zeta_equals_the_fsum_expression_bit_for_bit(s):
-    assert zeta(s) == _zeta_reference(s)
+def test_zeta_within_two_ulp_of_mpmath():
+    points = _ulp_test_points()
+    assert len(points) >= 200 and all(1.0 < s < 4.0 for s in points)
+    with mpmath.workdps(40):
+        for s in points:
+            ref = mpmath.zeta(s)
+            assert abs(mpmath.mpf(zeta(s)) - ref) <= 2 * math.ulp(float(ref)), s
 
 
 # --- generators ------------------------------------------------------------
 
 def test_adagrad_sequence_closed_forms():
-    seq = gen_adagrad_example(0.5, 1.0 / 3.0, 0.01, 0.01, 10)
+    seq = gen_adagrad_example(1.0 / 3.0, 0.01, 0.01, 10)
     assert seq.phi[0] == 1.0
     assert seq.hess[0] == -2.0
     assert seq.phi[1] == 0.7882180359792376          # 2^{-(1/3 + 0.01)}
@@ -73,14 +78,14 @@ def test_adagrad_sequence_closed_forms():
 
 
 def test_adagrad_sequence_scaling_identity():
-    seq = gen_adagrad_example(0.5, 1.0 / 3.0, 0.05, 1.0, 50)
+    seq = gen_adagrad_example(1.0 / 3.0, 0.05, 1.0, 50)
     k = np.arange(51) + 1.0
     np.testing.assert_allclose(seq.phi * k ** (1.0 / 3.0 + 0.05), 1.0, rtol=1e-12)
 
 
 def test_adagrad_step_recursion():
     # s_k = phi_k / (varsigma + sum_{j<=k} phi_j^3)^nu, accumulator inclusive
-    seq = gen_adagrad_example(0.5, 1.0 / 3.0, 0.01, 0.01, 5)
+    seq = gen_adagrad_example(1.0 / 3.0, 0.01, 0.01, 5)
     b = 0.0
     for k in range(6):
         b += seq.phi[k] ** 3
@@ -89,14 +94,14 @@ def test_adagrad_step_recursion():
 
 
 def test_adagrad_decrease_bound():
-    seq = gen_adagrad_example(0.5, 1.0 / 3.0, 0.01, 0.01, 200)
+    seq = gen_adagrad_example(1.0 / 3.0, 0.01, 0.01, 200)
     k = np.arange(201) + 1.0
     assert np.all(seq.dq <= k ** (-(1.0 + 3 * 0.01)) + 1e-15)
 
 
 def test_adagrad_average_measure_lower_bound():
     eps = 0.01
-    seq = gen_adagrad_example(0.5, 1.0 / 3.0, eps, 0.01, 200)
+    seq = gen_adagrad_example(1.0 / 3.0, eps, 0.01, 200)
     k = np.arange(201)
     avg = np.cumsum(seq.phi) / (k + 1.0)
     bound = (3.0 / (2.0 * (2.0 + 3.0 * eps))) * (
@@ -106,12 +111,14 @@ def test_adagrad_average_measure_lower_bound():
 
 
 def test_adagrad_parameter_validation():
-    good = dict(mu=0.5, nu=1.0 / 3.0, eps=0.01, varsigma=0.01, K=5)
-    for bad in (dict(mu=0.0), dict(mu=1.0), dict(nu=0.0), dict(eps=0.0),
-                dict(eps=2.0 / 3.0), dict(varsigma=0.0), dict(K=0)):
+    good = dict(nu=1.0 / 3.0, eps=0.01, varsigma=0.01, K=5)
+    for bad in (dict(nu=0.0), dict(eps=0.0), dict(eps=2.0 / 3.0),
+                dict(varsigma=0.0), dict(K=0)):
         kw = {**good, **bad}
         with pytest.raises(ValueError):
             gen_adagrad_example(**kw)
+    with pytest.raises(TypeError):   # the replay takes no linear step
+        gen_adagrad_example(**good, mu=0.5)
 
 
 def test_divergent_sequence_closed_forms():
@@ -142,12 +149,12 @@ def test_divergent_parameter_validation():
 
 
 def test_sequences_carry_the_scaling_that_replays_them():
-    for seq in (gen_adagrad_example(0.5, 1.0 / 3.0, 0.01, 0.01, 20),
+    for seq in (gen_adagrad_example(1.0 / 3.0, 0.01, 0.01, 20),
                 gen_divergent_example(0.25, 0.01, 2.0, 20)):
         assert replay_check(seq)
     # the stored template is left fresh by the generator and by the replay
     assert seq.scaling == DivergentScaling(kappa_w=2.0, mu2=0.25)
-    ada = gen_adagrad_example(0.5, 1.0 / 3.0, 0.01, 0.01, 5).scaling
+    ada = gen_adagrad_example(1.0 / 3.0, 0.01, 0.01, 5).scaling
     assert ada.a_accum == 0.0 and ada.b_accum == 0.0
 
 
@@ -189,7 +196,7 @@ def test_quintic_linear_data_is_the_identity():
 
 
 def test_quintic_matches_independent_vandermonde_solve():
-    seq = gen_adagrad_example(0.5, 1.0 / 3.0, 0.01, 0.01, 10)
+    seq = gen_adagrad_example(1.0 / 3.0, 0.01, 0.01, 10)
     interp = hermite_interpolant(seq)
     for i in range(10):
         x0, x1 = seq.x[i], seq.x[i + 1]
@@ -204,7 +211,7 @@ def test_quintic_matches_independent_vandermonde_solve():
 
 
 def test_quintic_breakpoint_residuals():
-    for seq in (gen_adagrad_example(0.5, 1.0 / 3.0, 0.01, 0.01, 10),
+    for seq in (gen_adagrad_example(1.0 / 3.0, 0.01, 0.01, 10),
                 gen_divergent_example(1.0 / 3.0, 0.01, 1.0, 10)):
         interp = hermite_interpolant(seq)
         m = seq.K + 1
@@ -221,6 +228,9 @@ def test_quintic_domain_and_data_validation():
         interp.evaluate(-1e-9)
     with pytest.raises(ValueError):
         interp.evaluate(np.array([0.5, 1.0 + 1e-9]))
+    for nan in (np.nan, np.array([0.5, np.nan])):
+        with pytest.raises(ValueError, match="outside the interpolation domain"):
+            interp.evaluate(nan)
     with pytest.raises(ValueError):
         quintic_from_data(np.array([0.0, 0.0]), np.zeros(2), np.zeros(2), np.zeros(2))
     with pytest.raises(ValueError):
@@ -230,7 +240,7 @@ def test_quintic_domain_and_data_validation():
 
 
 def test_telescoping_sum():
-    for seq in (gen_adagrad_example(0.5, 1.0 / 3.0, 0.01, 0.01, 200),
+    for seq in (gen_adagrad_example(1.0 / 3.0, 0.01, 0.01, 200),
                 gen_divergent_example(1.0 / 3.0, 0.01, 1.0, 200)):
         assert abs(math.fsum(seq.dq) - (seq.f[0] - seq.f[-1])) <= 1e-12
 
@@ -238,7 +248,7 @@ def test_telescoping_sum():
 # --- figure sampling -------------------------------------------------------
 
 def test_sample_figure_hits_breakpoints_and_shifts():
-    seq = gen_adagrad_example(0.5, 1.0 / 3.0, 0.01, 0.01, 10)
+    seq = gen_adagrad_example(1.0 / 3.0, 0.01, 0.01, 10)
     interp = hermite_interpolant(seq)
     x, f, fp, fpp = sample_figure(interp, 20, f0_shift=100.0)
     assert len(x) == 10 * 20 + 1
@@ -256,7 +266,7 @@ def test_sample_figure_hits_breakpoints_and_shifts():
 def test_sample_figure_curvature_stays_bounded():
     # between breakpoints the quintic must swing positive (f' returns to 0
     # while f drops), but the swing is uniformly bounded
-    seq = gen_adagrad_example(0.5, 1.0 / 3.0, 0.01, 0.01, 10)
+    seq = gen_adagrad_example(1.0 / 3.0, 0.01, 0.01, 10)
     interp = hermite_interpolant(seq)
     _, _, fp, fpp = sample_figure(interp, 200)
     assert np.max(np.abs(fpp)) < 7.0
@@ -265,7 +275,7 @@ def test_sample_figure_curvature_stays_bounded():
 
 
 def test_sample_figure_validates_sampling_density():
-    seq = gen_adagrad_example(0.5, 1.0 / 3.0, 0.01, 0.01, 3)
+    seq = gen_adagrad_example(1.0 / 3.0, 0.01, 0.01, 3)
     interp = hermite_interpolant(seq)
     for bad in (0, 2.5):
         with pytest.raises(ValueError):
@@ -276,7 +286,7 @@ def test_sample_figure_validates_sampling_density():
 @pytest.mark.parametrize("points", [1, 2, 7, 20])
 def test_sample_figure_equals_per_interval_linspace(family, points):
     if family == "adagrad":
-        seq = gen_adagrad_example(0.5, 1.0 / 3.0, 0.01, 0.01, 60)
+        seq = gen_adagrad_example(1.0 / 3.0, 0.01, 0.01, 60)
     else:
         seq = gen_divergent_example(1.0 / 3.0, 0.01, 1.0, 60)
     interp = hermite_interpolant(seq)
@@ -294,7 +304,7 @@ def test_sample_figure_equals_per_interval_linspace(family, points):
 @pytest.mark.parametrize("points", [1, 7, 20])
 def test_sample_figure_shift_is_taken_from_the_first_breakpoint(points):
     # f[0] is the value at t = 0 of the first piece, exactly f_0.
-    for seq in (gen_adagrad_example(0.5, 1.0 / 3.0, 0.01, 0.01, 30),
+    for seq in (gen_adagrad_example(1.0 / 3.0, 0.01, 0.01, 30),
                 gen_divergent_example(1.0 / 3.0, 0.01, 1.0, 30)):
         interp = hermite_interpolant(seq)
         _, f, _, _ = sample_figure(interp, points)
@@ -304,7 +314,7 @@ def test_sample_figure_shift_is_taken_from_the_first_breakpoint(points):
 
 
 def test_second_derivative_difference_quotients_stay_bounded():
-    seq = gen_adagrad_example(0.5, 1.0 / 3.0, 0.01, 0.01, 10)
+    seq = gen_adagrad_example(1.0 / 3.0, 0.01, 0.01, 10)
     interp = hermite_interpolant(seq)
     x, _, _, fpp = sample_figure(interp, 1000)
     quotients = np.abs(np.diff(fpp)) / np.diff(x)
@@ -315,7 +325,7 @@ def test_second_derivative_difference_quotients_stay_bounded():
 # --- replay ----------------------------------------------------------------
 
 def test_replay_adagrad_figure_parameters():
-    seq = gen_adagrad_example(0.5, 1.0 / 3.0, 0.01, 0.01, 10)
+    seq = gen_adagrad_example(1.0 / 3.0, 0.01, 0.01, 10)
     assert replay_check(seq) is True
 
 
@@ -325,7 +335,7 @@ def test_replay_divergent_figure_parameters():
 
 
 def test_replay_detects_perturbed_varsigma():
-    seq = gen_adagrad_example(0.5, 1.0 / 3.0, 0.01, 0.01, 10)
+    seq = gen_adagrad_example(1.0 / 3.0, 0.01, 0.01, 10)
     perturbed = dataclasses.replace(seq, scaling=AdagradScaling(varsigma=0.011))
     assert replay_check(perturbed) is False
 
@@ -338,7 +348,7 @@ def test_replay_detects_perturbed_divergent_coefficient():
 
 def test_replay_structural_mismatches_return_false():
     # A scaling state that cannot reproduce the sequence replays to a mismatch.
-    adagrad = gen_adagrad_example(0.5, 1.0 / 3.0, 0.01, 0.01, 5)
+    adagrad = gen_adagrad_example(1.0 / 3.0, 0.01, 0.01, 5)
     divergent = gen_divergent_example(1.0 / 3.0, 0.01, 1.0, 5)
     stale = AdagradScaling(varsigma=0.01)
     stale.b_accum = 3.0
