@@ -37,16 +37,38 @@ def test_zeta_domain():
             zeta(s)
 
 
+_ZETA_POINTS = (
+    [1.0 + 1e-9, 1.03, 2.0, 3.999]
+    + [1.0 + 3.0 * eps for eps in np.linspace(0.009, 0.011, 5).tolist()]
+)
+
+
+def _zeta_reference(s):
+    # DLMF 25.2.9 at a = 10 with 8 corrections, added by math.fsum; the
+    # Bernoulli ratios and rising factorials come from mpmath, rounded once.
+    a = 10.0
+    terms = [k ** -s for k in range(1, 10)]
+    terms += [a ** (1.0 - s) / (s - 1.0), 0.5 * a ** -s]
+    for j in range(1, 9):
+        c = float(mpmath.bernoulli(2 * j) / mpmath.factorial(2 * j))
+        terms.append(c * float(mpmath.rf(s, 2 * j - 1)) * a ** (1.0 - s - 2 * j))
+    return math.fsum(terms)
+
+
+@pytest.mark.parametrize("s", _ZETA_POINTS)
+def test_zeta_equals_the_fsum_expression_bit_for_bit(s):
+    assert zeta(s) == _zeta_reference(s)
+
+
 def _ulp_test_points():
     # Seeded uniform points, points at 1e-15 .. 1e-1 from either end of the
-    # domain, and the points where zeta was checked against the exact sum.
+    # domain, and the points of the bit-for-bit test.
     offsets = np.geomspace(1e-15, 1e-1, 29)
     return (
         np.random.default_rng(14).uniform(1.0, 4.0, 150).tolist()
         + (1.0 + offsets).tolist()
         + (4.0 - offsets).tolist()
-        + [1.0 + 1e-9, 1.03, 2.0, 3.999]
-        + [1.0 + 3.0 * eps for eps in np.linspace(0.009, 0.011, 5).tolist()]
+        + _ZETA_POINTS
     )
 
 
