@@ -249,11 +249,14 @@ def cmd_fd_check(args: argparse.Namespace) -> int:
 
 
 def _add_scaling_flags(p: argparse.ArgumentParser, varsigma: float) -> None:
-    """The weight flags that ``run`` and ``sharpness`` share."""
-    p.add_argument("--nu", type=float, default=1.0 / 3.0, help="adagrad: Q-weight exponent")
+    """The weight flags that ``run`` and ``sharpness`` share; their defaults
+    are those of the scaling classes, but for ``varsigma``."""
+    p.add_argument("--nu", type=float, default=AdagradScaling.nu, help="adagrad: Q-weight exponent")
     p.add_argument("--varsigma", type=float, default=varsigma, help="adagrad: accumulator start")
-    p.add_argument("--mu2", type=float, default=1.0 / 3.0, help="divergent: Q-weight exponent")
-    p.add_argument("--kappa-w", type=float, default=1.0, help="divergent: weight coefficient")
+    p.add_argument("--mu2", type=float, default=DivergentScaling.mu2,
+                   help="divergent: Q-weight exponent")
+    p.add_argument("--kappa-w", type=float, default=DivergentScaling.kappa_w,
+                   help="divergent: weight coefficient")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -272,13 +275,15 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="'default', 'random', or comma-separated floats")
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--scaling", choices=("adagrad", "divergent"), default="adagrad")
-    _add_scaling_flags(p_run, varsigma=1.0)
-    p_run.add_argument("--mu", type=float, default=0.5, help="adagrad: L-weight exponent")
-    p_run.add_argument("--theta", type=float, default=1.0,
+    _add_scaling_flags(p_run, varsigma=AdagradScaling.varsigma)
+    p_run.add_argument("--mu", type=float, default=AdagradScaling.mu,
+                       help="adagrad: L-weight exponent")
+    p_run.add_argument("--theta", type=float, default=AdagradScaling.theta,
                        help="adagrad: emit w in [theta*w_hat, w_hat], alternating "
                             "between the two ends; 1 emits w_hat")
-    p_run.add_argument("--mu1", type=float, default=0.5, help="divergent: L-weight exponent")
-    p_run.add_argument("--xi", type=float, default=1.0)
+    p_run.add_argument("--mu1", type=float, default=DivergentScaling.mu1,
+                       help="divergent: L-weight exponent")
+    p_run.add_argument("--xi", type=float, default=Astr2Config.xi)
     p_run.add_argument("--max-iter", type=int, default=100)
     p_run.add_argument("--eps1", type=float, default=None)
     p_run.add_argument("--eps2", type=float, default=None)

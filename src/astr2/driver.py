@@ -20,6 +20,7 @@ The objective value is never read by the step computation; with
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -41,9 +42,9 @@ _MEASURE_RADIUS = 1.0  # radius of the measures phi1, phi2 and of the eps test
 
 
 class SolverAbort(RuntimeError):
-    """Non-finite derivative values, or a matrix-free Lanczos solve that did
-    not converge with no dense Hessian to fall back to; carries the trace
-    recorded so far."""
+    """Non-finite derivative values, an overflowing ||g||^2, hatphi^3 or
+    weight, or a Lanczos eigenpair solve that did not converge; carries the
+    trace recorded so far."""
 
     def __init__(self, reason: str, trace: list["IterateRecord"]):
         super().__init__(reason)
@@ -120,8 +121,9 @@ def astr2_step(
     The derivative values are validated where they are used: the model
     rejects a non-finite g or H, and the Lanczos run checks every
     Hessian-vector product as it is drawn.  Raises ValueError on such
-    values and LanczosNoConvergence when a matrix-free Lanczos solve fails
-    with no dense Hessian to fall back to; :func:`run` converts both to
+    values and when ||g||^2, hatphi^3 or an emitted weight overflows (the
+    step would stall at s = 0), and LanczosNoConvergence when the
+    eigenpair of the g = 0 seed fails; :func:`run` converts both to
     :class:`SolverAbort` with the partial trace attached.
     """
     x = np.asarray(x, dtype=float)
@@ -143,13 +145,20 @@ def astr2_step(
         seed = None
         if norm_g == 0.0:
             # The Krylov space of g = 0 is {0}; grow it from the eigenvector.
-            seed = _min_eigpair_with_fallback(oracle, x).vector
+            seed = min_eigpair(lambda v: oracle.hvp(x, v), oracle.n).vector
         model = KrylovModel(g, lambda v: oracle.hvp(x, v), config.subspace_max_dim, seed)
     phi = model.solve(_MEASURE_RADIUS).model_decrease
 
     hatphi = min(phi, config.xi)
-    branch = "L" if norm_g * norm_g >= hatphi ** 3 else "Q"
-    w_l, w_q = scaling_state.weights(k, branch, norm_g * norm_g, hatphi ** 3)
+    g_sq = norm_g * norm_g
+    try:
+        hatphi_cubed = hatphi ** 3
+    except OverflowError:  # a Python float power raises instead of returning inf
+        hatphi_cubed = math.inf
+    branch = "L" if g_sq >= hatphi_cubed else "Q"
+    w_l, w_q = scaling_state.weights(k, branch, g_sq, hatphi_cubed)
+    if not all(map(math.isfinite, (g_sq, hatphi_cubed, w_l, w_q))):
+        raise ValueError("overflow: ||g||^2, hatphi^3 or a weight is not finite")
     delta_l = norm_g / w_l
     delta_q = hatphi / w_q
 
@@ -181,15 +190,6 @@ def astr2_step(
     return x_next, record
 
 
-def _min_eigpair_with_fallback(oracle, x):
-    try:
-        return min_eigpair(lambda v: oracle.hvp(x, v), n=oracle.n, tol=1e-8)
-    except LanczosNoConvergence:
-        if oracle.hessian is not None:
-            return min_eigpair(np.asarray(oracle.hessian(x), dtype=float))
-        raise
-
-
 def run(oracle: ProblemOracle, x0: Array, config: Astr2Config) -> list[IterateRecord]:
     """Run the iteration from x0; returns the trace.
 
@@ -216,10 +216,11 @@ def run(oracle: ProblemOracle, x0: Array, config: Astr2Config) -> list[IterateRe
     Raises
     ------
     SolverAbort
-        On non-finite derivative values, or when a matrix-free Lanczos solve
-        does not converge and the problem has no dense Hessian to fall back
-        to; the exception carries the partial trace in its ``trace``
-        attribute.
+        On non-finite derivative values, on an overflowing ||g||^2, hatphi^3
+        or weight, or when a Lanczos eigenpair solve (the certificate, or
+        the g = 0 seed) does not converge, whether or not the problem has a
+        dense Hessian; the exception carries the partial trace in its
+        ``trace`` attribute.
     """
     x = np.asarray(x0, dtype=float)
     if x.shape != (oracle.n,):
@@ -246,7 +247,7 @@ def _terminates(oracle: ProblemOracle, record: IterateRecord, config: Astr2Confi
         return False
     if config.subspace_max_dim is None:
         return True
-    pair = _min_eigpair_with_fallback(oracle, record.x)
+    pair = min_eigpair(lambda v: oracle.hvp(record.x, v), oracle.n)
     return max(0.0, -pair.value) / 2.0 <= config.eps2 / 2.0
 
 

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .trs import _check_count, _check_radius, _symmetrize, solve_trs_exact, solve_trs_krylov
+from .trs import _check_radius, _symmetrize, solve_trs_exact, solve_trs_krylov
 
 Array = np.ndarray
 
@@ -54,17 +54,13 @@ def phi2_subspace(
     delta: float,
     max_dim: int,
 ) -> tuple[float, int]:
-    """Second-order measure restricted to a grown Krylov subspace.
+    """Second-order measure restricted to a grown Krylov subspace:
+    :func:`~astr2.trs.solve_trs_krylov` with ``max_dim`` >= 1.
 
     Monotonically nondecreasing in ``max_dim`` and equal to :func:`phi2`
     once the subspace spans the reachable space (max_dim >= n on generic
-    instances).  ``max_dim = 0`` is the degenerate choice S = {0}, where the
-    restricted measure is 0 by definition.
+    instances).
     """
-    _check_radius(delta)
-    _check_count("max_dim", max_dim, 0)
-    if max_dim == 0:
-        return 0.0, 0
     sol, dim = solve_trs_krylov(g, hvp, delta, max_dim)
     return sol.model_decrease, dim
 

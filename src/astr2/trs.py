@@ -7,9 +7,11 @@ Everything here is about the problem
 and its certificates: an exact eigendecomposition-based solver with
 safeguarded Newton iteration on the secular equation and an explicit
 hard-case branch, the classical Cauchy-point and eigen-point decreases, a
-minimum-eigenpair routine (dense, or matrix-free Lanczos), a GLTR-style
-Krylov model for subspace-restricted solves, and a brute-force reference
-used to cross-check the exact solver.
+matrix-free Lanczos minimum-eigenpair routine, a GLTR-style Krylov model
+for subspace-restricted solves, and a brute-force reference used to
+cross-check the exact solver.  Every dense spectral quantity (the
+subproblem's solution, lambda_min and its eigenvector) is read from one
+:class:`DenseModel`.
 
 References
 ----------
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -44,7 +46,9 @@ _LANCZOS_BASIS_BYTES = 2 ** 28  # memory cap of a matrix-free min_eigpair basis
 
 
 class LanczosNoConvergence(RuntimeError):
-    """Lanczos failed to reach the requested residual within the iteration cap."""
+    """Lanczos failed to reach the requested residual within the iteration cap.
+
+    The driver ends the run in :class:`~astr2.driver.SolverAbort` on it."""
 
 
 @dataclass(frozen=True)
@@ -76,9 +80,9 @@ def _check_radius(delta: float) -> None:
         raise ValueError(f"delta must be positive and finite, got {delta!r}")
 
 
-def _check_count(name: str, value: int, least: int = 1) -> None:
-    if not (isinstance(value, (int, np.integer)) and value >= least):
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+def _check_count(name: str, value: int) -> None:
+    if not (isinstance(value, (int, np.integer)) and value >= 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def _check_finite(name: str, a: Array) -> Array:
@@ -110,6 +114,15 @@ def _symmetrize(H: Array) -> Array:
     return 0.5 * H + 0.5 * H.T
 
 
+def _check_model(g: Array, H: Array) -> tuple[Array, Array]:
+    # The inputs of every dense model: finite g, finite symmetric H, matching sizes.
+    g = _check_finite("g", g)
+    H = _check_symmetric(H)
+    if H.shape[0] != g.shape[0]:
+        raise ValueError(f"shape mismatch: g has {g.shape[0]} entries, H is {H.shape}")
+    return g, H
+
+
 def _flip_sign(u: Array, g: Array) -> Array:
     # Orient u so u^T g <= 0; on ties make the largest-magnitude entry positive.
     s = float(np.dot(u, g))
@@ -138,11 +151,7 @@ class DenseModel:
     """
 
     def __init__(self, g: Array, H: Array):
-        g = _check_finite("g", g)
-        H = _check_symmetric(H)
-        if H.shape[0] != g.shape[0]:
-            raise ValueError(f"shape mismatch: g has {g.shape[0]} entries, H is {H.shape}")
-        self._factorise(g, H)
+        self._factorise(*_check_model(g, H))
 
     def _factorise(self, g, H):
         # g and H as given: finite, H exactly symmetric (checked by the caller).
@@ -303,18 +312,20 @@ def cauchy_decrease(g: Array, H: Array, delta: float) -> tuple[float, float]:
     {alpha >= 0 : alpha ||g|| <= Delta}; closed form from the sign of the
     curvature along g.
 
+    g and H are checked as :class:`DenseModel` checks them.
+
     Returns
     -------
     (alpha, dq_c) : tuple of float
         The maximizing alpha and the achieved decrease (0 when g = 0).
     """
     _check_radius(delta)
-    g = np.asarray(g, dtype=float)
+    g, H = _check_model(g, H)
     gnorm2 = float(np.dot(g, g))
     if gnorm2 == 0.0:
         return 0.0, 0.0
     gnorm = np.sqrt(gnorm2)
-    curv = float(np.dot(g, np.asarray(H, dtype=float) @ g))
+    curv = float(np.dot(g, H @ g))
     alpha_max = delta / gnorm
     if curv <= 0.0:
         alpha = alpha_max
@@ -327,31 +338,26 @@ def cauchy_decrease(g: Array, H: Array, delta: float) -> tuple[float, float]:
 def eigen_decrease(g: Array, H: Array, delta: float) -> tuple[Array, float, float]:
     """Best model decrease along the minimum-curvature direction of a dense H.
 
-    The direction u is the unit minimum eigenvector of H (from
-    :func:`min_eigpair`), oriented so that u^T g <= 0.  When lambda_min[H]
-    is >= 0 the decrease is defined as 0 (no negative curvature to exploit)
-    and u is still returned for inspection.
+    lambda_min and its unit eigenvector u are read from one
+    :class:`DenseModel` (which checks g and H), u oriented so that
+    u^T g <= 0.  With lambda_min < 0 the model decreases along u all the
+    way to the boundary, so alpha = delta; with lambda_min >= 0 the
+    decrease is defined as 0 (no negative curvature to exploit) and u is
+    still returned for inspection.
 
     Returns
     -------
     (u, alpha, dq_e)
     """
     _check_radius(delta)
-    g = np.asarray(g, dtype=float)
-    eigpair = min_eigpair(H)
-    u = _flip_sign(eigpair.vector, g)
-    if eigpair.value >= 0.0:
+    model = DenseModel(g, H)
+    u = _flip_sign(model.Q[:, 0], model.g)
+    lam_min = float(model.lam[0])
+    if lam_min >= 0.0:
         return u, 0.0, 0.0
-    curv = float(np.dot(u, np.asarray(H, dtype=float) @ u))
-    slope = float(np.dot(g, u))  # <= 0 by the sign convention
-    if curv < 0.0:
-        alpha = delta
-    elif curv == 0.0:
-        alpha = delta if slope < 0.0 else 0.0
-    else:
-        alpha = min(-slope / curv, delta) if slope < 0.0 else 0.0
-    dq = -(slope * alpha + 0.5 * curv * alpha * alpha)
-    return u, alpha, max(dq, 0.0)
+    slope = float(np.dot(model.g, u))  # <= 0 by the sign convention
+    dq = -(slope * delta + 0.5 * lam_min * delta * delta)
+    return u, delta, max(dq, 0.0)
 
 
 def _lanczos(hvp: HvpHandle, v: Array, steps: int) -> Iterator[tuple[Array, Array, float]]:
@@ -404,14 +410,9 @@ def _combine(y: Array, V: Array) -> Array:
     return d
 
 
-def min_eigpair(
-    H: Union[Array, HvpHandle],
-    n: Optional[int] = None,
-    tol: float = 1e-8,
-) -> EigenPair:
-    """Minimum eigenpair of a symmetric matrix, dense or matrix-free.
+def min_eigpair(hvp: HvpHandle, n: int, tol: float = 1e-8) -> EigenPair:
+    """Minimum eigenpair of a symmetric n x n matrix given by v -> H v.
 
-    Dense path: full symmetric eigendecomposition.  Matrix-free path:
     Lanczos with full reorthogonalization from a deterministic random start,
     stopped when the Ritz residual ||H u - theta u|| = |beta_j * y_j| of the
     smallest Ritz pair is at most ``tol`` (relative to theta when theta > 1),
@@ -422,42 +423,37 @@ def min_eigpair(
     necessarily of lambda_min.  The step cap is n, where the basis spans the
     space, lowered so that the basis of m n-vectors stays within
     ``_LANCZOS_BASIS_BYTES`` (256 MiB; 335 steps at n = 1e5).  As m <= n,
-    each m x m Ritz matrix is no larger than the basis.
+    each m x m Ritz matrix is no larger than the basis.  The vector is
+    oriented so that its largest-magnitude entry is positive.  For a dense
+    H, read ``lam[0]`` and ``Q[:, 0]`` of a :class:`DenseModel` instead.
 
     Raises
     ------
     LanczosNoConvergence
         Iteration cap reached before the residual test held and before the
-        basis spanned the space (matrix-free path only); callers may fall
-        back to the dense path.
+        basis spanned the space.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
-    if not callable(H):
-        lam, Q = np.linalg.eigh(_check_symmetric(H))
-        theta, u = float(lam[0]), Q[:, 0]
+    _check_count("n", n)
+    maxiter = min(n, _LANCZOS_BASIS_BYTES // (8 * n))
+    rng = np.random.default_rng(1842962133)  # fixed seed: deterministic runs
+    v = rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    theta = 0.0
+    for T, V, b in _lanczos(hvp, v, maxiter):
+        ritz_vals, ritz_vecs = np.linalg.eigh(T)
+        theta, y = float(ritz_vals[0]), ritz_vecs[:, 0]
+        if abs(b * y[-1]) <= (tol if theta < 0.0 else tol * max(1.0, theta)):
+            break
     else:
-        if n is None:
-            raise ValueError("matrix-free min_eigpair needs the dimension n")
-        _check_count("n", n)
-        maxiter = min(n, _LANCZOS_BASIS_BYTES // (8 * n))
-        rng = np.random.default_rng(1842962133)  # fixed seed: deterministic runs
-        v = rng.standard_normal(n)
-        v /= np.linalg.norm(v)
-        theta = 0.0
-        for T, V, b in _lanczos(H, v, maxiter):
-            ritz_vals, ritz_vecs = np.linalg.eigh(T)
-            theta, y = float(ritz_vals[0]), ritz_vecs[:, 0]
-            if abs(b * y[-1]) <= (tol if theta < 0.0 else tol * max(1.0, theta)):
-                break
-        else:
-            if maxiter < n:  # else the basis spans the space and the Ritz pair is exact
-                raise LanczosNoConvergence(
-                    f"no convergence in {maxiter} Lanczos iterations "
-                    f"(last Ritz value {theta:.6g})"
-                )
-        u = _combine(y, V)
-        u /= np.linalg.norm(u)
+        if maxiter < n:  # else the basis spans the space and the Ritz pair is exact
+            raise LanczosNoConvergence(
+                f"no convergence in {maxiter} Lanczos iterations "
+                f"(last Ritz value {theta:.6g})"
+            )
+    u = _combine(y, V)
+    u /= np.linalg.norm(u)
     if u[np.argmax(np.abs(u))] < 0.0:
         u = -u
     return EigenPair(value=theta, vector=u)

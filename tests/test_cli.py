@@ -1,10 +1,12 @@
+import dataclasses
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from astr2.cli import TRACE_HEADER, main, parse_trace_csv, write_trace_csv
+from astr2 import AdagradScaling, Astr2Config, DivergentScaling
+from astr2.cli import TRACE_HEADER, _build_parser, main, parse_trace_csv, write_trace_csv
 from astr2.driver import SolverAbort
 
 
@@ -209,6 +211,31 @@ def test_non_finite_inputs_are_parameter_errors(argv, tmp_path, monkeypatch, cap
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--x0", "1e300"],  # ||g|| overflows
+    ["--x0", "1e160"],  # ||g||^2 overflows
+    ["--x0", "1e150", "--xi", "1e200"],  # hatphi^3 overflows
+], ids=["norm", "square", "cube"])
+def test_overflow_is_a_solver_abort(flags, capsys):
+    assert main(["run", "--problem", "quadratic_psd", "--n", "1", *flags]) == 1
+    err = capsys.readouterr().err
+    assert "solver abort after 0 recorded iterations" in err and "Traceback" not in err
+
+
+def test_scaling_flag_defaults_are_the_field_defaults():
+    parser = _build_parser()
+    run_args = parser.parse_args(["run", "--problem", "quadratic_psd"])
+    sharpness_args = parser.parse_args(["sharpness", "--out", "fig.csv"])
+    defaults = {field.name: field.default
+                for cls in (AdagradScaling, DivergentScaling, Astr2Config)
+                for field in dataclasses.fields(cls)}
+    for name in ("varsigma", "mu", "nu", "theta", "kappa_w", "mu1", "mu2", "xi"):
+        assert getattr(run_args, name) == defaults[name]
+    for name in ("nu", "mu2", "kappa_w"):
+        assert getattr(sharpness_args, name) == defaults[name]
+    assert sharpness_args.varsigma == 0.01  # the figure's own default
 
 
 def test_unwritable_output_paths_are_usage_errors(tmp_path, capsys):

@@ -204,7 +204,7 @@ def test_nan_gradient_in_subspace_mode_aborts_with_the_trace():
     assert "non-finite" in info.value.reason
 
 
-def _bowl_beyond_the_lanczos_budget(monkeypatch, dense):
+def _bowl_beyond_the_lanczos_budget(monkeypatch):
     # The measured test holds at x0 (tiny g on a positive definite Hessian),
     # so the certificate runs min_eigpair; a basis budget of three vectors
     # cannot resolve 50 distinct eigenvalues.
@@ -215,25 +215,28 @@ def _bowl_beyond_the_lanczos_budget(monkeypatch, dense):
     monkeypatch.setattr(astr2.trs, "_LANCZOS_BASIS_BYTES", 3 * 8 * n)
     oracle = ProblemOracle(name="matrix_free_bowl", n=n,
                            gradient=lambda x: np.full(n, 1e-6),
-                           hessian=(lambda x: np.diag(diag)) if dense else None,
+                           hessian=None,
                            hvp=lambda x, v: diag * v)
     cfg = adagrad_config(max_iter=10, eps1=1e-3, eps2=1e-3, subspace_max_dim=5)
     return oracle, np.zeros(n), cfg
 
 
 def test_lanczos_failure_without_dense_hessian_aborts_with_the_trace(monkeypatch):
-    # With no dense Hessian to fall back to, the run aborts with the first record.
-    oracle, x0, cfg = _bowl_beyond_the_lanczos_budget(monkeypatch, dense=False)
+    # The certificate's Lanczos failure aborts the run with the first record.
+    oracle, x0, cfg = _bowl_beyond_the_lanczos_budget(monkeypatch)
     with pytest.raises(SolverAbort) as info:
         run(oracle, x0, cfg)
     assert [r.k for r in info.value.trace] == [0]
     assert "no convergence in 3 Lanczos iterations" in info.value.reason
 
 
-def test_lanczos_failure_falls_back_to_the_dense_hessian(monkeypatch):
-    # The dense eigenpair certifies x0 in place of the failed Lanczos one.
-    oracle, x0, cfg = _bowl_beyond_the_lanczos_budget(monkeypatch, dense=True)
-    assert [r.k for r in run(oracle, x0, cfg)] == [0]
+def test_an_overflowing_accumulator_aborts_with_the_trace():
+    # ||g||^2 = 1e308 is finite at k = 0; at k = 1 the Adagrad accumulator
+    # reaches 2e308 = inf, and w_L = inf would stall the run at s = 0.
+    with pytest.raises(SolverAbort) as info:
+        run(make_problem("quadratic_psd", 1), np.array([1e154]), adagrad_config(max_iter=5))
+    assert [r.k for r in info.value.trace] == [0]
+    assert "overflow" in info.value.reason
 
 
 def test_subspace_linear_step_draws_no_product_so_a_nan_surfaces_in_the_next_measure():
@@ -388,10 +391,9 @@ def test_subspace_quadratic_steps_need_no_eigenpair(monkeypatch):
     callers = []
     real_min_eigpair = astr2.driver.min_eigpair
 
-    def min_eigpair(H, **kw):
-        # frame 1 is _min_eigpair_with_fallback, frame 2 its caller
-        callers.append(sys._getframe(2).f_code.co_name)
-        return real_min_eigpair(H, **kw)
+    def min_eigpair(*args, **kw):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real_min_eigpair(*args, **kw)
 
     monkeypatch.setattr(astr2.driver, "min_eigpair", min_eigpair)
     oracle, log = with_counting(make_problem("cosine_sum", 30))

@@ -8,6 +8,7 @@ import pytest
 
 _TOOLS = Path(__file__).resolve().parent.parent / "tools"
 _TOOL = _TOOLS / "code_size.py"
+_PERFBENCH = _TOOLS.parent / "perfbench"
 
 
 @pytest.fixture(scope="module")
@@ -74,3 +75,19 @@ def test_trace_digest_is_reproducible(tmp_path, workload):
     # one line per seed; golden prints one per frozen trace run instead
     assert re.fullmatch(rf"({workload} [\w ]+: [0-9a-f]{{64}}\n)+", first)
     assert second == first
+
+
+def test_benchmark_hooks_find_their_targets(monkeypatch):
+    # A traced benchmark pass imports every module its layer hooks name, so
+    # a lost module breaks every traced run; a lost worst_case hook drops the
+    # replay's clock without an error.  Layer hooks that name a function the
+    # program no longer has are reported as missing by design.
+    monkeypatch.syspath_prepend(str(_PERFBENCH))
+    from probes import Recorder, patched
+    from workloads import WORKLOADS
+
+    rec = Recorder(traced=True)
+    hooks = WORKLOADS["worst_case"].hooks(rec)
+    with patched(rec, hooks) as missing:
+        pass
+    assert not {f"{module}.{attr}" for module, attr, _ in hooks} & set(missing)

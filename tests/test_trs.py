@@ -200,7 +200,7 @@ def test_empty_dense_model_is_rejected():
         lambda: solve_trs_exact(g, H, 1.0),
         lambda: phi2(g, H, 1.0),
         lambda: combined_measures(g, H, 1.0, 1.0),
-        lambda: min_eigpair(H),
+        lambda: cauchy_decrease(g, H, 1.0),
         lambda: eigen_decrease(g, H, 1.0),
     )
     with warnings.catch_warnings():
@@ -216,13 +216,21 @@ def test_empty_dense_model_is_rejected():
     (np.zeros(2), [[1.0, 0.0], [0.0]], 1.0),  # ragged
     (np.zeros(2), np.eye(3), 1.0),
     (np.zeros(2), np.eye(2), 0.0),
-], ids=["empty", "nan_g", "ragged_H", "shape_mismatch", "zero_radius"])
+    (np.ones(2), np.diag([np.nan, 1.0]), 1.0),
+    (np.ones(2), [[1.0, 0.5], [0.0, 1.0]], 1.0),
+], ids=["empty", "nan_g", "ragged_H", "shape_mismatch", "zero_radius", "nan_H", "asymmetric_H"])
 def test_kkt_residuals_rejects_what_the_dense_model_rejects(g, H, delta):
+    # So do the Cauchy and eigen decreases, which check g and H as the model does.
     sol = TrsSolution(np.zeros(len(g)), 0.0, 0.0, False, False)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError):
-            kkt_residuals(g, H, delta, sol)
+        for call in (
+            lambda: kkt_residuals(g, H, delta, sol),
+            lambda: cauchy_decrease(g, H, delta),
+            lambda: eigen_decrease(g, H, delta),
+        ):
+            with pytest.raises(ValueError):
+                call()
 
 
 def test_decrease_dominates_cauchy_and_eigen_points(rng):
@@ -332,13 +340,13 @@ def test_eigen_direction_conditions_hold(rng):
 # --- min_eigpair -----------------------------------------------------------
 
 def test_min_eigpair_diagonal():
-    pair = min_eigpair(np.diag([3.0, -2.0]))
+    pair = min_eigpair(lambda v: np.diag([3.0, -2.0]) @ v, 2)
     assert pair.value == pytest.approx(-2.0, abs=1e-14)
     assert abs(pair.vector[1]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_min_eigpair_identity():
-    pair = min_eigpair(np.eye(4))
+    pair = min_eigpair(lambda v: v, 4)
     assert pair.value == pytest.approx(1.0, abs=1e-14)
     assert np.linalg.norm(pair.vector) == pytest.approx(1.0, abs=1e-12)
 
@@ -347,11 +355,11 @@ def test_min_eigpair_matrix_free_matches_dense(rng):
     for _ in range(30):
         n = int(rng.integers(2, 25))
         H = random_symmetric(rng, n)
-        dense = min_eigpair(H)
+        lam_min = DenseModel(np.zeros(n), H).lam[0]
         free = min_eigpair(lambda v: H @ v, n=n, tol=1e-10)
-        assert free.value == pytest.approx(dense.value, abs=1e-8)
+        assert free.value == pytest.approx(lam_min, abs=1e-8)
         assert np.linalg.norm(free.vector) == pytest.approx(1.0, abs=1e-12)
-        assert float(free.vector @ H @ free.vector) <= dense.value + 1e-8
+        assert float(free.vector @ H @ free.vector) <= lam_min + 1e-8
 
 
 def test_min_eigpair_requires_dimension_for_handles():
@@ -433,8 +441,8 @@ def test_krylov_gradient_on_an_eigenline():
 def test_krylov_zero_gradient_uses_the_seed():
     rng = np.random.default_rng(11)
     H = random_symmetric(rng, 6)
-    pair = min_eigpair(H)
-    sub = KrylovModel(np.zeros(6), lambda v: H @ v, 6, pair.vector).solve(2.0)
+    u_min = DenseModel(np.zeros(6), H).Q[:, 0]
+    sub = KrylovModel(np.zeros(6), lambda v: H @ v, 6, u_min).solve(2.0)
     u, alpha, dq_e = eigen_decrease(np.zeros(6), H, 2.0)
     assert sub.model_decrease >= dq_e - 1e-10
 
