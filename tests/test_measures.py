@@ -65,14 +65,22 @@ def test_phi2_subspace_brackets_and_reaches_the_dense_value(rng):
         assert prev == pytest.approx(dense, abs=1e-8)
 
 
+def test_phi2_subspace_degenerate_dimension_zero():
+    # the space {0} is not a form of the measure: max_dim = 0 is rejected
+    with pytest.raises(ValueError, match=r"max_dim must be an integer >= 1, got 0"):
+        phi2_subspace(np.ones(3), lambda v: v, 1.0, 0)
+
+
 def test_phi2_subspace_rejects_a_nan_gradient():
     with pytest.raises(ValueError, match="g contains non-finite entries"):
         phi2_subspace(np.array([np.nan, 1.0]), lambda v: v, 1.0, 2)
 
 
-def test_phi2_subspace_max_dim_must_be_a_positive_integer():
+def test_phi2_subspace_max_dim_must_be_a_nonnegative_integer():
+    # negatives and non-integers are rejected; 0 is rejected as well, see
+    # test_phi2_subspace_degenerate_dimension_zero
     for max_dim in (-1, 0, 2.5):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="max_dim must be an integer >= 1"):
             phi2_subspace(np.ones(3), lambda v: v, 1.0, max_dim)
 
 
