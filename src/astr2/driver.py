@@ -33,12 +33,14 @@ from .trs import (
     KrylovModel,
     LanczosNoConvergence,
     _check_count,
+    _check_finite,
     min_eigpair,
 )
 
 Array = np.ndarray
 
 _MEASURE_RADIUS = 1.0  # radius of the measures phi1, phi2 and of the eps test
+_OVERFLOW = "overflow: ||g||^2, hatphi^3 or a weight is not finite"
 
 
 class SolverAbort(RuntimeError):
@@ -122,13 +124,19 @@ def astr2_step(
     rejects a non-finite g or H, and the Lanczos run checks every
     Hessian-vector product as it is drawn.  Raises ValueError on such
     values and when ||g||^2, hatphi^3 or an emitted weight overflows (the
-    step would stall at s = 0), and LanczosNoConvergence when the
-    eigenpair of the g = 0 seed fails; :func:`run` converts both to
+    step would stall at s = 0; an overflowing ||g||^2 raises before the
+    model is built, without a numpy warning), and LanczosNoConvergence
+    when the eigenpair of the g = 0 seed fails; :func:`run` converts both to
     :class:`SolverAbort` with the partial trace attached.
     """
     x = np.asarray(x, dtype=float)
     g = np.asarray(oracle.gradient(x), dtype=float)
-    norm_g = float(np.linalg.norm(g))
+    with np.errstate(over="ignore"):
+        norm_g = math.sqrt(np.dot(g, g))
+    g_sq = norm_g * norm_g
+    if not math.isfinite(g_sq):
+        _check_finite("g", g)  # a NaN or infinite entry is not an overflow
+        raise ValueError(_OVERFLOW)
 
     if config.subspace_max_dim is None:
         if oracle.hessian is None:
@@ -150,15 +158,14 @@ def astr2_step(
     phi = model.solve(_MEASURE_RADIUS).model_decrease
 
     hatphi = min(phi, config.xi)
-    g_sq = norm_g * norm_g
     try:
         hatphi_cubed = hatphi ** 3
     except OverflowError:  # a Python float power raises instead of returning inf
         hatphi_cubed = math.inf
     branch = "L" if g_sq >= hatphi_cubed else "Q"
     w_l, w_q = scaling_state.weights(k, branch, g_sq, hatphi_cubed)
-    if not all(map(math.isfinite, (g_sq, hatphi_cubed, w_l, w_q))):
-        raise ValueError("overflow: ||g||^2, hatphi^3 or a weight is not finite")
+    if not all(map(math.isfinite, (hatphi_cubed, w_l, w_q))):
+        raise ValueError(_OVERFLOW)
     delta_l = norm_g / w_l
     delta_q = hatphi / w_q
 

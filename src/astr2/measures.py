@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .trs import _check_radius, _symmetrize, solve_trs_exact, solve_trs_krylov
+from .trs import DenseModel, _check_radius, solve_trs_exact, solve_trs_krylov
 
 Array = np.ndarray
 
@@ -69,19 +69,20 @@ def combined_measures(g: Array, H: Array, xi: float, delta: float) -> Optimality
     """Fill an :class:`OptimalityReport` for one point.
 
     ``xi >= 1`` is the clipping level of hatphi; ``delta > 0`` the ball
-    radius (the optimizer always uses delta = 1).
+    radius (the optimizer always uses delta = 1).  phi2 and eta are read
+    from one :class:`~astr2.trs.DenseModel`, so they share one ``eigh``.
     """
     if not xi >= 1.0:
         raise ValueError(f"xi must be >= 1, got {xi!r}")
-    g = np.asarray(g, dtype=float)
-    value, d = phi2(g, H, delta)
-    gnorm2 = float(np.dot(g, g))
-    lam_min = float(np.linalg.eigvalsh(_symmetrize(H))[0])
+    model = DenseModel(g, H)
+    sol = model.solve(delta)
+    value = sol.model_decrease
+    gnorm2 = float(np.dot(model.g, model.g))
     return OptimalityReport(
-        phi1=phi1(g, delta),
+        phi1=phi1(model.g, delta),
         phi2=value,
         hatphi=min(value, xi),
         psi=min(1.0, max(gnorm2, min(value, 1.0) ** 3)),
-        eta=max(0.0, -lam_min),
-        argmin_d=d,
+        eta=max(0.0, -float(model.lam[0])),
+        argmin_d=sol.d,
     )

@@ -43,6 +43,7 @@ _BRUTE_ANGLES = 10_000  # angle grid of brute_force_decrease for n = 2
 _BRUTE_STARTS = 100  # random sphere-ascent restarts of brute_force_decrease for n >= 3
 _BRUTE_ITERS = 300  # projected-gradient steps per restart
 _LANCZOS_BASIS_BYTES = 2 ** 28  # memory cap of a matrix-free min_eigpair basis
+_KRYLOV_GAIN_TOL = 1e-8  # relative decrease gain below which the Krylov space stops growing
 
 
 class LanczosNoConvergence(RuntimeError):
@@ -477,7 +478,10 @@ class KrylovModel:
     matrix a fresh run builds, and is solved without the finiteness and
     symmetry checks of ``DenseModel(g, H)``: ``_lanczos`` has checked each
     product.  There is no restart: at breakdown the space is invariant and
-    the model stops growing.
+    the model stops growing.  Each ``beta_m`` the run yields is kept: with
+    the m-th tridiagonal solution y_m, GLTR's identity ||(H + lambda I) d +
+    g|| = beta_m |e_m^T y_m| gives the full-space residual of the subspace
+    step without another product, and :meth:`solve` stops on it.
 
     Parameters
     ----------
@@ -504,6 +508,7 @@ class KrylovModel:
         self.gnorm = float(np.linalg.norm(self.g))
         self.dim = 0  # subspace dimension of the last solve
         self._T = self._V = np.empty((0, 0))
+        self._betas = []  # beta_m of each dimension m drawn so far
         if seed_direction is not None:
             seed_direction = _check_finite("seed_direction", seed_direction)
         v = None
@@ -521,16 +526,24 @@ class KrylovModel:
         step = next(self._steps, None)
         if step is None:
             return False
-        self._T, self._V, _ = step
+        self._T, self._V, beta = step
+        self._betas.append(beta)
         return True
 
     def solve(self, delta: float) -> TrsSolution:
         """Solve the subproblem of radius ``delta`` > 0 on the Krylov space.
 
-        After each dimension m the tridiagonal subproblem is solved exactly,
-        and the iteration stops when the subspace decrease stagnates
-        (relative gain < 1e-8), at breakdown (the current best is exact in
-        the invariant space), or at ``max_dim`` (or n).  Sets :attr:`dim`.
+        After each dimension m the tridiagonal subproblem is solved exactly.
+        Where lambda + theta_1 > 0 (theta_1 the smallest Ritz value, lambda
+        the multiplier), the iteration stops at m when the gain predicted
+        from the GLTR residual r = beta_m |e_m^T y_m|, r^2 / (2 (lambda +
+        theta_1)), is below 1e-8 of the decrease, without drawing product
+        m + 1.  It is an estimate, not a bound (theta_1 >= lambda_min).
+        Elsewhere it stops when the decrease stagnates (relative gain below
+        the same 1e-8 from m - 1 to m), which it sees only after drawing
+        product m.  Breakdown (beta_m = 0: the current best is exact in the
+        invariant space) and ``max_dim`` (or n) stop it as well.  Sets
+        :attr:`dim`.
         The decrease dominates every feasible point of the final subspace,
         in particular the Cauchy point (the space starts at g) and any
         subspace eigen-point; it does not dominate an eigen-point outside
@@ -547,8 +560,17 @@ class KrylovModel:
             m += 1
             g_sub = np.zeros(m)
             g_sub[0] = self.gnorm
-            sol = DenseModel.__new__(DenseModel)._factorise(g_sub, self._T[:m, :m]).solve(delta)
-            if m > 1 and sol.model_decrease - prev_dq < 1e-8 * max(sol.model_decrease, 1e-300):
+            sub = DenseModel.__new__(DenseModel)._factorise(g_sub, self._T[:m, :m])
+            sol = sub.solve(delta)
+            tol = _KRYLOV_GAIN_TOL * max(sol.model_decrease, 1e-300)
+            shift = sol.multiplier + float(sub.lam[0])
+            if shift > 0.0:
+                # GLTR residual ||(H + lambda I) d + g|| = beta_m |y_m|, and the
+                # gain it predicts for a larger space, drawing no product.
+                r = self._betas[m - 1] * abs(float(sol.d[-1]))
+                if r * r / (2.0 * shift) < tol:
+                    break
+            elif m > 1 and sol.model_decrease - prev_dq < tol:
                 break
             prev_dq = sol.model_decrease
         self.dim = m

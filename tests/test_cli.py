@@ -224,6 +224,17 @@ def test_overflow_is_a_solver_abort(flags, capsys):
     assert "solver abort after 0 recorded iterations" in err and "Traceback" not in err
 
 
+def test_an_overflowing_gradient_aborts_without_numpy_warnings():
+    # ||g||^2 overflows before any local model is built, so no overflow
+    # inside the model reaches stderr ahead of the abort line.
+    proc = subprocess.run([sys.executable, "-m", "astr2.cli", "run", "--problem",
+                           "quadratic_psd", "--n", "1", "--x0", "1e300"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "solver abort after 0 recorded iterations" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_scaling_flag_defaults_are_the_field_defaults():
     parser = _build_parser()
     run_args = parser.parse_args(["run", "--problem", "quadratic_psd"])

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -239,6 +240,18 @@ def test_an_overflowing_accumulator_aborts_with_the_trace():
     assert "overflow" in info.value.reason
 
 
+@pytest.mark.parametrize("subspace_max_dim", [None, 1])
+@pytest.mark.parametrize("x0", [1e300, 1e160])
+def test_an_overflowing_gradient_aborts_before_the_model_is_built(x0, subspace_max_dim):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverAbort) as info:
+            run(make_problem("quadratic_psd", 1), np.array([x0]),
+                adagrad_config(subspace_max_dim=subspace_max_dim))
+    assert info.value.trace == []
+    assert info.value.reason == "overflow: ||g||^2, hatphi^3 or a weight is not finite"
+
+
 def test_subspace_linear_step_draws_no_product_so_a_nan_surfaces_in_the_next_measure():
     # With max_dim 1 the measure spends the first hvp and the linear step
     # reads its curvature from it; the second product is iteration 1's
@@ -319,7 +332,7 @@ def test_subspace_linear_iterations_draw_only_their_lanczos_products(monkeypatch
     trace = run(oracle, np.random.default_rng(0).standard_normal(100), cfg)
     assert "".join(r.branch for r in trace) == "L" * 20
     assert len(dims) == 20
-    assert log.hvp == sum(dims) == 100
+    assert log.hvp == sum(dims) == 80  # dimension 4 each: the residual stop draws no fifth
 
 
 def test_subspace_termination_needs_a_curvature_certificate():
@@ -402,7 +415,7 @@ def test_subspace_quadratic_steps_need_no_eigenpair(monkeypatch):
     trace = run(oracle, x0, cfg)
     assert "".join(r.branch for r in trace) == "Q" * 30
     assert callers == []
-    assert log.hvp == 84  # the step reuses the measure's Lanczos run
+    assert log.hvp == 55  # the step reuses the measure's Lanczos run
 
     # With eps set, the certificate runs once per iterate that passes the
     # measured test; here only the last one, after two Q iterations.

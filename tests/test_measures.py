@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from astr2 import combined_measures, phi1, phi2, phi2_subspace, solve_trs_exact
-from astr2.trs import _symmetrize, kkt_residuals
+from astr2.trs import DenseModel, _symmetrize, kkt_residuals
 
 from conftest import random_symmetric
 
@@ -127,7 +127,7 @@ def test_combined_measures_psi_formula(rng):
         rep = combined_measures(g, H, 1.0, 1.0)
         gnorm2 = float(g @ g)
         assert rep.psi == min(1.0, max(gnorm2, rep.phi2 ** 3))
-        assert rep.eta == max(0.0, -float(np.linalg.eigvalsh(H)[0]))
+        assert rep.eta == max(0.0, -float(DenseModel(g, H).lam[0]))
 
 
 def test_combined_measures_validates_parameters():

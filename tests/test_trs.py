@@ -1,3 +1,4 @@
+import copy
 import sys
 import warnings
 
@@ -6,20 +7,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from astr2 import (
+    AdagradScaling,
+    Astr2Config,
     DenseModel,
     KrylovModel,
+    astr2_step,
     brute_force_decrease,
     cauchy_decrease,
     combined_measures,
     eigen_decrease,
+    make_problem,
     min_eigpair,
     phi2,
     solve_trs_exact,
     solve_trs_krylov,
 )
-from astr2.trs import LanczosNoConvergence, TrsSolution, _lanczos, kkt_residuals
+from astr2.trs import LanczosNoConvergence, TrsSolution, _lanczos, _symmetrize, kkt_residuals
 
-from conftest import random_symmetric
+from conftest import random_symmetric, with_counting
 
 
 def assert_kkt(g, H, delta, sol):
@@ -545,6 +550,77 @@ def test_krylov_subspace_decrease_is_monotone_in_dimension(rng):
             for m in range(1, 9)]
     for lo, hi in zip(vals, vals[1:]):
         assert hi >= lo - 1e-10
+
+
+def _counted(H):
+    calls = {"n": 0}
+
+    def hvp(v):
+        calls["n"] += 1
+        return H @ v
+
+    return hvp, calls
+
+
+def _spectrum(rng, kind, n):
+    if kind == "spd":
+        return rng.uniform(0.1, 10.0, n)
+    if kind == "indefinite":
+        return rng.uniform(-5.0, 5.0, n)
+    return -np.cos(3.0 * rng.standard_normal(n))  # cosine_sum's, clustered near +-1
+
+
+@pytest.mark.parametrize("delta", [1e-2, 1.0, 1e2])
+@pytest.mark.parametrize("kind", ["spd", "indefinite", "cos"])
+def test_krylov_residual_stop_matches_the_dense_decrease(kind, delta):
+    # The stop rule is an estimate, not a bound; 5e-8 (relative) is the
+    # accuracy the stagnation rule it replaces met on such instances.  The
+    # model draws exactly the products of the space it stops in.
+    rng = np.random.default_rng(sum(map(ord, kind)) + int(1000 * delta))
+    for _ in range(10):
+        n = int(rng.integers(5, 61))
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        H = _symmetrize((Q * _spectrum(rng, kind, n)) @ Q.T)
+        g = rng.standard_normal(n)
+        hvp, calls = _counted(H)
+        model = KrylovModel(g, hvp, n)
+        got = model.solve(delta).model_decrease
+        want = DenseModel(g, H).solve(delta).model_decrease
+        assert abs(got - want) <= 5e-8 * want
+        assert calls["n"] == model.dim
+
+
+def test_krylov_residual_stop_draws_two_products_per_matrix_free_iteration():
+    # cosine_sum in subspace mode from an N(0, I) start: the measure stops at
+    # dimension 2 on GLTR's residual, and the linear step draws no product.
+    oracle, log = with_counting(make_problem("cosine_sum", 4000))
+    cfg = Astr2Config(scaling=AdagradScaling(), max_iter=30, subspace_max_dim=20)
+    state = copy.deepcopy(cfg.scaling)
+    x = np.random.default_rng(0).standard_normal(4000)
+    for k in range(cfg.max_iter):
+        before = log.hvp
+        x, record = astr2_step(oracle, x, k, cfg, state)
+        assert record.branch == "L"
+        assert log.hvp - before == 2
+
+
+def test_krylov_breakdown_stops_without_an_extra_product():
+    # g on two eigenvalues: the space is invariant after two products, the
+    # residual beta_2 |y_2| is 0, and the decrease is the dense one.
+    diag = np.repeat([1.0, 4.0], 5)
+    hvp, calls = _counted(np.diag(diag))
+    model = KrylovModel(np.ones(10), hvp, 10)
+    sol = model.solve(1.0)
+    assert (model.dim, calls["n"]) == (2, 2)
+    exact = solve_trs_exact(np.ones(10), np.diag(diag), 1.0)
+    assert sol.model_decrease == pytest.approx(exact.model_decrease, rel=1e-12)
+    # A seed along a negative eigenvector: lambda + theta_1 = 0, so the
+    # stagnation rule decides, and breakdown ends the run after one product.
+    H = np.diag(np.repeat([-2.0, 3.0], 5))
+    hvp, calls = _counted(H)
+    model = KrylovModel(np.zeros(10), hvp, 10, np.eye(10)[0])
+    sol = model.solve(1.0)
+    assert (model.dim, calls["n"], sol.model_decrease, sol.hard_case) == (1, 1, 1.0, True)
 
 
 def test_dense_model_solves_every_radius_from_one_eigh(rng, monkeypatch):
