@@ -14,6 +14,7 @@ into exit codes.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Iterable, Optional, Sequence
 
@@ -192,6 +193,11 @@ def cmd_trs_check(args: argparse.Namespace) -> int:
     radii = [float(tok) for tok in args.radii.split(",")]
     if args.count < 1 or args.max_n < 1 or not all(0.0 < r < np.inf for r in radii):
         raise ValueError("need count >= 1, max-n >= 1, positive finite radii")
+    # The instances' model terms over the ball, |g^T d| + |d^T H d| <= 2 sqrt(n) r
+    # + 2 n r^2 (|g_i|, |H_ij| <= 2), must be finite for the check to compare them.
+    for r in radii:
+        if not math.isfinite(2.0 * math.sqrt(args.max_n) * r + 2.0 * args.max_n * r * r):
+            raise ValueError(f"radius {r:g} overflows the model values at n <= {args.max_n}")
     rng = np.random.default_rng(args.seed)
     max_dev_brute = 0.0
     max_dev_krylov = 0.0

@@ -190,7 +190,7 @@ def astr2_step(
         w_q=w_q,
         delta_l=delta_l,
         delta_q=delta_q,
-        norm_s=float(np.linalg.norm(s)),
+        norm_s=math.sqrt(np.dot(s, s)),
         dq=dq,
         f=f_val,
     )

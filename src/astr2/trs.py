@@ -88,7 +88,7 @@ def _check_count(name: str, value: int) -> None:
 
 def _check_finite(name: str, a: Array) -> Array:
     a = np.asarray(a, dtype=float)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
 
@@ -137,11 +137,18 @@ def _flip_sign(u: Array, g: Array) -> Array:
 class DenseModel:
     """The local model g^T d + (1/2) d^T H d of one iterate, factorised once.
 
-    H is symmetry-checked and eigendecomposed here, once; :meth:`solve` then
-    answers the subproblem at any radius from the cached ``lam``, ``Q``,
-    ``gt = Q^T g`` and ``gnorm = ||g||``, so the measure at radius 1 and the
-    step at another radius share one ``eigh``; :meth:`gradient_step` gives
-    the linear step and its decrease.
+    Everything in the subproblem that does not depend on the radius is
+    computed here, once (the split of More-Sorensen [2] and [1, ch. 7]): H
+    is symmetry-checked and eigendecomposed, giving ``lam``, ``Q``,
+    ``gt = Q^T g`` and ``gnorm = ||g||``; then t_lo = max(0, -lambda_min),
+    the critical set (the leading ``lam`` within a relative gap of -t_lo, a
+    prefix since ``lam`` ascends), the gradient's norm on it and the
+    hard-case test.  Where that test passes, the pseudo-inverse step
+    ``Q dp`` at t_lo, its norm and the downhill critical eigenvector are
+    kept as well.  :meth:`solve` then does only the work of one radius, so
+    the measure at radius 1 and the step at another radius share one
+    ``eigh`` and one set-up; :meth:`gradient_step` gives the linear step
+    and its decrease.
 
     Parameters
     ----------
@@ -158,8 +165,26 @@ class DenseModel:
         # g and H as given: finite, H exactly symmetric (checked by the caller).
         self.g, self.H = g, H
         self.gnorm = math.sqrt(np.dot(g, g))
-        self.lam, self.Q = np.linalg.eigh(H)
-        self.gt = self.Q.T @ g
+        lam, Q = np.linalg.eigh(H)
+        gt = Q.T @ g
+        self.lam, self.Q, self.gt = lam, Q, gt
+        lam_min, lam_max = float(lam[0]), float(lam[-1])
+        t_lo = max(0.0, -lam_min)
+        # lam ascends, so the critical set is a prefix lam[:k] and the
+        # extremes bound |lam|.
+        scale = max(1.0, abs(lam_min), abs(lam_max))
+        k = int((lam + t_lo).searchsorted(_GAP_TOL * scale, side="right"))
+        self._t_lo, self._k = t_lo, k
+        g_crit = math.sqrt(np.dot(gt[:k], gt[:k])) if k else 0.0
+        # (Q dp, ||dp||, downhill critical eigenvector or None at t_lo = 0)
+        # where the hard-case test passes, else None.
+        self._pinv = None
+        if g_crit <= _HARD_TOL * max(1.0, self.gnorm):
+            # Pseudo-inverse solution at the left end of the multiplier range.
+            dp = np.zeros(g.shape[0])
+            dp[k:] = -gt[k:] / (lam[k:] + t_lo)
+            u = _flip_sign(Q[:, 0], g) if t_lo != 0.0 else None
+            self._pinv = (Q @ dp, math.sqrt(np.dot(dp, dp)), u)
         return self
 
     def gradient_step(self, w_l: float) -> tuple[Array, float]:
@@ -167,67 +192,60 @@ class DenseModel:
         s = -self.g / w_l
         return s, -(float(np.dot(self.g, s)) + 0.5 * float(np.dot(s, self.H @ s)))
 
+    def _finish(self, d: Array, t: float, boundary: bool, hard: bool) -> TrsSolution:
+        dq = -(float(np.dot(self.g, d)) + 0.5 * float(np.dot(d, self.H @ d)))
+        return TrsSolution(
+            d=d,
+            multiplier=float(t),
+            model_decrease=max(dq, 0.0),
+            on_boundary=boundary,
+            hard_case=hard,
+        )
+
     def solve(self, delta: float) -> TrsSolution:
         """Globally solve the trust-region subproblem of radius ``delta`` > 0.
 
-        Safeguarded Newton on the secular equation phi(t) = 1/||d(t)|| -
-        1/Delta over t >= max(0, -lambda_min), with the hard case (gradient
-        orthogonal to the critical eigenspace and interior pseudo-inverse
-        solution) resolved by an explicit eigenvector correction to the
-        boundary.  phi is concave and increasing, so a Newton step from the
-        left of the root never passes it.  The feasible bracket end is tested
-        as a root when the bracket is set up; it is the root when g lies
-        along the critical eigenvector (every 1-D model with negative
-        curvature), which then costs one evaluation.  A Newton step onto an
-        end already rejected bisects instead of evaluating it again.  Near
-        the hard case (gradient small but not negligible on the critical
-        eigenspace) t cannot always be resolved to the secular tolerance in
-        floating point; the Newton iteration then keeps its feasible bracket
-        end and reaches the boundary along the critical eigenvector with the
-        smaller of the two steps (More-Sorensen), so ||d|| = Delta to
-        rounding on every boundary solution.  When ||g||/Delta is below one
-        ulp of t_lo the bracket has no width and the critical coordinates are
-        dropped before that push.  One evaluation of phi costs a few numpy
-        calls on the cached spectrum; the floating-point error state is set
-        once per solve.
+        Only the radius-dependent work is done here; the set-up shared by all
+        radii is kept from the factorisation.  Where the hard-case test
+        passed and the pseudo-inverse step at t_lo fits in the ball, the
+        answer is that step (interior, PSD H) or that step pushed to the
+        boundary along the critical eigenvector (the hard case).  Otherwise
+        safeguarded Newton on the secular equation phi(t) = 1/||d(t)|| -
+        1/Delta over t >= max(0, -lambda_min).  phi is concave and
+        increasing, so a Newton step from the left of the root never passes
+        it.  The feasible bracket end is tested as a root when the bracket
+        is set up; it is the root when g lies along the critical eigenvector
+        (every 1-D model with negative curvature), which then costs one
+        evaluation.  A Newton step from the left that reaches the feasible
+        end hi puts the root at hi to rounding, and the iteration ends
+        there; a step onto the other end bisects instead.  Near the hard
+        case (gradient small but not negligible on the critical eigenspace)
+        t cannot always be resolved to the secular tolerance in floating
+        point; the Newton iteration then keeps its feasible bracket end and
+        reaches the boundary along the critical eigenvector with the smaller
+        of the two steps (More-Sorensen), so ||d|| = Delta to rounding on
+        every boundary solution.  When ||g||/Delta is below one ulp of t_lo
+        the bracket has no width and the critical coordinates are dropped
+        before that push.  One evaluation of phi costs a few numpy calls on
+        the cached spectrum; the floating-point error state is set once per
+        solve.  Each solution holds its own step array.
         """
         _check_radius(delta)
-        g, H, lam, Q, gt, gnorm = self.g, self.H, self.lam, self.Q, self.gt, self.gnorm
-        n = g.shape[0]
-        t_lo = max(0.0, -lam[0])
+        lam, Q, gt, t_lo, k = self.lam, self.Q, self.gt, self._t_lo, self._k
+        finish = self._finish
 
-        def finish(d: Array, t: float, boundary: bool, hard: bool) -> TrsSolution:
-            dq = -(float(np.dot(g, d)) + 0.5 * float(np.dot(d, H @ d)))
-            return TrsSolution(
-                d=d,
-                multiplier=float(t),
-                model_decrease=max(dq, 0.0),
-                on_boundary=boundary,
-                hard_case=hard,
-            )
-
-        # Pseudo-inverse solution at the left end of the multiplier range.
-        # lam ascends, so the critical set is a prefix and the extremes bound |lam|.
-        scale = max(1.0, abs(lam[0]), abs(lam[-1]))
-        crit = (lam + t_lo) <= _GAP_TOL * scale
-        g_crit = math.sqrt(np.dot(gt[crit], gt[crit])) if crit[0] else 0.0
-
-        if g_crit <= _HARD_TOL * max(1.0, gnorm):
-            dp = np.zeros(n)
-            free = ~crit
-            dp[free] = -gt[free] / (lam[free] + t_lo)
-            norm_dp = math.sqrt(np.dot(dp, dp))
+        if self._pinv is not None:
+            qdp, norm_dp, u = self._pinv
             if norm_dp <= delta:
                 if t_lo == 0.0:
                     # PSD (possibly singular but compatible): interior optimum.
-                    return finish(Q @ dp, 0.0, norm_dp >= delta * (1.0 - 1e-12), False)
+                    return finish(qdp.copy(), 0.0, norm_dp >= delta * (1.0 - 1e-12), False)
                 # Hard case: push to the boundary along a critical eigenvector.
-                u = _flip_sign(Q[:, 0], g)
                 if norm_dp == 0.0:
                     theta = delta
                 else:
                     theta = math.sqrt(max(0.0, delta * delta - norm_dp * norm_dp))
-                return finish(Q @ dp + theta * u, t_lo, True, True)
+                return finish(qdp + theta * u, t_lo, True, True)
 
         # Boundary solution with t strictly above t_lo: safeguarded Newton on
         # phi(t) = 1/||d(t)|| - 1/Delta, increasing with phi(t_lo) <= 0.
@@ -252,7 +270,7 @@ class DenseModel:
             return 1.0 / nrm - 1.0 / delta, float(s3.sum()) / nrm ** 3, c
 
         lo = t_lo
-        hi = t_lo + gnorm / delta
+        hi = t_lo + self.gnorm / delta
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             # Guard: widen until phi(hi) >= 0 (covers rounding at the analytic
             # bound).  A bracket of no width cannot be widened by doubling.
@@ -276,8 +294,12 @@ class DenseModel:
                 else:
                     hi = t
                 t_new = t - val / slope if slope > 0.0 and math.isfinite(slope) else t
-                # hi has been evaluated and is not a root, so a step onto it
-                # bisects instead.
+                if val < 0.0 and t_new >= hi:
+                    # phi is concave, so a step from the left never passes the
+                    # root: it is hi to rounding.  Take it in the tail below.
+                    break
+                # Both ends have been evaluated and are not roots, so a step
+                # onto one bisects instead.
                 if not (lo < t_new < hi):
                     t_new = 0.5 * (lo + hi)
                 if t_new == t and hi - lo <= 1e-15 * max(1.0, t):
@@ -292,7 +314,7 @@ class DenseModel:
             if hi == t_lo:
                 # ||g||/Delta is below one ulp of t_lo: the critical coordinates
                 # are -gt/0.  Zero them, keeping the sign of -gt for the push.
-                coords[crit] = np.copysign(0.0, neg_gt[crit])
+                coords[:k] = np.copysign(0.0, neg_gt[:k])
             p = coords[0]
             r = max(0.0, delta * delta - float(np.dot(coords, coords)))
             if r > 0.0:
@@ -471,11 +493,14 @@ class KrylovModel:
     one Lanczos run; :meth:`gradient_step` reads its curvature off that run.
 
     The model keeps the suspended ``_lanczos`` generator, with its basis
-    and tridiagonal (min(max_dim, n) rows each, allocated up front), and
-    the largest tridiagonal block T drawn so far: O(mn + m^2) memory for a
-    space of dimension m, and no per-m tridiagonals or eigendecompositions.
-    Each smaller tridiagonal is a leading block of T, bit for bit the
-    matrix a fresh run builds, and is solved without the finiteness and
+    and tridiagonal (min(max_dim, n) rows each, allocated up front), the
+    largest tridiagonal block T drawn so far, and the factorised m x m
+    :class:`DenseModel` of each dimension m a solve has reached: O(mn +
+    m^3) memory for a space of dimension m.  Each smaller
+    tridiagonal is a leading block of T, bit for bit the matrix a fresh
+    run builds and never written again, so a kept sub-model stays valid
+    and a solve at another radius runs no ``eigh`` for a dimension already
+    solved.  The blocks are factorised without the finiteness and
     symmetry checks of ``DenseModel(g, H)``: ``_lanczos`` has checked each
     product.  There is no restart: at breakdown the space is invariant and
     the model stops growing.  Each ``beta_m`` the run yields is kept: with
@@ -509,6 +534,7 @@ class KrylovModel:
         self.dim = 0  # subspace dimension of the last solve
         self._T = self._V = np.empty((0, 0))
         self._betas = []  # beta_m of each dimension m drawn so far
+        self._subs = []  # the factorised m x m model of each dimension m solved so far
         if seed_direction is not None:
             seed_direction = _check_finite("seed_direction", seed_direction)
         v = None
@@ -558,9 +584,11 @@ class KrylovModel:
         m = 0
         while m < len(self._T) or self._grow():
             m += 1
-            g_sub = np.zeros(m)
-            g_sub[0] = self.gnorm
-            sub = DenseModel.__new__(DenseModel)._factorise(g_sub, self._T[:m, :m])
+            if m > len(self._subs):
+                g_sub = np.zeros(m)
+                g_sub[0] = self.gnorm
+                self._subs.append(DenseModel.__new__(DenseModel)._factorise(g_sub, self._T[:m, :m]))
+            sub = self._subs[m - 1]
             sol = sub.solve(delta)
             tol = _KRYLOV_GAIN_TOL * max(sol.model_decrease, 1e-300)
             shift = sol.multiplier + float(sub.lam[0])

@@ -1,6 +1,7 @@
 import dataclasses
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -171,6 +172,22 @@ def test_trs_check_small_batch_passes_and_is_deterministic(capsys):
     assert main(args) == 0
     assert capsys.readouterr().out == first
     assert "kkt violations             : 0" in first
+
+
+@pytest.mark.parametrize("radius", ["1e300", "1e160"])
+def test_trs_check_rejects_radii_whose_model_values_overflow(radius, monkeypatch, capsys):
+    # |g^T d| + |d^T H d| overflows on the ball of that radius, so the check
+    # stops before it draws an instance: no warning, one error line.
+    def never(*args, **kwargs):
+        raise AssertionError("an instance was solved")
+
+    monkeypatch.setattr("astr2.cli.solve_trs_exact", never)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["trs-check", "--count", "5", "--radii", f"1,{radius}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: radius") and captured.err.count("\n") == 1
 
 
 def test_fd_check_passes_on_catalog_problems(capsys):

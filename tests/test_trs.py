@@ -148,12 +148,13 @@ def test_root_at_the_bracket_end_is_taken_exactly(g, H, delta):
 ])
 def test_unresolved_root_at_the_bracket_end_does_not_stall(g, H, delta):
     # The root is the bracket end, but lambda + t cancels there, so phi misses
-    # the secular tolerance at it.  Newton steps from the left keep landing
-    # on that end; they must bisect towards it rather than re-evaluate it
-    # (which took 80 and 202 evaluations) and finish on the boundary.
+    # the secular tolerance at it.  A Newton step from the left that lands on
+    # that end puts the root there (phi is concave): the solve must take it
+    # rather than re-evaluate it (80 and 202 evaluations) or bisect towards
+    # it (42 and 23), and finish on the boundary.
     g, H = np.array(g), np.array(H)
     sol, evaluations = _solve_counting_evaluations(DenseModel(g, H), delta)
-    assert evaluations <= 45
+    assert evaluations <= 3
     assert sol.multiplier == abs(g[0]) / delta - H[0, 0]
     assert sol.on_boundary
     assert np.linalg.norm(sol.d) == pytest.approx(delta, rel=1e-14)
@@ -646,6 +647,67 @@ def test_dense_model_solves_every_radius_from_one_eigh(rng, monkeypatch):
             np.testing.assert_array_equal(a.d, b.d)
             assert (a.multiplier, a.model_decrease, a.on_boundary, a.hard_case) == (
                 b.multiplier, b.model_decrease, b.on_boundary, b.hard_case)
+
+
+def _bits(sol):
+    return (sol.d.tobytes(), sol.multiplier.hex(), sol.model_decrease.hex(),
+            sol.on_boundary, sol.hard_case)
+
+
+_FACTORISE_ONCE_CASES = {
+    "interior_psd": ([1.0, -2.0, 0.5], [[3.0, 1.0, 0.0], [1.0, 4.0, 0.5], [0.0, 0.5, 5.0]]),
+    "boundary": ([0.3, -1.2, 0.7], [[-1.0, 0.4, 0.2], [0.4, 0.5, -0.3], [0.2, -0.3, 2.0]]),
+    "hard": ([0.0, 1.0, -0.5], np.diag([-1.0, 2.0, 3.0])),
+    "hard_1d_zero_gradient": ([0.0], [[-0.7]]),
+    "near_hard": ([1e-7, 1.0, -0.5], np.diag([-1.0, 2.0, 3.0])),
+    "singular_compatible": ([1.0, 0.0], np.diag([1.0, 0.0])),
+}
+
+
+@pytest.mark.parametrize("radii", [(1e-3, 1.0, 1e3), (1e3, 1.0, 1e-3)], ids=["up", "down"])
+@pytest.mark.parametrize("case", sorted(_FACTORISE_ONCE_CASES))
+def test_dense_model_answers_each_radius_as_a_fresh_model(case, radii):
+    # The set-up shared by every radius is computed at factorisation, so a
+    # model solved at several radii, in either order, returns for each the
+    # bits of a model built for that one radius.
+    g, H = (np.array(a, dtype=float) for a in _FACTORISE_ONCE_CASES[case])
+    model = DenseModel(g, H)
+    for delta in radii:
+        assert _bits(model.solve(delta)) == _bits(DenseModel(g, H).solve(delta))
+
+
+@pytest.mark.parametrize("case", ["singular_compatible", "hard_1d_zero_gradient"])
+def test_each_dense_solution_owns_its_step(case):
+    # The interior step is cached at factorisation; no two solves share it.
+    g, H = (np.array(a, dtype=float) for a in _FACTORISE_ONCE_CASES[case])
+    model = DenseModel(g, H)
+    first = model.solve(10.0)
+    first.d[:] = 99.0
+    assert _bits(model.solve(10.0)) == _bits(DenseModel(g, H).solve(10.0))
+
+
+@pytest.mark.parametrize("radii", [(1.0, 1e-3), (1e-3, 1.0), (1.0, 10.0)])
+def test_krylov_model_factorises_each_dimension_once(radii, monkeypatch):
+    # Each m x m sub-model is kept, so the solves of one model run one eigh
+    # per dimension the larger of them reaches, and the second solve returns
+    # the bits of a fresh model.
+    H = random_symmetric(np.random.default_rng(5), 8)
+    g = np.random.default_rng(6).uniform(-2, 2, 8)
+    fresh = [KrylovModel(g, lambda v: H @ v, 8).solve(delta) for delta in radii]
+    calls = {"n": 0}
+    real_eigh = np.linalg.eigh
+
+    def eigh(a):
+        calls["n"] += 1
+        return real_eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    model = KrylovModel(g, lambda v: H @ v, 8)
+    dims = []
+    for delta, want in zip(radii, fresh):
+        assert _bits(model.solve(delta)) == _bits(want)
+        dims.append(model.dim)
+    assert calls["n"] == max(dims)
 
 
 def test_symmetrization_does_not_overflow_near_the_largest_double():
