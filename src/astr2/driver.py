@@ -155,7 +155,7 @@ def astr2_step(
             # The Krylov space of g = 0 is {0}; grow it from the eigenvector.
             seed = min_eigpair(lambda v: oracle.hvp(x, v), oracle.n).vector
         model = KrylovModel(g, lambda v: oracle.hvp(x, v), config.subspace_max_dim, seed)
-    phi = model.solve(_MEASURE_RADIUS).model_decrease
+    phi = model.decrease(_MEASURE_RADIUS)
 
     hatphi = min(phi, config.xi)
     try:

@@ -282,8 +282,13 @@ def _replay_oracle(seq: SharpnessSequence) -> ProblemOracle:
     """1-D oracle serving the stored (g, H) at the nearest breakpoint."""
     xs = seq.x[: seq.K + 1]
     hess = seq.hess
+    last = (math.nan, -1)  # the last iterate looked up and its breakpoint
 
     def _index(xq: float) -> int:
+        # gradient and hessian ask at the same iterate: look it up once.
+        nonlocal last
+        if xq == last[0]:
+            return last[1]
         i = int(np.searchsorted(xs, xq))
         best, best_d = -1, np.inf
         for j in (i - 1, i):
@@ -295,6 +300,7 @@ def _replay_oracle(seq: SharpnessSequence) -> ProblemOracle:
             raise _ReplayDrift(
                 f"iterate {xq!r} is {best_d:.3e} from the nearest breakpoint"
             )
+        last = (xq, best)
         return best
 
     def gradient(x: Array) -> Array:

@@ -27,7 +27,7 @@ References
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -186,6 +186,11 @@ class DenseModel:
             u = _flip_sign(Q[:, 0], g) if t_lo != 0.0 else None
             self._pinv = (Q @ dp, math.sqrt(np.dot(dp, dp)), u)
         return self
+
+    def decrease(self, delta: float) -> float:
+        """The model decrease of the subproblem of radius ``delta``:
+        ``solve(delta).model_decrease``."""
+        return self.solve(delta).model_decrease
 
     def gradient_step(self, w_l: float) -> tuple[Array, float]:
         """The scaled gradient step s = -g/w_l and its model decrease."""
@@ -408,7 +413,9 @@ def _lanczos(hvp: HvpHandle, v: Array, steps: int) -> Iterator[tuple[Array, Arra
             a = float(np.dot(V[m - 1], w))
             if not math.isfinite(a):
                 raise ValueError("non-finite Hessian-vector product")
-            w = w - a * V[m - 1] - (T[m - 1, m - 2] * V[m - 2] if m > 1 else 0.0)
+            w = w - a * V[m - 1]  # a new array: the product is never written into
+            if m > 1:
+                w -= T[m - 1, m - 2] * V[m - 2]
             for u in V[:m]:
                 w -= np.dot(w, u) * u
             b = math.sqrt(np.dot(w, w))
@@ -421,7 +428,7 @@ def _lanczos(hvp: HvpHandle, v: Array, steps: int) -> Iterator[tuple[Array, Arra
         yield T[:m, :m], V[:m], b
         if m < len(V):
             T[m, m - 1] = T[m - 1, m] = b
-            V[m] = w / b
+            np.divide(w, b, out=V[m])
 
 
 def _combine(y: Array, V: Array) -> Array:
@@ -490,7 +497,9 @@ class KrylovModel:
     subproblem at any radius on the leading tridiagonal blocks and draws
     more Hessian-vector products only when that radius needs a larger
     space, so the measure at radius 1 and the step at another radius share
-    one Lanczos run; :meth:`gradient_step` reads its curvature off that run.
+    one Lanczos run; :meth:`decrease` runs the same solve without forming
+    the n-vector step, and :meth:`gradient_step` reads its curvature off
+    that run.
 
     The model keeps the suspended ``_lanczos`` generator, with its basis
     and tridiagonal (min(max_dim, n) rows each, allocated up front), the
@@ -530,9 +539,9 @@ class KrylovModel:
     ):
         _check_count("max_dim", max_dim)
         self.g = _check_finite("g", g)
-        self.gnorm = float(np.linalg.norm(self.g))
+        self.gnorm = math.sqrt(np.dot(self.g, self.g))
         self.dim = 0  # subspace dimension of the last solve
-        self._T = self._V = np.empty((0, 0))
+        self._T, self._V = np.empty((0, 0)), np.empty((0, self.g.shape[0]))
         self._betas = []  # beta_m of each dimension m drawn so far
         self._subs = []  # the factorised m x m model of each dimension m solved so far
         if seed_direction is not None:
@@ -575,11 +584,31 @@ class KrylovModel:
         subspace eigen-point; it does not dominate an eigen-point outside
         the subspace.
         """
+        sol = self._solve_tridiagonal(delta)
+        return TrsSolution(
+            d=_combine(sol.d, self._V[: self.dim]),
+            multiplier=sol.multiplier,
+            model_decrease=sol.model_decrease,
+            on_boundary=sol.on_boundary,
+            hard_case=sol.hard_case,
+        )
+
+    def decrease(self, delta: float) -> float:
+        """``solve(delta).model_decrease``, without combining the step.
+
+        Runs the same loop as :meth:`solve`: it draws the same products and
+        sets the same :attr:`dim`, but never forms the n-vector step.
+        """
+        return self._solve_tridiagonal(delta).model_decrease
+
+    def _solve_tridiagonal(self, delta: float) -> TrsSolution:
+        # The loop of solve; the answer's step holds the coordinates y in the
+        # Lanczos basis.
         _check_radius(delta)
         if self._steps is None:
             # Krylov space of g = 0 with no seed is {0}: the zero step is optimal there.
             self.dim = 0
-            return TrsSolution(np.zeros(self.g.shape[0]), 0.0, 0.0, False, False)
+            return TrsSolution(np.zeros(0), 0.0, 0.0, False, False)
         prev_dq = 0.0
         m = 0
         while m < len(self._T) or self._grow():
@@ -602,7 +631,7 @@ class KrylovModel:
                 break
             prev_dq = sol.model_decrease
         self.dim = m
-        return replace(sol, d=_combine(sol.d, self._V[:m]))
+        return sol
 
     def gradient_step(self, w_l: float) -> tuple[Array, float]:
         """The scaled gradient step s = -g/w_l and its model decrease.
@@ -743,7 +772,9 @@ def brute_force_decrease(
         U /= np.linalg.norm(U, axis=0)
         a = delta * g
         B = (delta * delta) * H
-        lip = float(np.linalg.norm(B)) + float(np.linalg.norm(a)) + 1.0
+        # ||B|| + ||a|| + 1, from the norms of H and g: the squared entries of
+        # B overflow for radii far below those whose model values do.
+        lip = delta * delta * float(np.linalg.norm(H)) + delta * float(np.linalg.norm(g)) + 1.0
         step = 1.0 / lip
         for _ in range(_BRUTE_ITERS):
             grad = a[:, None] + B @ U

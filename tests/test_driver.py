@@ -315,16 +315,17 @@ def test_bad_hessian_vector_product_aborts_with_the_trace(bad_product, reason):
 def test_subspace_linear_iterations_draw_only_their_lanczos_products(monkeypatch):
     # Frozen subspace_l run of test_golden.py: 20 L iterations.  Each draws
     # one product per dimension of its measure's Krylov space and none for
-    # the step, whose curvature along g is the tridiagonal's T[0, 0].
+    # the step, whose curvature along g is the tridiagonal's T[0, 0].  The
+    # measure is the model's decrease at radius 1.
     import astr2.driver
 
     dims = []
 
     class RecordingModel(KrylovModel):
-        def solve(self, delta):
-            sol = super().solve(delta)
+        def decrease(self, delta):
+            value = super().decrease(delta)
             dims.append(self.dim)
-            return sol
+            return value
 
     monkeypatch.setattr(astr2.driver, "KrylovModel", RecordingModel)
     oracle, log = with_counting(make_problem("cosine_sum", 100))

@@ -128,3 +128,67 @@ def test_finite_diff_check_validates_inputs():
     stripped = dataclasses.replace(oracle, f_diagnostic=None)
     with pytest.raises(ValueError):
         finite_diff_check(stripped, np.zeros(3), 1e-5)
+
+
+def _hvp_bits(oracle, x, v):
+    # The product's shape, dtype and bits, or the error it raised (a point
+    # of another shape does not broadcast in every oracle).
+    try:
+        out = oracle.hvp(x, v)
+    except ValueError as exc:
+        return str(exc)
+    return out.shape, out.dtype, out.tobytes()
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_hvp_matches_a_fresh_oracle_bit_for_bit(name):
+    # A catalogue hvp may keep the factor of its last point; it must never
+    # serve it at another point: interleaved points, an x changed in place
+    # between calls, +-0.0 entries and the same bits in another shape.
+    n = 2 if name == "saddle_cubic" else 6
+    rng = np.random.default_rng(11)
+    a, b = rng.standard_normal(n), rng.standard_normal(n)
+    v = rng.standard_normal(n)
+    v[0] = -0.0
+    oracle = make_problem(name, n)
+
+    def check(x):
+        assert _hvp_bits(oracle, x, v) == _hvp_bits(make_problem(name, n), x.copy(), v)
+
+    x = a.copy()
+    for point in (a, b, a, x, b, x):
+        check(point)
+    x[1] += 1.0  # changed in place since the last product at x
+    check(x)
+    x[:] = b
+    check(x)
+    for point in (np.zeros(n), np.full(n, -0.0), np.zeros(n)):
+        check(point)
+    zero_mix = a.copy()
+    zero_mix[0] = 0.0
+    check(zero_mix)
+    zero_mix[0] = -0.0
+    check(zero_mix)
+    for point in (a, a.reshape(1, n), a, a.reshape(n, 1), a):
+        check(point)
+
+
+def test_cosine_sum_hvp_computes_its_curvature_once_per_point(monkeypatch):
+    # Every product of one iterate is taken at the same x: after the first,
+    # each is one multiply.
+    calls = {"n": 0}
+    real_cos = np.cos
+
+    def cos(x):
+        calls["n"] += 1
+        return real_cos(x)
+
+    oracle = make_problem("cosine_sum", 5)
+    monkeypatch.setattr(np, "cos", cos)
+    x = np.linspace(-1.0, 1.0, 5)
+    for v in np.eye(5):
+        oracle.hvp(x, v)
+    assert calls["n"] == 1
+    oracle.hvp(x + 1.0, np.ones(5))
+    oracle.hvp(x, np.ones(5))
+    assert calls["n"] == 3

@@ -383,3 +383,23 @@ def test_replay_structural_mismatches_return_false():
         assert replay_check(dataclasses.replace(seq, scaling=scaling)) is False
     # the unperturbed sequences replay
     assert replay_check(adagrad) and replay_check(divergent)
+
+
+@pytest.mark.parametrize("family", ["adagrad", "divergent"])
+def test_replay_looks_each_iterate_up_once(family, monkeypatch):
+    # The driver asks for the gradient and the Hessian at each of the K + 1
+    # iterates; both are served by one breakpoint lookup.
+    if family == "adagrad":
+        seq = gen_adagrad_example(1.0 / 3.0, 0.01, 0.01, 50)
+    else:
+        seq = gen_divergent_example(1.0 / 3.0, 0.01, 1.0, 50)
+    calls = {"n": 0}
+    real_searchsorted = np.searchsorted
+
+    def searchsorted(*args, **kwargs):
+        calls["n"] += 1
+        return real_searchsorted(*args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", searchsorted)
+    assert replay_check(seq) is True
+    assert calls["n"] == seq.K + 1

@@ -1,4 +1,5 @@
 import copy
+import math
 import sys
 import warnings
 
@@ -708,6 +709,70 @@ def test_krylov_model_factorises_each_dimension_once(radii, monkeypatch):
         assert _bits(model.solve(delta)) == _bits(want)
         dims.append(model.dim)
     assert calls["n"] == max(dims)
+
+
+def _decrease_instances():
+    # (g, hvp, max_dim, seed_direction): the resumed instances, g = 0 grown
+    # from a seed, and g = 0 with none (the space {0}).
+    diag = np.repeat([-2.0, 3.0], 5)
+    return [*((g, hvp, m, None) for g, hvp, m in _krylov_instances()),
+            (np.zeros(10), lambda v: diag * v, 10, np.linspace(1.0, 2.0, 10)),
+            (np.zeros(4), lambda v: 2.0 * v, 4, None)]
+
+
+@pytest.mark.parametrize("radii", [(1.0, 1e-3), (1e-3, 1.0), (1.0, 10.0, 0.1)])
+@pytest.mark.parametrize("case", range(4))
+def test_krylov_decrease_is_the_solve_decrease_without_the_step(case, radii, monkeypatch):
+    # decrease(delta) runs the loop of solve(delta): the same bits, the same
+    # dimension and the same products, but it never combines the step.
+    g, hvp, max_dim, seed = _decrease_instances()[case]
+    counts = {"solve": 0, "decrease": 0}
+
+    def counted(key):
+        def product(v):
+            counts[key] += 1
+            return hvp(v)
+        return product
+
+    solved = KrylovModel(g, counted("solve"), max_dim, seed)
+    want = []
+    for delta in radii:
+        want.append((solved.solve(delta).model_decrease.hex(), solved.dim, counts["solve"]))
+
+    def no_combine(*args):
+        raise AssertionError("decrease combined a step")
+
+    monkeypatch.setattr("astr2.trs._combine", no_combine)
+    measured = KrylovModel(g, counted("decrease"), max_dim, seed)
+    for delta, expected in zip(radii, want):
+        value = measured.decrease(delta)
+        assert (value.hex(), measured.dim, counts["decrease"]) == expected
+
+
+@pytest.mark.parametrize("case", sorted(_FACTORISE_ONCE_CASES))
+def test_dense_decrease_is_the_solve_decrease(case):
+    g, H = (np.array(a, dtype=float) for a in _FACTORISE_ONCE_CASES[case])
+    model = DenseModel(g, H)
+    for delta in (1e-3, 1.0, 1e3):
+        assert model.decrease(delta).hex() == DenseModel(g, H).solve(delta).model_decrease.hex()
+
+
+def test_lanczos_never_writes_into_a_product():
+    # An oracle may hand back one read-only array for every product; the run
+    # builds the same tridiagonal and basis as from fresh arrays.
+    H = random_symmetric(np.random.default_rng(9), 6)
+    out = np.empty(6)
+    out.setflags(write=False)
+
+    def shared(v):
+        out.setflags(write=True)
+        np.matmul(H, v, out=out)
+        out.setflags(write=False)
+        return out
+
+    v = np.ones(6) / math.sqrt(6.0)
+    for (T, V, b), (T2, V2, b2) in zip(_lanczos(shared, v, 6), _lanczos(lambda u: H @ u, v, 6)):
+        assert (T.tobytes(), V.tobytes(), b) == (T2.tobytes(), V2.tobytes(), b2)
 
 
 def test_symmetrization_does_not_overflow_near_the_largest_double():
