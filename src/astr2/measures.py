@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .trs import DenseModel, KrylovModel, _check_radius, solve_trs_exact
+from .trs import DenseModel, _check_radius, solve_trs_exact, solve_trs_krylov
 
 Array = np.ndarray
 
@@ -55,15 +55,14 @@ def phi2_subspace(
     max_dim: int,
 ) -> tuple[float, int]:
     """Second-order measure restricted to a grown Krylov subspace:
-    :meth:`~astr2.trs.KrylovModel.decrease` of a model with ``max_dim`` >= 1,
-    and the subspace dimension it reached.
+    :func:`~astr2.trs.solve_trs_krylov` with ``max_dim`` >= 1.
 
     Monotonically nondecreasing in ``max_dim`` and equal to :func:`phi2`
     once the subspace spans the reachable space (max_dim >= n on generic
     instances).
     """
-    model = KrylovModel(g, hvp, max_dim)
-    return model.decrease(delta), model.dim
+    sol, dim = solve_trs_krylov(g, hvp, delta, max_dim)
+    return sol.model_decrease, dim
 
 
 def combined_measures(g: Array, H: Array, xi: float, delta: float) -> OptimalityReport:

@@ -14,7 +14,7 @@ Hessian Lipschitz constants are known exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -32,8 +32,7 @@ class ProblemOracle:
     Evaluation maps are pure: equal inputs give bitwise-equal outputs.
     Every Hessian-vector product of one iterate is taken at the same x, so
     ``hvp`` may keep the part of the product that depends on x alone for
-    the last x it saw (the catalogue's ``cosine_sum`` and ``rosenbrock``
-    do).
+    the last x it saw (the catalogue's ``cosine_sum`` does).
     ``hessian`` is None when the problem is built in hvp-only mode.
     ``lipschitz_g``/``lipschitz_h`` are the gradient/Hessian Lipschitz
     constants where known, ``f_low`` a known lower bound on f (None when the
@@ -50,29 +49,6 @@ class ProblemOracle:
     lipschitz_h: Optional[float] = None
     f_low: Optional[float] = None
     x0: Optional[Array] = None
-
-
-def _last_point(factor: Callable[[Array], Any]) -> Callable[[Array], Any]:
-    """``factor(x)``, kept for the last x it was computed at.
-
-    x is compared with that point bit for bit, shape included, through a
-    uint64 view.  The point is copied and replaced together with its factor,
-    as one tuple read once per call, so an x changed in place since the last
-    call gets a fresh factor, and callers sharing the oracle never pair one
-    point with another's factor.
-    """
-    last = None  # (bits of the point, factor there)
-
-    def at(x: Array) -> Any:
-        nonlocal last
-        x = np.asarray(x, dtype=float)
-        bits = x.view(np.uint64)
-        kept = last
-        if kept is None or kept[0].shape != bits.shape or not (kept[0] == bits).all():
-            kept = last = (bits.copy(), factor(x))
-        return kept[1]
-
-    return at
 
 
 @dataclass(frozen=True)
@@ -133,14 +109,10 @@ def _rosenbrock(n: int) -> ProblemOracle:
         H[i + 1, i] += -400.0 * x[:-1]
         return H
 
-    @_last_point
-    def bands(x: Array) -> tuple[Array, Array]:
-        # The Hessian's x-dependent diagonal terms (rows 0..n-2) and its off-diagonal.
-        return -400.0 * (x[1:] - 3.0 * x[:-1] ** 2) + 2.0, -400.0 * x[:-1]
-
     def hvp(x: Array, v: Array) -> Array:
         out = np.zeros(n)
-        d, off = bands(x)
+        d = -400.0 * (x[1:] - 3.0 * x[:-1] ** 2) + 2.0
+        off = -400.0 * x[:-1]
         out[:-1] += d * v[:-1] + off * v[1:]
         out[1:] += off * v[:-1] + 200.0 * v[1:]
         return out
@@ -203,10 +175,20 @@ def _cosine_sum(n: int) -> ProblemOracle:
     def hessian(x: Array) -> Array:
         return np.diag(-np.cos(x))
 
-    curvature = _last_point(lambda x: -np.cos(x))
+    # -cos(x) at the last point, kept with a copy of that point's bits (shape
+    # included) as one tuple, read once per call: an x changed in place since
+    # gets a fresh factor, and callers sharing the oracle never pair one point
+    # with another's factor.
+    last = None
 
     def hvp(x: Array, v: Array) -> Array:
-        return curvature(x) * v
+        nonlocal last
+        x = np.asarray(x, dtype=float)
+        bits = x.view(np.uint64)
+        kept = last
+        if kept is None or kept[0].shape != bits.shape or not (kept[0] == bits).all():
+            kept = last = (bits.copy(), -np.cos(x))
+        return kept[1] * v
 
     return ProblemOracle(
         name="cosine_sum",

@@ -190,13 +190,15 @@ def test_trs_check_rejects_radii_whose_model_values_overflow(radius, monkeypatch
     assert captured.err.startswith("error: radius") and captured.err.count("\n") == 1
 
 
-def test_trs_check_at_a_huge_radius_warns_of_no_overflow(capsys):
+@pytest.mark.parametrize("radius, count", [("1e100", "5"), ("4e153", "20")])
+def test_trs_check_at_a_huge_radius_warns_of_no_overflow(radius, count, capsys):
     # The brute-force reference takes its step from ||H|| and ||g||, not
-    # from the norm of delta^2 H, whose squared entries overflow at 1e100.
-    # The absolute tolerances still fail at that radius (exit 3).
+    # from the norm of delta^2 H, whose squared entries overflow at 1e100;
+    # 4e153 is just below the limit at the default --max-n 5.  The absolute
+    # tolerances still fail at these radii (exit 3).
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["trs-check", "--radii", "1e100", "--count", "5"]) == 3
+        assert main(["trs-check", "--radii", radius, "--count", count]) == 3
     assert "error: deviation beyond tolerance" in capsys.readouterr().err
 
 
