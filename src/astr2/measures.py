@@ -70,7 +70,7 @@ def combined_measures(g: Array, H: Array, xi: float, delta: float) -> Optimality
 
     ``xi >= 1`` is the clipping level of hatphi; ``delta > 0`` the ball
     radius (the optimizer always uses delta = 1).  phi2 and eta are read
-    from one :class:`~astr2.trs.DenseModel`, so they share one ``eigh``.
+    from one :class:`~astr2.trs.DenseModel`, so they share one factorisation.
     """
     if not xi >= 1.0:
         raise ValueError(f"xi must be >= 1, got {xi!r}")

@@ -11,7 +11,8 @@ matrix-free Lanczos minimum-eigenpair routine, a GLTR-style Krylov model
 for subspace-restricted solves, and a brute-force reference used to
 cross-check the exact solver.  Every dense spectral quantity (the
 subproblem's solution, lambda_min and its eigenvector) is read from one
-:class:`DenseModel`.
+:class:`DenseModel`, whose eigendecomposition is LAPACK's ``eigh``, or, for
+a diagonal Hessian, a sort of its diagonal giving the same bits.
 
 References
 ----------
@@ -124,6 +125,43 @@ def _check_model(g: Array, H: Array) -> tuple[Array, Array]:
     return g, H
 
 
+def _eigh(H: Array) -> tuple[Array, Array]:
+    """``np.linalg.eigh(H)``, by a sort when H is diagonal.
+
+    A diagonal H (no nonzero entry off the diagonal) has its diagonal for
+    eigenvalues and a permutation matrix for eigenvectors, the bits that
+    ``eigh`` returns when they come in its order.  LAPACK orders the pairs
+    by selection sort: position i takes the first entry at or after i that
+    holds the minimum of the rest.  A stable sort gives that order when the
+    values are distinct; a repeated value replays the selection sort.  Two
+    cases still go through ``eigh``: a matrix with a nonzero off-diagonal
+    entry, and a diagonal holding -0.0, which the blocked tridiagonal
+    reduction can turn into +0.0 (from index 32 on, with OpenBLAS).  The
+    sort returns the diagonal exactly, also above about 1e146 and below
+    about 1e-146 in magnitude, where ``eigh`` scales the matrix and rounds
+    the eigenvalues.
+    """
+    d = H.diagonal()
+    n = d.shape[0]
+    nonzero = np.count_nonzero(d)
+    if np.count_nonzero(H) != nonzero or (nonzero < n and np.signbit(d[d == 0.0]).any()):
+        return np.linalg.eigh(H)
+    order = d.argsort(kind="stable")
+    lam = d[order]
+    if np.count_nonzero(lam[1:] == lam[:-1]):
+        # The selection sort: where position i does not hold its sorted
+        # value, that value moves in from the first place after i holding it.
+        vals, order, want = d.tolist(), list(range(n)), lam.tolist()
+        for i in range(n - 1):
+            if vals[i] != want[i]:
+                k = vals.index(want[i], i + 1)
+                vals[i], vals[k] = vals[k], vals[i]
+                order[i], order[k] = order[k], order[i]
+    Q = np.zeros((n, n))
+    Q[order, np.arange(n)] = 1.0
+    return lam, Q
+
+
 def _flip_sign(u: Array, g: Array) -> Array:
     # Orient u so u^T g <= 0; on ties make the largest-magnitude entry positive.
     s = float(np.dot(u, g))
@@ -139,7 +177,8 @@ class DenseModel:
 
     Everything in the subproblem that does not depend on the radius is
     computed here, once (the split of More-Sorensen [2] and [1, ch. 7]): H
-    is symmetry-checked and eigendecomposed, giving ``lam``, ``Q``,
+    is symmetry-checked and eigendecomposed (by ``eigh``, or by sorting the
+    diagonal of a diagonal H, with the same bits), giving ``lam``, ``Q``,
     ``gt = Q^T g`` and ``gnorm = ||g||``; then t_lo = max(0, -lambda_min),
     the critical set (the leading ``lam`` within a relative gap of -t_lo, a
     prefix since ``lam`` ascends), the gradient's norm on it and the
@@ -147,7 +186,7 @@ class DenseModel:
     ``Q dp`` at t_lo, its norm and the downhill critical eigenvector are
     kept as well.  :meth:`solve` then does only the work of one radius, so
     the measure at radius 1 and the step at another radius share one
-    ``eigh`` and one set-up; :meth:`gradient_step` gives the linear step
+    factorisation; :meth:`gradient_step` gives the linear step
     and its decrease.
 
     Parameters
@@ -165,7 +204,7 @@ class DenseModel:
         # g and H as given: finite, H exactly symmetric (checked by the caller).
         self.g, self.H = g, H
         self.gnorm = math.sqrt(np.dot(g, g))
-        lam, Q = np.linalg.eigh(H)
+        lam, Q = _eigh(H)
         gt = Q.T @ g
         self.lam, self.Q, self.gt = lam, Q, gt
         lam_min, lam_max = float(lam[0]), float(lam[-1])
@@ -508,7 +547,7 @@ class KrylovModel:
     m^3) memory for a space of dimension m.  Each smaller
     tridiagonal is a leading block of T, bit for bit the matrix a fresh
     run builds and never written again, so a kept sub-model stays valid
-    and a solve at another radius runs no ``eigh`` for a dimension already
+    and a solve at another radius factorises no dimension already
     solved.  The blocks are factorised without the finiteness and
     symmetry checks of ``DenseModel(g, H)``: ``_lanczos`` has checked each
     product.  There is no restart: at breakdown the space is invariant and
@@ -785,8 +824,13 @@ def brute_force_decrease(
         order = np.argsort(vals)
         candidates = [U[:, i] for i in order[:5]]
 
+    # The polish's minimiser does not depend on the scale of (a, B).  One
+    # power of two brings their largest entry to [0.5, 1) exactly, so the
+    # polish's B - theta I stays finite up to the largest radii.
     a = delta * g
     B = (delta * delta) * H
+    e = np.frexp(max(np.max(np.abs(a)), np.max(np.abs(B))))[1]
+    a, B = np.ldexp(a, -e), np.ldexp(B, -e)
     for u in candidates:
         u = _sphere_polish(a, B, np.array(u, dtype=float))
         values.append(model(delta * u))

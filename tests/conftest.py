@@ -51,6 +51,20 @@ def with_counting(oracle: ProblemOracle):
     return dataclasses.replace(oracle, **kwargs), log
 
 
+def count_calls(monkeypatch, owner, name):
+    """Count the calls of ``owner.name`` (a function, or a method of a class)
+    for the rest of the test; returns the dict whose ``"n"`` is the count."""
+    calls = {"n": 0}
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls["n"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def random_symmetric(rng, n, scale=2.0):
     A = rng.uniform(-scale, scale, (n, n))
     return 0.5 * (A + A.T)

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from astr2 import (
     AdagradScaling,
     Astr2Config,
+    DenseModel,
     DivergentScaling,
     KrylovModel,
     SolverAbort,
@@ -23,7 +24,7 @@ from astr2 import (
 from astr2.driver import IterateRecord
 from astr2.oracle import ProblemOracle
 
-from conftest import with_counting
+from conftest import count_calls, with_counting
 
 
 def adagrad_config(**kw):
@@ -469,20 +470,17 @@ def test_subspace_mode_required_when_no_dense_hessian():
 
 def test_dense_iteration_factorises_its_hessian_once(monkeypatch):
     # Frozen dense_q run of test_golden.py: 30 Q iterations, each needing the
-    # measure at radius 1 and the step at delta_q from a single eigh.
-    calls = {"n": 0}
-    real_eigh = np.linalg.eigh
-
-    def eigh(a):
-        calls["n"] += 1
-        return real_eigh(a)
-
-    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    # measure at radius 1 and the step at delta_q from a single
+    # factorisation.  cosine_sum's Hessian is diagonal, so it is factorised
+    # by sorting its diagonal, and no iteration runs eigh.
+    factorisations = count_calls(monkeypatch, DenseModel, "_factorise")
+    eighs = count_calls(monkeypatch, np.linalg, "eigh")
     x0 = 1e-6 * np.random.default_rng(1).standard_normal(20)
     cfg = Astr2Config(scaling=AdagradScaling(varsigma=1e6), max_iter=30)
     trace = run(make_problem("cosine_sum", 20), x0, cfg)
     assert "".join(r.branch for r in trace) == "Q" * 30
-    assert calls["n"] == 30
+    assert factorisations["n"] == 30
+    assert eighs["n"] == 0
 
 
 def test_x0_validation():

@@ -91,3 +91,11 @@ def test_benchmark_hooks_find_their_targets(monkeypatch):
     with patched(rec, hooks) as missing:
         pass
     assert not {f"{module}.{attr}" for module, attr, _ in hooks} & set(missing)
+
+
+def test_trace_digest_matches_a_program_against_itself():
+    argv = [sys.executable, str(_TOOLS / "trace_digest.py"), "--workload", "golden",
+            "--against", str(_TOOLS.parent / "src")]
+    done = subprocess.run(argv, capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert re.fullmatch(r"(golden \w+: match [0-9a-f]{64}\n)+", done.stdout)

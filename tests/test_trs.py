@@ -23,9 +23,16 @@ from astr2 import (
     solve_trs_exact,
     solve_trs_krylov,
 )
-from astr2.trs import LanczosNoConvergence, TrsSolution, _lanczos, _symmetrize, kkt_residuals
+from astr2.trs import (
+    LanczosNoConvergence,
+    TrsSolution,
+    _eigh,
+    _lanczos,
+    _symmetrize,
+    kkt_residuals,
+)
 
-from conftest import random_symmetric, with_counting
+from conftest import count_calls, random_symmetric, with_counting
 
 
 def assert_kkt(g, H, delta, sol):
@@ -625,24 +632,16 @@ def test_krylov_breakdown_stops_without_an_extra_product():
     assert (model.dim, calls["n"], sol.model_decrease, sol.hard_case) == (1, 1, 1.0, True)
 
 
-def test_dense_model_solves_every_radius_from_one_eigh(rng, monkeypatch):
-    calls = {"n": 0}
-    real_eigh = np.linalg.eigh
-
-    def eigh(a):
-        calls["n"] += 1
-        return real_eigh(a)
-
+def test_dense_model_solves_every_radius_from_one_factorisation(rng, monkeypatch):
+    calls = count_calls(monkeypatch, DenseModel, "_factorise")
     for _ in range(20):
         n = int(rng.integers(1, 7))
         H = random_symmetric(rng, n)
         g = rng.uniform(-2, 2, n)
         fresh = [solve_trs_exact(g, H, delta) for delta in (1.0, 0.3, 7.0)]
-        monkeypatch.setattr(np.linalg, "eigh", eigh)
         calls["n"] = 0
         model = DenseModel(g, H)
         solved = [model.solve(delta) for delta in (1.0, 0.3, 7.0)]
-        monkeypatch.setattr(np.linalg, "eigh", real_eigh)
         assert calls["n"] == 1
         for a, b in zip(solved, fresh):
             np.testing.assert_array_equal(a.d, b.d)
@@ -690,22 +689,78 @@ def test_each_dense_solution_owns_its_step(case):
     assert _bits(model.solve(10.0)) == _bits(DenseModel(g, H).solve(10.0))
 
 
+def _diagonals(rng, n):
+    # Diagonals whose order the sort must take from LAPACK: distinct values,
+    # cosine_sum's near its maximum (-cos of tiny x, often a tie at -1), many
+    # ties, one value repeated, negative zeros, and magnitudes from 1e-100
+    # to 1e100.
+    zeros = rng.integers(-2, 3, n).astype(float)
+    zeros[rng.random(n) < 0.3] = -0.0
+    return {
+        "distinct": rng.standard_normal(n),
+        "near_max": -np.cos(1e-6 * rng.standard_normal(n)),
+        "ties": rng.integers(-3, 4, n).astype(float),
+        "constant": np.full(n, -0.5),
+        "negative_zeros": zeros,
+        "wide": rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-100, 100, n),
+    }
+
+
+def test_a_diagonal_hessian_is_factorised_as_eigh_factorises_it(monkeypatch):
+    # The same eigenvalues and the same permutation matrix as LAPACK, bit for
+    # bit, on both sides of its divide-and-conquer size (25) and of the
+    # blocked reduction (32), with and without a -0.0 off the diagonal.  Only
+    # a diagonal holding -0.0 runs eigh.
+    real_eigh = np.linalg.eigh
+    calls = count_calls(monkeypatch, np.linalg, "eigh")
+    rng = np.random.default_rng(7)
+    expected_calls = 0
+    for n in [*range(1, 41), 63, 64, 65, 100, 150, 199, 200]:
+        for kind, d in _diagonals(rng, n).items():
+            H = np.diag(d)
+            H_zero = H.copy()
+            if n > 1:
+                i, j = rng.choice(n, 2, replace=False)
+                H_zero[i, j] = H_zero[j, i] = -0.0
+            for A in (H, H_zero):
+                lam, Q = _eigh(A)
+                want_lam, want_Q = real_eigh(A)
+                assert lam.tobytes() == want_lam.tobytes(), (n, kind)
+                assert Q.tobytes() == want_Q.tobytes(), (n, kind)
+                expected_calls += bool(np.signbit(d[d == 0.0]).any())
+    assert calls["n"] == expected_calls
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e150, 1e300])
+def test_a_diagonal_beyond_eighs_scaling_range_is_factorised_exactly(scale):
+    # eigh scales such a matrix and rounds its eigenvalues; the sort keeps
+    # the diagonal as it is.
+    d = scale * np.array([3.0, -1.7, 0.3, -1.7, 2.9])
+    lam, Q = _eigh(np.diag(d))
+    order = [1, 3, 2, 4, 0]
+    assert lam.tobytes() == d[order].tobytes()
+    np.testing.assert_array_equal(Q, np.eye(5)[:, order])
+
+
+def test_one_off_diagonal_pair_sends_the_hessian_to_eigh(monkeypatch):
+    H = np.diag([2.0, -1.0, 0.5, 3.0])
+    H[0, 3] = H[3, 0] = 1e-300
+    want_lam, want_Q = np.linalg.eigh(H)
+    calls = count_calls(monkeypatch, np.linalg, "eigh")
+    lam, Q = _eigh(H)
+    assert calls["n"] == 1
+    assert lam.tobytes() == want_lam.tobytes() and Q.tobytes() == want_Q.tobytes()
+
+
 @pytest.mark.parametrize("radii", [(1.0, 1e-3), (1e-3, 1.0), (1.0, 10.0)])
 def test_krylov_model_factorises_each_dimension_once(radii, monkeypatch):
-    # Each m x m sub-model is kept, so the solves of one model run one eigh
-    # per dimension the larger of them reaches, and the second solve returns
-    # the bits of a fresh model.
+    # Each m x m sub-model is kept, so the solves of one model factorise
+    # once per dimension the larger of them reaches, and the second solve
+    # returns the bits of a fresh model.
     H = random_symmetric(np.random.default_rng(5), 8)
     g = np.random.default_rng(6).uniform(-2, 2, 8)
     fresh = [KrylovModel(g, lambda v: H @ v, 8).solve(delta) for delta in radii]
-    calls = {"n": 0}
-    real_eigh = np.linalg.eigh
-
-    def eigh(a):
-        calls["n"] += 1
-        return real_eigh(a)
-
-    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    calls = count_calls(monkeypatch, DenseModel, "_factorise")
     model = KrylovModel(g, lambda v: H @ v, 8)
     dims = []
     for delta, want in zip(radii, fresh):
@@ -816,3 +871,16 @@ def test_brute_force_never_beats_the_exact_solver_by_much(rng):
         sol = solve_trs_exact(g, H, delta)
         bf = brute_force_decrease(g, H, delta, rng=np.random.default_rng(7))
         assert abs(sol.model_decrease - bf) <= 1e-8
+
+
+def test_brute_force_polish_does_not_overflow_just_below_the_radius_limit():
+    # |H_ii - theta| reaches 11.4 here, beyond the 2 n = 10 the trs-check
+    # radius limit allows for; unscaled, the polish's B - theta I overflowed.
+    H = -2.0 * np.ones((5, 5))
+    H[4, 4] = 2.0
+    g = 0.5 * np.ones(5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bf = brute_force_decrease(g, H, 4e153, np.random.default_rng(0))
+        exact = solve_trs_exact(g, H, 4e153).model_decrease
+    assert bf == pytest.approx(exact, rel=1e-12)

@@ -3,6 +3,7 @@
     python3 tools/trace_digest.py --workload dense_saddle --seeds 1,2,3
     python3 tools/trace_digest.py --workload worst_case --seeds 1,2,3 --src ../old/src
     python3 tools/trace_digest.py --workload golden --src ../old/src
+    python3 tools/trace_digest.py --workload dense_saddle --seeds 1,2,3 --against ../old/src
 
 Runs one untimed pass of a ``perfbench`` workload per seed and prints the
 ``perfbench.workloads.digest`` of it: SHA-256 over every trace field bit
@@ -13,6 +14,11 @@ program of its parent (``--src``).  The workload definitions are imported
 from ``perfbench/`` as they are; nothing there is changed.  BLAS is pinned
 to one thread, as in the benchmark.  Command outputs name their files, so
 every run writes into the same fixed directory (``--workdir``).
+
+``--against SRC`` runs the same seeds on the program under ``--src`` and on
+the one under SRC, each in its own process, and prints one line per seed:
+``match`` with the shared digest, or ``mismatch`` with both.  It exits 1
+on any mismatch.
 
 ``--workload golden`` instead prints one SHA-256 per ``TRACE_RUNS`` entry of
 ``tests/test_golden.py``: the branch string and every record field bit for
@@ -31,6 +37,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse
 import hashlib
 import struct
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -46,8 +53,12 @@ def main(argv=None) -> int:
                    help="directory to import astr2 from (default: this checkout's src)")
     p.add_argument("--workdir", type=Path, default=Path(tempfile.gettempdir()) / "astr2-trace-digest",
                    help="fixed directory for the files the commands write")
+    p.add_argument("--against", type=Path,
+                   help="another program's src: compare the digests of both, seed by seed")
     args = p.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",")]
+    if args.against is not None:
+        return _compare(args)
 
     sys.path[:0] = [str(args.src.resolve()), str(ROOT / "perfbench"), str(ROOT / "tests")]
     if args.workload == "golden":
@@ -68,6 +79,26 @@ def main(argv=None) -> int:
             out = workload.run_pass(inputs, rec)
         print(f"{args.workload} seed {seed}: {digest(rec.traces, out)}")
     return 0
+
+
+def _digests(args, src: Path) -> dict[str, str]:
+    # label -> digest of one program, from a process of its own: two
+    # programs cannot share one import of astr2.
+    argv = [sys.executable, __file__, "--workload", args.workload, "--seeds", args.seeds,
+            "--src", str(src), "--workdir", str(args.workdir)]
+    done = subprocess.run(argv, stdout=subprocess.PIPE, text=True)
+    if done.returncode:
+        sys.exit(done.returncode)  # the run has printed its error
+    return dict(line.rsplit(": ", 1) for line in done.stdout.splitlines())
+
+
+def _compare(args) -> int:
+    ours, theirs = _digests(args, args.src), _digests(args, args.against)
+    for label, hexdigest in ours.items():
+        other = theirs.get(label)
+        print(f"{label}: match {hexdigest}" if other == hexdigest
+              else f"{label}: mismatch {hexdigest} against {other}")
+    return int(ours != theirs)
 
 
 def _golden_digests():
