@@ -8,9 +8,10 @@ and its certificates: an exact eigendecomposition-based solver with
 safeguarded Newton iteration on the secular equation and an explicit
 hard-case branch, the classical Cauchy-point and eigen-point decreases, a
 matrix-free Lanczos minimum-eigenpair routine, a GLTR-style Krylov model
-for subspace-restricted solves, and a brute-force reference used to
-cross-check the exact solver.  Every dense spectral quantity (the
-subproblem's solution, lambda_min and its eigenvector) is read from one
+for subspace-restricted solves, and a reference value of the decrease,
+from one eigenvalue problem of twice the size [4], used to cross-check
+the exact solver.  Every dense spectral quantity (the subproblem's
+solution, lambda_min and its eigenvector) is read from one
 :class:`DenseModel`, whose eigendecomposition is LAPACK's ``eigh``, or, for
 a diagonal Hessian, a sort of its diagonal giving the same bits.
 
@@ -23,6 +24,9 @@ References
 .. [3] N. I. M. Gould, S. Lucidi, M. Roma and Ph. L. Toint, "Solving the
        trust-region subproblem using the Lanczos method",
        SIAM J. Optim. 9 (1999), 504-525.
+.. [4] S. Adachi, S. Iwata, Y. Nakatsukasa and A. Takeda, "Solving the
+       trust-region subproblem by a generalized eigenvalue problem",
+       SIAM J. Optim. 27 (2017), 269-291.
 """
 
 from __future__ import annotations
@@ -40,9 +44,6 @@ _SYM_TOL = 1e-8
 _SECULAR_TOL = 1e-13  # |1/||d|| - 1/Delta| * Delta at the accepted root
 _HARD_TOL = 1e-12  # relative size of the gradient on the critical eigenspace
 _GAP_TOL = 1e-12  # relative eigenvalue gap defining the critical eigenspace
-_BRUTE_ANGLES = 10_000  # angle grid of brute_force_decrease for n = 2
-_BRUTE_STARTS = 100  # random sphere-ascent restarts of brute_force_decrease for n >= 3
-_BRUTE_ITERS = 300  # projected-gradient steps per restart
 _LANCZOS_BASIS_BYTES = 2 ** 28  # memory cap of a matrix-free min_eigpair basis
 _KRYLOV_GAIN_TOL = 1e-8  # relative decrease gain below which the Krylov space stops growing
 
@@ -270,9 +271,13 @@ class DenseModel:
         of the two steps (More-Sorensen), so ||d|| = Delta to rounding on
         every boundary solution.  When ||g||/Delta is below one ulp of t_lo
         the bracket has no width and the critical coordinates are dropped
-        before that push.  One evaluation of phi costs a few numpy calls on
-        the cached spectrum; the floating-point error state is set once per
-        solve.  Each solution holds its own step array.
+        before that push.  The Newton part runs on g and Delta scaled by the
+        power of two that puts Delta in [0.5, 1), which leaves t and the
+        bits of d unchanged, so d(t) keeps its precision at radii far below
+        1e-100; a radius at which ||g||/Delta overflows raises ValueError.
+        One evaluation of phi costs a few numpy calls on the cached
+        spectrum; the floating-point error state is set once per solve.
+        Each solution holds its own step array.
         """
         _check_radius(delta)
         lam, Q, gt, t_lo, k = self.lam, self.Q, self.gt, self._t_lo, self._k
@@ -293,7 +298,16 @@ class DenseModel:
 
         # Boundary solution with t strictly above t_lo: safeguarded Newton on
         # phi(t) = 1/||d(t)|| - 1/Delta, increasing with phi(t_lo) <= 0.
-        neg_gt, gt2 = -gt, gt * gt
+        lo = t_lo
+        hi = t_lo + self.gnorm / delta
+        if hi == math.inf:
+            raise ValueError(f"the multiplier ||g||/delta overflows at delta = {delta!r}")
+        # It runs on g and Delta scaled by the power of two that puts Delta in
+        # [0.5, 1): t does not change, every other quantity scales exactly,
+        # and d(t) neither underflows nor overflows at extreme radii.
+        e = math.frexp(delta)[1]
+        delta = math.ldexp(delta, -e)
+        neg_gt = -np.ldexp(gt, -e)  # below ||g||/delta, so finite
 
         def phi_and_slope(t: float) -> tuple[float, float, Array]:
             # phi(t), phi'(t) and the coordinates of d(t) in the eigenbasis.
@@ -304,7 +318,7 @@ class DenseModel:
                 # lam ascends and t >= t_lo, so only leading entries vanish.
                 # 0/0 means no gradient on a critical direction: contributes
                 # nothing.
-                zero = (denom == 0.0) & (gt == 0.0)
+                zero = (denom == 0.0) & (neg_gt == 0.0)
                 c[zero] = 0.0
                 s3[zero] = 0.0
             n2 = float(np.dot(c, c))
@@ -313,9 +327,11 @@ class DenseModel:
             nrm = math.sqrt(n2)
             return 1.0 / nrm - 1.0 / delta, float(s3.sum()) / nrm ** 3, c
 
-        lo = t_lo
-        hi = t_lo + self.gnorm / delta
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # Once ||g||/Delta passes about 1e103, denom ** 3 overflows, and
+            # gt2 does past about 1e154: phi' is then 0 or NaN, and the
+            # iteration bisects.
+            gt2 = neg_gt * neg_gt
             # Guard: widen until phi(hi) >= 0 (covers rounding at the analytic
             # bound).  A bracket of no width cannot be widened by doubling.
             # The end is itself the root when g lies along the critical
@@ -323,7 +339,7 @@ class DenseModel:
             for _ in range(60):
                 val_hi, _, coords = phi_and_slope(hi)
                 if abs(val_hi) * delta <= _SECULAR_TOL:
-                    return finish(Q @ coords, hi, True, False)
+                    return finish(Q @ np.ldexp(coords, e), hi, True, False)
                 if val_hi >= 0.0 or hi == t_lo:
                     break
                 hi = t_lo + 2.0 * (hi - t_lo)
@@ -332,7 +348,7 @@ class DenseModel:
             for _ in range(200):
                 val, slope, coords = phi_and_slope(t)
                 if abs(val) * delta <= _SECULAR_TOL:
-                    return finish(Q @ coords, t, True, False)
+                    return finish(Q @ np.ldexp(coords, e), t, True, False)
                 if val < 0.0:
                     lo = t
                 else:
@@ -363,7 +379,7 @@ class DenseModel:
             r = max(0.0, delta * delta - float(np.dot(coords, coords)))
             if r > 0.0:
                 coords[0] += math.copysign(r / (abs(p) + math.sqrt(p * p + r)), p)
-        return finish(Q @ coords, hi, True, False)
+        return finish(Q @ np.ldexp(coords, e), hi, True, False)
 
 
 def solve_trs_exact(g: Array, H: Array, delta: float) -> TrsSolution:
@@ -757,81 +773,54 @@ def _sphere_polish(a: Array, B: Array, u: Array, iters: int = 12) -> Array:
     return u
 
 
-def brute_force_decrease(
-    g: Array,
-    H: Array,
-    delta: float,
-    rng: Optional[np.random.Generator] = None,
-) -> float:
-    """Brute-force reference value of the best model decrease over the ball.
+def brute_force_decrease(g: Array, H: Array, delta: float) -> float:
+    """Reference value of the best model decrease over the ball.
 
-    Enumerates interior stationary points (linear solve) and optimizes the
-    boundary restriction: a dense angle grid for n = 2 (10^4 points), or
-    projected-gradient ascent on the sphere (300 steps) restarted from 100
-    random seeds for n >= 3; a projected-Newton polish sharpens the best
-    boundary candidates to roundoff.  Shares no logic with the secular
-    solver, so it can serve as an independent oracle for it.
+    Built on the result of Adachi, Iwata, Nakatsukasa and Takeda [4]: on the
+    boundary, the optimal multiplier is the rightmost eigenvalue of the
+    pencil M0 + lambda M1, M0 = [[-I, H], [H, -g g^T / Delta^2]] and M1 =
+    [[0, I], [I, 0]].  M1 is its own inverse, so one ``eig`` of the 2n x 2n
+    matrix -M1 M0 gives it.  The problem is first taken to unit radius, a =
+    Delta g and B = Delta^2 H, and (a, B) scaled by the power of two that
+    brings their largest entry to [0.5, 1), which leaves the minimiser
+    unchanged and keeps every entry finite up to the largest radii.  The
+    multiplier is the largest real part among the eigenvalues (in the hard
+    case the pair can be complex), floored at max(0, -lambda_min[B]); u =
+    -(B + lambda I)^+ a.  The candidates are d = 0, u where it is feasible
+    (the interior Newton point at lambda = 0), and u on the sphere: scaled
+    onto it, or, where ||u|| < 1, pushed to it along the lambda_min
+    eigenvector by either root.  Near the hard case ``eig`` resolves the
+    multiplier poorly, so a projected-Newton polish on the sphere sharpens
+    each sphere candidate to roundoff.  The answer is the best decrease of
+    the candidates on the unscaled model.  It shares no secular Newton
+    iteration, bracket or near-hard tail with :class:`DenseModel`, so it
+    can serve as an independent reference for it; its push along the
+    lambda_min eigenvector resembles the solver's hard-case step.
     """
     g = np.asarray(g, dtype=float)
     H = _symmetrize(H)
     n = len(g)
-    if rng is None:
-        rng = np.random.default_rng(0)
 
     def model(d: Array) -> float:
         return float(np.dot(g, d) + 0.5 * np.dot(d, H @ d))
 
-    values = [0.0]  # d = 0
-    try:
-        d_int = np.linalg.solve(H, -g)
-        if np.all(np.isfinite(d_int)) and float(np.linalg.norm(d_int)) <= delta:
-            values.append(model(d_int))
-    except np.linalg.LinAlgError:
-        pass
-
-    if n == 1:
-        values.append(model(np.array([delta])))
-        values.append(model(np.array([-delta])))
-        return max(0.0, -min(values))
-
-    if n == 2:
-        th = np.linspace(0.0, 2.0 * np.pi, _BRUTE_ANGLES, endpoint=False)
-        D = delta * np.vstack([np.cos(th), np.sin(th)])
-        vals = g @ D + 0.5 * np.sum(D * (H @ D), axis=0)
-        order = np.argsort(vals)
-        candidates = [D[:, i] / delta for i in order[:3]]
-    else:
-        U = rng.standard_normal((n, _BRUTE_STARTS))
-        extra = [g / np.linalg.norm(g)] if np.linalg.norm(g) > 0 else []
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = 1.0
-            extra.extend([e, -e])
-        U = np.column_stack([U] + [e.reshape(-1, 1) for e in extra])
-        U /= np.linalg.norm(U, axis=0)
-        a = delta * g
-        B = (delta * delta) * H
-        # ||B|| + ||a|| + 1, from the norms of H and g: the squared entries of
-        # B overflow for radii far below those whose model values do.
-        lip = delta * delta * float(np.linalg.norm(H)) + delta * float(np.linalg.norm(g)) + 1.0
-        step = 1.0 / lip
-        for _ in range(_BRUTE_ITERS):
-            grad = a[:, None] + B @ U
-            grad_t = grad - U * np.sum(U * grad, axis=0)
-            U = U - step * grad_t
-            U /= np.linalg.norm(U, axis=0)
-        vals = a @ U + 0.5 * np.sum(U * (B @ U), axis=0)
-        order = np.argsort(vals)
-        candidates = [U[:, i] for i in order[:5]]
-
-    # The polish's minimiser does not depend on the scale of (a, B).  One
-    # power of two brings their largest entry to [0.5, 1) exactly, so the
-    # polish's B - theta I stays finite up to the largest radii.
     a = delta * g
     B = (delta * delta) * H
     e = np.frexp(max(np.max(np.abs(a)), np.max(np.abs(B))))[1]
     a, B = np.ldexp(a, -e), np.ldexp(B, -e)
-    for u in candidates:
-        u = _sphere_polish(a, B, np.array(u, dtype=float))
+    w, V = np.linalg.eigh(B)
+    pencil = np.block([[-B, np.outer(a, a)], [np.eye(n), -B]])  # -M1 M0 at unit radius
+    lam = max(float(np.max(np.linalg.eigvals(pencil).real)), 0.0, -float(w[0]))
+    u = np.linalg.lstsq(B + lam * np.eye(n), -a, rcond=None)[0]
+    unorm = float(np.linalg.norm(u))
+    values = [0.0]  # d = 0
+    if unorm <= 1.0:
         values.append(model(delta * u))
+        p = float(np.dot(u, V[:, 0]))
+        root = math.sqrt(p * p + (1.0 - unorm) * (1.0 + unorm))
+        sphere = [u + (s * root - p) * V[:, 0] for s in (1.0, -1.0)]
+    else:
+        sphere = [u / unorm]
+    for u in sphere:
+        values.append(model(delta * _sphere_polish(a, B, u)))
     return max(0.0, -min(values))

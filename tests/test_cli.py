@@ -192,14 +192,25 @@ def test_trs_check_rejects_radii_whose_model_values_overflow(radius, monkeypatch
 
 @pytest.mark.parametrize("radius, count", [("1e100", "5"), ("4e153", "20")])
 def test_trs_check_at_a_huge_radius_warns_of_no_overflow(radius, count, capsys):
-    # The brute-force reference takes its step from ||H|| and ||g||, not
-    # from the norm of delta^2 H, whose squared entries overflow at 1e100;
+    # The reference works at unit radius on Delta g and Delta^2 H, scaled by
+    # a power of two to entries below 1, so nothing it forms overflows;
     # 4e153 is just below the limit at the default --max-n 5.  The absolute
     # tolerances still fail at these radii (exit 3).
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["trs-check", "--radii", radius, "--count", count]) == 3
     assert "error: deviation beyond tolerance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("radius", ["1e-120", "1e-300"])
+def test_trs_check_at_a_tiny_radius_ends_without_a_traceback(radius, capsys):
+    # Every instance is solved and checked at these radii, where the squared
+    # norm of an unscaled step underflows.  The absolute KKT tolerances may
+    # still fail there (exit 3).
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["trs-check", "--radii", radius, "--count", "20"]) in (0, 3)
+    assert "max |dq_exact - dq_brute|" in capsys.readouterr().out
 
 
 def test_fd_check_passes_on_catalog_problems(capsys):
