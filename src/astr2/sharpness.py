@@ -329,7 +329,7 @@ def replay_check(seq: SharpnessSequence) -> bool:
     The run is ``Astr2Config(scaling=seq.scaling, max_iter=seq.K + 1)``:
     no thresholds, the dense model, and xi = 1, which no phi_k <= 1 can
     clip, so hatphi = phi.  Any disagreement of the replayed trace
-    (branch, step length, quadratic radius, decrease, or an iterate
+    (branch, measure, step length, quadratic radius, decrease, or an iterate
     drifting off the breakpoints) returns False; so does a scaling state
     that cannot reproduce the sequence (theta < 1, used accumulators, the
     other family).
@@ -339,8 +339,7 @@ def replay_check(seq: SharpnessSequence) -> bool:
         trace = run(_replay_oracle(seq), np.array([seq.x[0]]), config)
     except SolverAbort:
         return False
-    if len(trace) != seq.K + 1:
-        return False
+    # No thresholds: the run stops only at max_iter, so the trace has K + 1 records.
     for k, rec in enumerate(trace):
         if rec.branch != "Q":
             return False

@@ -13,7 +13,7 @@ from one eigenvalue problem of twice the size [4], used to cross-check
 the exact solver.  Every dense spectral quantity (the subproblem's
 solution, lambda_min and its eigenvector) is read from one
 :class:`DenseModel`, whose eigendecomposition is LAPACK's ``eigh``, or, for
-a diagonal Hessian, a sort of its diagonal giving the same bits.
+a diagonal Hessian, the stable sort of its diagonal.
 
 References
 ----------
@@ -46,6 +46,7 @@ _HARD_TOL = 1e-12  # relative size of the gradient on the critical eigenspace
 _GAP_TOL = 1e-12  # relative eigenvalue gap defining the critical eigenspace
 _LANCZOS_BASIS_BYTES = 2 ** 28  # memory cap of a matrix-free min_eigpair basis
 _KRYLOV_GAIN_TOL = 1e-8  # relative decrease gain below which the Krylov space stops growing
+_TINY = 2.0 ** -1022  # the smallest normal double
 
 
 class LanczosNoConvergence(RuntimeError):
@@ -95,6 +96,13 @@ def _check_finite(name: str, a: Array) -> Array:
     return a
 
 
+def _norm(v: Array) -> float:
+    # ||v||: sqrt(v^T v), or, where v^T v is below the normal range (its
+    # squares may have lost bits or vanished), the scale-safe math.hypot.
+    n2 = float(np.dot(v, v))
+    return math.sqrt(n2) if n2 >= _TINY else math.hypot(*v.tolist())
+
+
 def _check_symmetric(H: Array) -> Array:
     H = _check_finite("H", H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -127,40 +135,23 @@ def _check_model(g: Array, H: Array) -> tuple[Array, Array]:
 
 
 def _eigh(H: Array) -> tuple[Array, Array]:
-    """``np.linalg.eigh(H)``, by a sort when H is diagonal.
+    """The eigendecomposition of a symmetric H: ``np.linalg.eigh(H)``, or a
+    sort when H is diagonal.
 
     A diagonal H (no nonzero entry off the diagonal) has its diagonal for
-    eigenvalues and a permutation matrix for eigenvectors, the bits that
-    ``eigh`` returns when they come in its order.  LAPACK orders the pairs
-    by selection sort: position i takes the first entry at or after i that
-    holds the minimum of the rest.  A stable sort gives that order when the
-    values are distinct; a repeated value replays the selection sort.  Two
-    cases still go through ``eigh``: a matrix with a nonzero off-diagonal
-    entry, and a diagonal holding -0.0, which the blocked tridiagonal
-    reduction can turn into +0.0 (from index 32 on, with OpenBLAS).  The
-    sort returns the diagonal exactly, also above about 1e146 and below
-    about 1e-146 in magnitude, where ``eigh`` scales the matrix and rounds
-    the eigenvalues.
+    eigenvalues and a permutation matrix for eigenvectors: the stable sort
+    of the diagonal and its 0/1 columns, so H Q = Q diag(lam) holds exactly,
+    ties and -0.0 included.  The values are the diagonal's bits, also above
+    about 1e146 and below about 1e-146 in magnitude, where ``eigh`` scales
+    the matrix and rounds the eigenvalues.  Any other H goes to ``eigh``.
     """
     d = H.diagonal()
-    n = d.shape[0]
-    nonzero = np.count_nonzero(d)
-    if np.count_nonzero(H) != nonzero or (nonzero < n and np.signbit(d[d == 0.0]).any()):
+    if np.count_nonzero(H) != np.count_nonzero(d):
         return np.linalg.eigh(H)
     order = d.argsort(kind="stable")
-    lam = d[order]
-    if np.count_nonzero(lam[1:] == lam[:-1]):
-        # The selection sort: where position i does not hold its sorted
-        # value, that value moves in from the first place after i holding it.
-        vals, order, want = d.tolist(), list(range(n)), lam.tolist()
-        for i in range(n - 1):
-            if vals[i] != want[i]:
-                k = vals.index(want[i], i + 1)
-                vals[i], vals[k] = vals[k], vals[i]
-                order[i], order[k] = order[k], order[i]
-    Q = np.zeros((n, n))
-    Q[order, np.arange(n)] = 1.0
-    return lam, Q
+    Q = np.zeros(H.shape)
+    Q[order, np.arange(len(d))] = 1.0
+    return d[order], Q
 
 
 def _flip_sign(u: Array, g: Array) -> Array:
@@ -178,8 +169,8 @@ class DenseModel:
 
     Everything in the subproblem that does not depend on the radius is
     computed here, once (the split of More-Sorensen [2] and [1, ch. 7]): H
-    is symmetry-checked and eigendecomposed (by ``eigh``, or by sorting the
-    diagonal of a diagonal H, with the same bits), giving ``lam``, ``Q``,
+    is symmetry-checked and eigendecomposed (by ``eigh``, or, for a
+    diagonal H, by the stable sort of its diagonal), giving ``lam``, ``Q``,
     ``gt = Q^T g`` and ``gnorm = ||g||``; then t_lo = max(0, -lambda_min),
     the critical set (the leading ``lam`` within a relative gap of -t_lo, a
     prefix since ``lam`` ascends), the gradient's norm on it and the
@@ -204,7 +195,7 @@ class DenseModel:
     def _factorise(self, g, H):
         # g and H as given: finite, H exactly symmetric (checked by the caller).
         self.g, self.H = g, H
-        self.gnorm = math.sqrt(np.dot(g, g))
+        self.gnorm = _norm(g)
         lam, Q = _eigh(H)
         gt = Q.T @ g
         self.lam, self.Q, self.gt = lam, Q, gt
@@ -224,7 +215,7 @@ class DenseModel:
             dp = np.zeros(g.shape[0])
             dp[k:] = -gt[k:] / (lam[k:] + t_lo)
             u = _flip_sign(Q[:, 0], g) if t_lo != 0.0 else None
-            self._pinv = (Q @ dp, math.sqrt(np.dot(dp, dp)), u)
+            self._pinv = (Q @ dp, _norm(dp), u)
         return self
 
     def decrease(self, delta: float) -> float:
@@ -275,6 +266,9 @@ class DenseModel:
         power of two that puts Delta in [0.5, 1), which leaves t and the
         bits of d unchanged, so d(t) keeps its precision at radii far below
         1e-100; a radius at which ||g||/Delta overflows raises ValueError.
+        The norms of g and of the pseudo-inverse step, and the hard-case
+        push, are formed without squaring into the subnormal range, so the
+        interior and hard-case answers keep theirs too.
         One evaluation of phi costs a few numpy calls on the cached
         spectrum; the floating-point error state is set once per solve.
         Each solution holds its own step array.
@@ -293,7 +287,12 @@ class DenseModel:
                 if norm_dp == 0.0:
                     theta = delta
                 else:
-                    theta = math.sqrt(max(0.0, delta * delta - norm_dp * norm_dp))
+                    # Squared at the scale of Delta in [0.5, 1), where they
+                    # neither underflow nor overflow; the power of two moves
+                    # no bit.
+                    e = math.frexp(delta)[1]
+                    r, p = math.ldexp(delta, -e), math.ldexp(norm_dp, -e)
+                    theta = math.ldexp(math.sqrt(max(0.0, r * r - p * p)), e)
                 return finish(qdp + theta * u, t_lo, True, True)
 
         # Boundary solution with t strictly above t_lo: safeguarded Newton on
@@ -731,7 +730,7 @@ def kkt_residuals(g: Array, H: Array, delta: float, sol: TrsSolution) -> dict[st
     _check_radius(delta)
     model = DenseModel(g, H)
     g, H = model.g, model.H
-    dnorm = float(np.linalg.norm(sol.d))
+    dnorm = delta * float(np.linalg.norm(sol.d / delta))  # ||d|| ~ delta: no underflow
     lam_min = float(model.lam[0])
     r = (H + sol.multiplier * np.eye(len(g))) @ sol.d + g
     with np.errstate(over="ignore"):

@@ -259,6 +259,18 @@ def test_quintic_domain_and_data_validation():
         quintic_from_data(xs, np.zeros(3), np.zeros(2), np.zeros(2))
     with pytest.raises(ValueError):
         quintic_from_data(xs, np.array([np.nan, 0.0]), np.zeros(2), np.zeros(2))
+    with pytest.raises(ValueError, match="at least two breakpoints"):
+        quintic_from_data(xs[:1], np.zeros(1), np.zeros(1), np.zeros(1))
+
+
+def test_quintic_evaluates_a_scalar_as_floats():
+    # A scalar point gives Python floats, the entries of its 1-point array.
+    seq = gen_adagrad_example(1.0 / 3.0, 0.01, 0.01, 5)
+    interp = hermite_interpolant(seq)
+    x = 0.5 * (seq.x[1] + seq.x[2])
+    got = interp.evaluate(x)
+    assert all(type(v) is float for v in got)
+    assert got == tuple(float(v[0]) for v in interp.evaluate(np.array([x])))
 
 
 def test_telescoping_sum():
@@ -383,6 +395,24 @@ def test_replay_structural_mismatches_return_false():
         assert replay_check(dataclasses.replace(seq, scaling=scaling)) is False
     # the unperturbed sequences replay
     assert replay_check(adagrad) and replay_check(divergent)
+
+
+def _tampered(seq, field, k, change):
+    values = getattr(seq, field).copy()
+    values[k] = change(values[k])
+    return dataclasses.replace(seq, **{field: values})
+
+
+@pytest.mark.parametrize("field, change", [
+    ("x", lambda v: v + 1e-6),  # the iterate drifts off the breakpoint
+    ("phi", lambda v: v * (1.0 + 1e-6)),
+    ("hess", lambda v: -v),  # positive curvature: phi = 0 and an L branch
+    ("s", lambda v: v * (1.0 + 1e-6)),
+], ids=["x", "phi", "hess", "s"])
+def test_replay_detects_a_tampered_sequence(field, change):
+    seq = gen_adagrad_example(1.0 / 3.0, 0.01, 0.01, 10)
+    assert replay_check(seq) is True
+    assert replay_check(_tampered(seq, field, 3, change)) is False
 
 
 @pytest.mark.parametrize("family", ["adagrad", "divergent"])

@@ -1,3 +1,4 @@
+import importlib
 import importlib.util
 import re
 import subprocess
@@ -78,19 +79,20 @@ def test_trace_digest_is_reproducible(tmp_path, workload):
 
 
 def test_benchmark_hooks_find_their_targets(monkeypatch):
-    # A traced benchmark pass imports every module its layer hooks name, so
-    # a lost module breaks every traced run; a lost worst_case hook drops the
-    # replay's clock without an error.  Layer hooks that name a function the
-    # program no longer has are reported as missing by design.
+    # Every name a workload rebinds must exist: the benchmark skips a missing
+    # one without failing, and the clocks and checks it carried are lost.  A
+    # traced pass imports every module its layer hooks name, unguarded, so a
+    # lost module breaks every traced run; layer hooks that name a function
+    # the program no longer has are reported as missing by design.
     monkeypatch.syspath_prepend(str(_PERFBENCH))
-    from probes import Recorder, patched
+    from probes import LAYER_HOOKS, Recorder
     from workloads import WORKLOADS
 
-    rec = Recorder(traced=True)
-    hooks = WORKLOADS["worst_case"].hooks(rec)
-    with patched(rec, hooks) as missing:
-        pass
-    assert not {f"{module}.{attr}" for module, attr, _ in hooks} & set(missing)
+    for workload in WORKLOADS.values():
+        for module, attr, _ in workload.hooks(Recorder(traced=False)):
+            assert hasattr(importlib.import_module(module), attr), (workload.name, module, attr)
+    for module in {module for module, _, _ in LAYER_HOOKS}:
+        importlib.import_module(module)
 
 
 def test_trace_digest_matches_a_program_against_itself():

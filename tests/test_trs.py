@@ -223,6 +223,32 @@ def test_tiny_radii_reach_the_boundary(delta):
             assert np.linalg.norm(sol.d / delta) == pytest.approx(1.0, rel=1e-14)
             assert sol.model_decrease == pytest.approx(brute_force_decrease(g, H, delta),
                                                        rel=1e-10)
+            # kkt_residuals measures ||d|| without underflow as well.
+            res = kkt_residuals(g, H, delta, sol)
+            assert res["feasibility"] <= 1e-14 * delta
+            assert res["complementarity"] <= 1e-14 * sol.multiplier * delta
+
+
+@pytest.mark.parametrize("delta", [1e-160, 1e-170, 1e-200, 1e-300])
+def test_pseudo_inverse_steps_reach_the_boundary_at_tiny_radii(delta):
+    # The norm of the pseudo-inverse step (about Delta) and the boundary
+    # push are computed without squaring into the subnormal range: the hard
+    # case g = (0, Delta), H = diag(-1, 1), and the singular PSD case
+    # g = (3 Delta, 0), H = diag(1, 0), whose step is not interior but on
+    # the boundary at multiplier 2.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hard = solve_trs_exact(np.array([0.0, delta]), np.diag([-1.0, 1.0]), delta)
+        g, H = np.array([3.0 * delta, 0.0]), np.diag([1.0, 0.0])
+        psd = solve_trs_exact(g, H, delta)
+        res = kkt_residuals(g, H, delta, psd)
+    assert hard.hard_case and hard.on_boundary and hard.multiplier == 1.0
+    assert np.linalg.norm(hard.d / delta) == pytest.approx(1.0, rel=1e-14)
+    assert psd.on_boundary and not psd.hard_case
+    assert psd.multiplier == pytest.approx(2.0, rel=1e-14)
+    np.testing.assert_allclose(psd.d / delta, [-1.0, 0.0], rtol=1e-14)
+    assert res["feasibility"] <= 1e-14 * delta
+    assert res["complementarity"] <= 1e-14 * delta
 
 
 def test_singular_psd_compatible_gradient_is_interior():
@@ -246,6 +272,11 @@ def test_validation_rejects_bad_inputs():
     with pytest.raises(ValueError, match="multiplier"):
         # the multiplier, about ||g||/Delta, overflows
         solve_trs_exact(np.ones(2), np.eye(2), 1e-310)
+    with pytest.raises(ValueError, match="must be square"):
+        solve_trs_exact(np.ones(2), np.ones((2, 3)), 1.0)
+    for tol in (0.0, -1e-8):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            min_eigpair(lambda v: v, 3, tol)
 
 
 def test_empty_dense_model_is_rejected():
@@ -559,6 +590,27 @@ def test_krylov_rejects_a_non_finite_gradient_or_seed(bad):
             KrylovModel(np.zeros(2), lambda v: v, 2, np.array([bad, 1.0]))
 
 
+def test_krylov_rejects_a_zero_seed():
+    with pytest.raises(ValueError, match="seed_direction must be nonzero"):
+        KrylovModel(np.zeros(3), lambda v: v, 3, np.zeros(3))
+
+
+def test_krylov_growth_stops_when_the_decrease_stagnates():
+    # g = 0 seeded from the lambda_min eigenvector, perturbed by 1e-6: every
+    # tridiagonal model is a hard case at multiplier -theta_1, where the GLTR
+    # residual predicts nothing, so the space stops growing once the second
+    # dimension adds (almost) no decrease.
+    H = random_symmetric(np.random.default_rng(11), 8)
+    lam, Q = np.linalg.eigh(H)
+    assert lam[0] < 0.0
+    seed = Q[:, 0] + 1e-6 * np.random.default_rng(12).standard_normal(8)
+    model = KrylovModel(np.zeros(8), lambda v: H @ v, 8, seed)
+    sol = model.solve(1.0)
+    assert model.dim == 2
+    assert sol.model_decrease == pytest.approx(-0.5 * lam[0], rel=1e-10)
+    assert np.linalg.norm(sol.d) == pytest.approx(1.0, rel=1e-12)
+
+
 def _krylov_instances():
     H = random_symmetric(np.random.default_rng(5), 8)
     diag = _three_eigenvalue_diagonal()
@@ -733,45 +785,52 @@ def test_each_dense_solution_owns_its_step(case):
 
 
 def _diagonals(rng, n):
-    # Diagonals whose order the sort must take from LAPACK: distinct values,
+    # Distinct nonzero diagonals (magnitudes from 1e-100 to 1e100), whose
+    # order is the one eigh returns, and diagonals with ties or zeros:
     # cosine_sum's near its maximum (-cos of tiny x, often a tie at -1), many
-    # ties, one value repeated, negative zeros, and magnitudes from 1e-100
-    # to 1e100.
+    # ties, one value repeated, and negative zeros.
     zeros = rng.integers(-2, 3, n).astype(float)
     zeros[rng.random(n) < 0.3] = -0.0
-    return {
+    distinct = {
         "distinct": rng.standard_normal(n),
+        "wide": rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-100, 100, n),
+    }
+    tied = {
         "near_max": -np.cos(1e-6 * rng.standard_normal(n)),
         "ties": rng.integers(-3, 4, n).astype(float),
         "constant": np.full(n, -0.5),
         "negative_zeros": zeros,
-        "wide": rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-100, 100, n),
     }
+    return distinct, tied
 
 
-def test_a_diagonal_hessian_is_factorised_as_eigh_factorises_it(monkeypatch):
-    # The same eigenvalues and the same permutation matrix as LAPACK, bit for
-    # bit, on both sides of its divide-and-conquer size (25) and of the
-    # blocked reduction (32), with and without a -0.0 off the diagonal.  Only
-    # a diagonal holding -0.0 runs eigh.
+def test_a_diagonal_hessian_is_factorised_by_the_stable_sort(monkeypatch):
+    # Every diagonal, with and without a -0.0 off the diagonal, is the stable
+    # sort of its diagonal and that permutation, and never runs eigh.  With
+    # distinct nonzero values these are eigh's bits, on both sides of its
+    # divide-and-conquer size (25) and of the blocked reduction (32).
     real_eigh = np.linalg.eigh
     calls = count_calls(monkeypatch, np.linalg, "eigh")
     rng = np.random.default_rng(7)
-    expected_calls = 0
     for n in [*range(1, 41), 63, 64, 65, 100, 150, 199, 200]:
-        for kind, d in _diagonals(rng, n).items():
+        distinct, tied = _diagonals(rng, n)
+        for kind, d in {**distinct, **tied}.items():
             H = np.diag(d)
             H_zero = H.copy()
             if n > 1:
                 i, j = rng.choice(n, 2, replace=False)
                 H_zero[i, j] = H_zero[j, i] = -0.0
+            order = d.argsort(kind="stable")
             for A in (H, H_zero):
                 lam, Q = _eigh(A)
-                want_lam, want_Q = real_eigh(A)
-                assert lam.tobytes() == want_lam.tobytes(), (n, kind)
-                assert Q.tobytes() == want_Q.tobytes(), (n, kind)
-                expected_calls += bool(np.signbit(d[d == 0.0]).any())
-    assert calls["n"] == expected_calls
+                assert lam.tobytes() == d[order].tobytes(), (n, kind)
+                np.testing.assert_array_equal(Q, np.eye(n)[:, order])
+                np.testing.assert_array_equal(A @ Q, Q * lam)
+                if kind in distinct:
+                    want_lam, want_Q = real_eigh(A)
+                    assert lam.tobytes() == want_lam.tobytes(), (n, kind)
+                    assert Q.tobytes() == want_Q.tobytes(), (n, kind)
+    assert calls["n"] == 0
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e150, 1e300])
