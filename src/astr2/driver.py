@@ -8,7 +8,9 @@ Delta^L = ||g||/w^L, Delta^Q = hatphi/w^Q; take either the closed-form
 scaled-gradient step s = -g/w^L or a trust-region step of radius Delta^Q;
 accept the trial point unconditionally.  The measure and the step are two
 solves of one local model: a :class:`~astr2.trs.DenseModel`, which
-eigendecomposes H_k once per iteration, or in subspace mode a
+eigendecomposes H_k once per iteration (a diagonal H_k, read from the
+oracle's ``hessian_diagonal`` where it has one, by sorting that vector), or
+in subspace mode a
 :class:`~astr2.trs.KrylovModel`, whose one Lanczos run from g_k serves both
 radii.  The Krylov space contains g_k, so the subspace step
 dominates the Cauchy point and every other point of that space; negative
@@ -34,6 +36,7 @@ from .trs import (
     LanczosNoConvergence,
     _check_count,
     _check_finite,
+    _norm,
     min_eigpair,
 )
 
@@ -132,24 +135,21 @@ def astr2_step(
     x = np.asarray(x, dtype=float)
     g = np.asarray(oracle.gradient(x), dtype=float)
     with np.errstate(over="ignore"):
-        norm_g = math.sqrt(np.dot(g, g))
+        norm_g = _norm(g)
     g_sq = norm_g * norm_g
     if not math.isfinite(g_sq):
         _check_finite("g", g)  # a NaN or infinite entry is not an overflow
         raise ValueError(_OVERFLOW)
 
     if config.subspace_max_dim is None:
-        if oracle.hessian is None:
+        # A diagonal Hessian comes as its diagonal, which the model keeps as
+        # it is: the iteration forms no n x n array.
+        hessian = oracle.hessian if oracle.hessian_diagonal is None else oracle.hessian_diagonal
+        if hessian is None:
             raise ValueError(
                 f"problem {oracle.name!r} has no dense Hessian; set subspace_max_dim"
             )
-        # The model keeps a symmetric copy.  Holding the oracle's array until
-        # the step ends, rather than freeing it inside DenseModel, keeps the
-        # allocation pattern of the step: freeing it early made dense n = 150
-        # iterations about 2.1 times slower on a 2-core host (median 166 ->
-        # 348 us per dense_saddle iteration).
-        H = oracle.hessian(x)
-        model = DenseModel(g, H)
+        model = DenseModel(g, hessian(x))
     else:
         seed = None
         if norm_g == 0.0:

@@ -1,7 +1,8 @@
 """Problem interface and built-in smooth test problems.
 
 A :class:`ProblemOracle` supplies the gradient, the Hessian (dense while the
-dimension stays moderate) and a Hessian-vector product of a twice continuously
+dimension stays moderate, and as a vector at any dimension where it is
+diagonal) and a Hessian-vector product of a twice continuously
 differentiable function.  The objective value itself is only exposed through
 ``f_diagnostic``: the optimizer never reads it, traces and tests may.
 
@@ -20,8 +21,9 @@ import numpy as np
 
 Array = np.ndarray
 
-# Beyond this dimension the dense Hessian map is dropped and only the
-# Hessian-vector product remains (subspace mode must be used then).
+# Beyond this dimension the n x n Hessian map is dropped; a diagonal problem
+# keeps its diagonal, any other keeps only the Hessian-vector product
+# (subspace mode must be used then).
 DENSE_HESSIAN_MAX_DIM = 1000
 
 
@@ -34,6 +36,11 @@ class ProblemOracle:
     ``hvp`` may keep the part of the product that depends on x alone for
     the last x it saw (the catalogue's ``cosine_sum`` does).
     ``hessian`` is None when the problem is built in hvp-only mode.
+    ``hessian_diagonal`` is set only where the Hessian is diagonal
+    everywhere; it gives that diagonal as an n-vector, and ``hessian`` is
+    then ``np.diag`` of it.  Dense mode reads ``hessian_diagonal`` first and
+    ``hessian`` only where it is None, so replacing ``hessian`` on a
+    diagonal problem needs ``hessian_diagonal=None`` as well.
     ``lipschitz_g``/``lipschitz_h`` are the gradient/Hessian Lipschitz
     constants where known, ``f_low`` a known lower bound on f (None when the
     function is unbounded below or the bound is unknown).
@@ -49,6 +56,7 @@ class ProblemOracle:
     lipschitz_h: Optional[float] = None
     f_low: Optional[float] = None
     x0: Optional[Array] = None
+    hessian_diagonal: Optional[Callable[[Array], Array]] = None
 
 
 @dataclass(frozen=True)
@@ -68,8 +76,11 @@ def _quadratic_psd(n: int) -> ProblemOracle:
     def gradient(x: Array) -> Array:
         return np.array(x, dtype=float, copy=True)
 
+    def hessian_diagonal(x: Array) -> Array:
+        return np.ones(n)
+
     def hessian(x: Array) -> Array:
-        return np.eye(n)
+        return np.diag(hessian_diagonal(x))
 
     def hvp(x: Array, v: Array) -> Array:
         return np.array(v, dtype=float, copy=True)
@@ -79,6 +90,7 @@ def _quadratic_psd(n: int) -> ProblemOracle:
         n=n,
         gradient=gradient,
         hessian=hessian,
+        hessian_diagonal=hessian_diagonal,
         hvp=hvp,
         f_diagnostic=f,
         lipschitz_g=1.0,
@@ -143,8 +155,11 @@ def _saddle_cubic(n: int) -> ProblemOracle:
     def gradient(x: Array) -> Array:
         return np.array([x[0] ** 2, -x[1]])
 
+    def hessian_diagonal(x: Array) -> Array:
+        return np.array([2.0 * x[0], -1.0])
+
     def hessian(x: Array) -> Array:
-        return np.array([[2.0 * x[0], 0.0], [0.0, -1.0]])
+        return np.diag(hessian_diagonal(x))
 
     def hvp(x: Array, v: Array) -> Array:
         return np.array([2.0 * x[0] * v[0], -v[1]])
@@ -154,6 +169,7 @@ def _saddle_cubic(n: int) -> ProblemOracle:
         n=2,
         gradient=gradient,
         hessian=hessian,
+        hessian_diagonal=hessian_diagonal,
         hvp=hvp,
         f_diagnostic=f,
         lipschitz_g=None,
@@ -172,8 +188,11 @@ def _cosine_sum(n: int) -> ProblemOracle:
     def gradient(x: Array) -> Array:
         return -np.sin(x)
 
+    def hessian_diagonal(x: Array) -> Array:
+        return -np.cos(x)
+
     def hessian(x: Array) -> Array:
-        return np.diag(-np.cos(x))
+        return np.diag(hessian_diagonal(x))
 
     # -cos(x) at the last point, kept with a copy of that point's bits (shape
     # included) as one tuple, read once per call: an x changed in place since
@@ -195,6 +214,7 @@ def _cosine_sum(n: int) -> ProblemOracle:
         n=n,
         gradient=gradient,
         hessian=hessian,
+        hessian_diagonal=hessian_diagonal,
         hvp=hvp,
         f_diagnostic=f,
         lipschitz_g=1.0,
@@ -232,7 +252,8 @@ def make_problem(name: str, n: int) -> ProblemOracle:
     -------
     ProblemOracle
         Oracle with deterministic, side-effect-free evaluation maps; its
-        dense Hessian is dropped when n > ``DENSE_HESSIAN_MAX_DIM``.
+        n x n Hessian is dropped when n > ``DENSE_HESSIAN_MAX_DIM`` (a
+        diagonal problem keeps ``hessian_diagonal``).
 
     Raises
     ------

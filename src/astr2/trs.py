@@ -13,7 +13,9 @@ from one eigenvalue problem of twice the size [4], used to cross-check
 the exact solver.  Every dense spectral quantity (the subproblem's
 solution, lambda_min and its eigenvector) is read from one
 :class:`DenseModel`, whose eigendecomposition is LAPACK's ``eigh``, or, for
-a diagonal Hessian, the stable sort of its diagonal.
+a diagonal Hessian, the stable sort of its diagonal.  Every dense entry
+point takes H as an n x n matrix or, for a diagonal H, as the n-vector of
+its diagonal.
 
 References
 ----------
@@ -104,15 +106,15 @@ def _norm(v: Array) -> float:
 
 
 def _check_symmetric(H: Array) -> Array:
+    # A finite symmetric H, n x n or the n-vector of a diagonal H's diagonal,
+    # kept as it is (not copied) where it is exactly symmetric.
     H = _check_finite("H", H)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError(f"H must be square, got shape {H.shape}")
+    if H.ndim not in (1, 2) or H.shape[0] != H.shape[-1]:
+        raise ValueError(f"H must be square or a diagonal vector, got shape {H.shape}")
     if H.shape[0] == 0:
         raise ValueError("H must be at least 1 x 1")
-    if (H == H.T).all():
-        # What the symmetrisation returns, but for the sign of a zero paired
-        # with a negative zero; at n = 1 this skips two thirds of the cost.
-        return H.copy()
+    if H.ndim == 1 or (H == H.T).all():
+        return H
     scale = 1.0 + np.max(np.abs(H))
     if np.max(np.abs(H - H.T)) > _SYM_TOL * scale:
         raise ValueError("H is not symmetric within tolerance")
@@ -134,24 +136,9 @@ def _check_model(g: Array, H: Array) -> tuple[Array, Array]:
     return g, H
 
 
-def _eigh(H: Array) -> tuple[Array, Array]:
-    """The eigendecomposition of a symmetric H: ``np.linalg.eigh(H)``, or a
-    sort when H is diagonal.
-
-    A diagonal H (no nonzero entry off the diagonal) has its diagonal for
-    eigenvalues and a permutation matrix for eigenvectors: the stable sort
-    of the diagonal and its 0/1 columns, so H Q = Q diag(lam) holds exactly,
-    ties and -0.0 included.  The values are the diagonal's bits, also above
-    about 1e146 and below about 1e-146 in magnitude, where ``eigh`` scales
-    the matrix and rounds the eigenvalues.  Any other H goes to ``eigh``.
-    """
-    d = H.diagonal()
-    if np.count_nonzero(H) != np.count_nonzero(d):
-        return np.linalg.eigh(H)
-    order = d.argsort(kind="stable")
-    Q = np.zeros(H.shape)
-    Q[order, np.arange(len(d))] = 1.0
-    return d[order], Q
+def _times(H: Array, v: Array) -> Array:
+    # H v, for H n x n or a diagonal H given as its diagonal.
+    return H * v if H.ndim == 1 else H @ v
 
 
 def _flip_sign(u: Array, g: Array) -> Array:
@@ -169,8 +156,7 @@ class DenseModel:
 
     Everything in the subproblem that does not depend on the radius is
     computed here, once (the split of More-Sorensen [2] and [1, ch. 7]): H
-    is symmetry-checked and eigendecomposed (by ``eigh``, or, for a
-    diagonal H, by the stable sort of its diagonal), giving ``lam``, ``Q``,
+    is symmetry-checked and eigendecomposed, giving ``lam`` (ascending),
     ``gt = Q^T g`` and ``gnorm = ||g||``; then t_lo = max(0, -lambda_min),
     the critical set (the leading ``lam`` within a relative gap of -t_lo, a
     prefix since ``lam`` ascends), the gradient's norm on it and the
@@ -181,24 +167,44 @@ class DenseModel:
     factorisation; :meth:`gradient_step` gives the linear step
     and its decrease.
 
+    A diagonal H, given as the n-vector of its diagonal or as an n x n
+    matrix with no nonzero entry off the diagonal, is kept as that vector
+    and factorised by the stable sort of its diagonal: ``lam`` is the sorted
+    diagonal, bit for bit (also above about 1e146 and below about 1e-146 in
+    magnitude, where ``eigh`` scales the matrix and rounds the eigenvalues),
+    and the eigenvectors are the permutation ``order`` (the sort's index
+    array), so ``Q^T g`` is ``g[order]``, ``Q c`` a scatter and ``H s`` an
+    elementwise product: no n x n array is formed.  Any other H goes to
+    LAPACK's ``eigh``.  ``Q`` is formed only when read.
+
     Parameters
     ----------
     g : ndarray
         Gradient of the model at the center.
     H : ndarray
-        Symmetric model Hessian (symmetrized after a tolerance check).
+        Symmetric model Hessian (symmetrized after a tolerance check; kept,
+        not copied, where it is exactly symmetric), or the n-vector of a
+        diagonal Hessian's diagonal.
     """
 
     def __init__(self, g: Array, H: Array):
         self._factorise(*_check_model(g, H))
 
     def _factorise(self, g, H):
-        # g and H as given: finite, H exactly symmetric (checked by the caller).
+        # g and H as given: finite, H exactly symmetric or a diagonal vector
+        # (checked by the caller).
+        if H.ndim == 2 and np.count_nonzero(H) == np.count_nonzero(H.diagonal()):
+            H = H.diagonal()
         self.g, self.H = g, H
         self.gnorm = _norm(g)
-        lam, Q = _eigh(H)
-        gt = Q.T @ g
-        self.lam, self.Q, self.gt = lam, Q, gt
+        if H.ndim == 1:
+            self._order, self._vecs = H.argsort(kind="stable"), None
+            lam, gt = H[self._order], g[self._order]
+        else:
+            self._order = None
+            lam, self._vecs = np.linalg.eigh(H)
+            gt = self._vecs.T @ g
+        self.lam, self.gt = lam, gt
         lam_min, lam_max = float(lam[0]), float(lam[-1])
         t_lo = max(0.0, -lam_min)
         # lam ascends, so the critical set is a prefix lam[:k] and the
@@ -214,9 +220,31 @@ class DenseModel:
             # Pseudo-inverse solution at the left end of the multiplier range.
             dp = np.zeros(g.shape[0])
             dp[k:] = -gt[k:] / (lam[k:] + t_lo)
-            u = _flip_sign(Q[:, 0], g) if t_lo != 0.0 else None
-            self._pinv = (Q @ dp, _norm(dp), u)
+            u = _flip_sign(self._min_vector(), g) if t_lo != 0.0 else None
+            self._pinv = (self._from_eigenbasis(dp), _norm(dp), u)
         return self
+
+    @property
+    def Q(self) -> Array:
+        """The eigenvectors, column j for ``lam[j]``; for a diagonal H the
+        permutation matrix of ``order``, formed on each read."""
+        if self._vecs is not None:
+            return self._vecs
+        return self._from_eigenbasis(np.eye(len(self.lam)))
+
+    def _min_vector(self) -> Array:
+        # Q[:, 0], without forming Q for a diagonal H.
+        if self._vecs is not None:
+            return self._vecs[:, 0]
+        return self._from_eigenbasis(np.eye(1, len(self.lam))[0])
+
+    def _from_eigenbasis(self, c: Array) -> Array:
+        # Q c: a scatter for a diagonal H.
+        if self._vecs is not None:
+            return self._vecs @ c
+        d = np.empty_like(c)
+        d[self._order] = c
+        return d
 
     def decrease(self, delta: float) -> float:
         """The model decrease of the subproblem of radius ``delta``:
@@ -226,10 +254,10 @@ class DenseModel:
     def gradient_step(self, w_l: float) -> tuple[Array, float]:
         """The scaled gradient step s = -g/w_l and its model decrease."""
         s = -self.g / w_l
-        return s, -(float(np.dot(self.g, s)) + 0.5 * float(np.dot(s, self.H @ s)))
+        return s, -(float(np.dot(self.g, s)) + 0.5 * float(np.dot(s, _times(self.H, s))))
 
     def _finish(self, d: Array, t: float, boundary: bool, hard: bool) -> TrsSolution:
-        dq = -(float(np.dot(self.g, d)) + 0.5 * float(np.dot(d, self.H @ d)))
+        dq = -(float(np.dot(self.g, d)) + 0.5 * float(np.dot(d, _times(self.H, d))))
         return TrsSolution(
             d=d,
             multiplier=float(t),
@@ -274,8 +302,8 @@ class DenseModel:
         Each solution holds its own step array.
         """
         _check_radius(delta)
-        lam, Q, gt, t_lo, k = self.lam, self.Q, self.gt, self._t_lo, self._k
-        finish = self._finish
+        lam, gt, t_lo, k = self.lam, self.gt, self._t_lo, self._k
+        finish, from_eigenbasis = self._finish, self._from_eigenbasis
 
         if self._pinv is not None:
             qdp, norm_dp, u = self._pinv
@@ -338,7 +366,7 @@ class DenseModel:
             for _ in range(60):
                 val_hi, _, coords = phi_and_slope(hi)
                 if abs(val_hi) * delta <= _SECULAR_TOL:
-                    return finish(Q @ np.ldexp(coords, e), hi, True, False)
+                    return finish(from_eigenbasis(np.ldexp(coords, e)), hi, True, False)
                 if val_hi >= 0.0 or hi == t_lo:
                     break
                 hi = t_lo + 2.0 * (hi - t_lo)
@@ -347,7 +375,7 @@ class DenseModel:
             for _ in range(200):
                 val, slope, coords = phi_and_slope(t)
                 if abs(val) * delta <= _SECULAR_TOL:
-                    return finish(Q @ np.ldexp(coords, e), t, True, False)
+                    return finish(from_eigenbasis(np.ldexp(coords, e)), t, True, False)
                 if val < 0.0:
                     lo = t
                 else:
@@ -378,7 +406,7 @@ class DenseModel:
             r = max(0.0, delta * delta - float(np.dot(coords, coords)))
             if r > 0.0:
                 coords[0] += math.copysign(r / (abs(p) + math.sqrt(p * p + r)), p)
-        return finish(Q @ np.ldexp(coords, e), hi, True, False)
+        return finish(from_eigenbasis(np.ldexp(coords, e)), hi, True, False)
 
 
 def solve_trs_exact(g: Array, H: Array, delta: float) -> TrsSolution:
@@ -407,7 +435,7 @@ def cauchy_decrease(g: Array, H: Array, delta: float) -> tuple[float, float]:
     if gnorm2 == 0.0:
         return 0.0, 0.0
     gnorm = np.sqrt(gnorm2)
-    curv = float(np.dot(g, H @ g))
+    curv = float(np.dot(g, _times(H, g)))
     alpha_max = delta / gnorm
     if curv <= 0.0:
         alpha = alpha_max
@@ -433,7 +461,7 @@ def eigen_decrease(g: Array, H: Array, delta: float) -> tuple[Array, float, floa
     """
     _check_radius(delta)
     model = DenseModel(g, H)
-    u = _flip_sign(model.Q[:, 0], model.g)
+    u = _flip_sign(model._min_vector(), model.g)
     lam_min = float(model.lam[0])
     if lam_min >= 0.0:
         return u, 0.0, 0.0
@@ -593,7 +621,7 @@ class KrylovModel:
     ):
         _check_count("max_dim", max_dim)
         self.g = _check_finite("g", g)
-        self.gnorm = math.sqrt(np.dot(self.g, self.g))
+        self.gnorm = _norm(self.g)
         self.dim = 0  # subspace dimension of the last solve
         self._T, self._V = np.empty((0, 0)), np.empty((0, self.g.shape[0]))
         self._betas = []  # beta_m of each dimension m drawn so far
@@ -732,7 +760,8 @@ def kkt_residuals(g: Array, H: Array, delta: float, sol: TrsSolution) -> dict[st
     g, H = model.g, model.H
     dnorm = delta * float(np.linalg.norm(sol.d / delta))  # ||d|| ~ delta: no underflow
     lam_min = float(model.lam[0])
-    r = (H + sol.multiplier * np.eye(len(g))) @ sol.d + g
+    shifted = H + sol.multiplier if H.ndim == 1 else H + sol.multiplier * np.eye(len(g))
+    r = _times(shifted, sol.d) + g
     with np.errstate(over="ignore"):
         stationarity = float(np.linalg.norm(r))
     if stationarity == math.inf:
@@ -794,7 +823,9 @@ def brute_force_decrease(g: Array, H: Array, delta: float) -> float:
     the candidates on the unscaled model.  It shares no secular Newton
     iteration, bracket or near-hard tail with :class:`DenseModel`, so it
     can serve as an independent reference for it; its push along the
-    lambda_min eigenvector resembles the solver's hard-case step.
+    lambda_min eigenvector resembles the solver's hard-case step.  H is an
+    n x n matrix: the vector form of a diagonal H is rejected by ``eigh``
+    (``np.linalg.LinAlgError``, a ValueError).
     """
     g = np.asarray(g, dtype=float)
     H = _symmetrize(H)

@@ -21,12 +21,12 @@ def with_counting(oracle: ProblemOracle):
 
     A diagnostic objective is installed even when the base oracle has none,
     so a zero f-count proves the caller never asked for objective values
-    rather than merely having none available.
+    rather than merely having none available.  Both Hessian forms,
+    ``hessian`` and ``hessian_diagonal``, count as ``log.hessian``.
     """
     log = CallLog()
     base_f = oracle.f_diagnostic
     base_g = oracle.gradient
-    base_h = oracle.hessian
     base_hvp = oracle.hvp
 
     def f(x):
@@ -41,13 +41,18 @@ def with_counting(oracle: ProblemOracle):
         log.hvp += 1
         return base_hvp(x, v)
 
-    kwargs = {"f_diagnostic": f, "gradient": gradient, "hvp": hvp}
-    if base_h is not None:
+    def counted_hessian(base):
         def hessian(x):
             log.hessian += 1
-            return base_h(x)
+            return base(x)
 
-        kwargs["hessian"] = hessian
+        return hessian
+
+    kwargs = {"f_diagnostic": f, "gradient": gradient, "hvp": hvp}
+    for field in ("hessian", "hessian_diagonal"):
+        base = getattr(oracle, field)
+        if base is not None:
+            kwargs[field] = counted_hessian(base)
     return dataclasses.replace(oracle, **kwargs), log
 
 

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -169,21 +170,25 @@ def test_abort_carries_the_partial_trace():
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_dense_hessian_aborts_with_the_trace(bad):
+    # Injected into either form: the n x n Hessian (with the diagonal form
+    # cleared, so dense mode reads it) and the diagonal itself.
     base = make_problem("cosine_sum", 3)
-    calls = {"n": 0}
+    for field, index in (("hessian", (1, 1)), ("hessian_diagonal", 1)):
+        calls = {"n": 0}
+        real = getattr(base, field)
 
-    def hessian(x):
-        calls["n"] += 1
-        H = base.hessian(x)
-        if calls["n"] == 3:
-            H[1, 1] = bad
-        return H
+        def hessian(x):
+            calls["n"] += 1
+            H = real(x)
+            if calls["n"] == 3:
+                H[index] = bad
+            return H
 
-    oracle = dataclasses.replace(base, hessian=hessian)
-    with pytest.raises(SolverAbort) as info:
-        run(oracle, base.x0, adagrad_config(max_iter=5))
-    assert [r.k for r in info.value.trace] == [0, 1]
-    assert "non-finite" in info.value.reason
+        oracle = dataclasses.replace(base, **{"hessian_diagonal": None, field: hessian})
+        with pytest.raises(SolverAbort) as info:
+            run(oracle, base.x0, adagrad_config(max_iter=5))
+        assert [r.k for r in info.value.trace] == [0, 1], field
+        assert "non-finite" in info.value.reason
 
 
 @pytest.mark.filterwarnings("error")
@@ -461,7 +466,7 @@ def test_subspace_quadratic_step_stays_inside_its_radius_near_a_maximum(n):
 
 def test_subspace_mode_required_when_no_dense_hessian():
     base = make_problem("quadratic_psd", 4)
-    oracle = dataclasses.replace(base, hessian=None)
+    oracle = dataclasses.replace(base, hessian=None, hessian_diagonal=None)
     with pytest.raises(SolverAbort):
         run(oracle, base.x0, adagrad_config(max_iter=3))
     trace = run(oracle, base.x0, adagrad_config(max_iter=3, subspace_max_dim=4))
@@ -481,6 +486,38 @@ def test_dense_iteration_factorises_its_hessian_once(monkeypatch):
     assert "".join(r.branch for r in trace) == "Q" * 30
     assert factorisations["n"] == 30
     assert eighs["n"] == 0
+
+
+def test_a_diagonal_dense_iteration_forms_no_n_by_n_array():
+    # Above the cap, where make_problem drops the n x n Hessian, cosine_sum
+    # still runs in dense mode from its diagonal, in O(n) memory.
+    n = 3000
+    oracle = make_problem("cosine_sum", n)
+    assert oracle.hessian is None
+    x0 = 1e-6 * np.random.default_rng(1).standard_normal(n)
+    cfg = Astr2Config(scaling=AdagradScaling(varsigma=1e6), max_iter=1)
+    tracemalloc.start()
+    try:
+        _, rec = astr2_step(oracle, x0, 0, cfg, copy.deepcopy(cfg.scaling))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.branch == "Q" and rec.norm_s == pytest.approx(rec.delta_q, rel=1e-14)
+    assert peak < n * n * 8 / 100
+
+
+def test_a_gradient_whose_square_underflows_keeps_its_norm():
+    # ||g||^2 underflows to 0 below about 1e-162; the recorded ||g|| must
+    # not, in either mode.
+    d = np.array([1.0, 2.0])
+    oracle = ProblemOracle(name="tiny_gradient", n=2,
+                           gradient=lambda x: np.array([1e-170, 0.0]),
+                           hessian=None, hessian_diagonal=lambda x: d,
+                           hvp=lambda x, v: d * v)
+    for subspace_max_dim in (None, 2):
+        cfg = adagrad_config(subspace_max_dim=subspace_max_dim)
+        _, rec = astr2_step(oracle, np.zeros(2), 0, cfg, copy.deepcopy(cfg.scaling))
+        assert rec.norm_g == 1e-170
 
 
 def test_x0_validation():

@@ -35,9 +35,28 @@ def test_rosenbrock_needs_two_variables():
 
 
 def test_dense_hessian_is_dropped_above_the_cap():
+    # A diagonal problem keeps its diagonal at every n.
     for name in ("quadratic_psd", "rosenbrock", "cosine_sum"):
         assert make_problem(name, 1000).hessian is not None
         assert make_problem(name, 1001).hessian is None
+        diagonal = make_problem(name, 1001).hessian_diagonal
+        assert (diagonal is not None) == (name != "rosenbrock")
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_a_diagonal_hessian_is_the_diagonal_of_the_dense_one(name, rng):
+    n = 2 if name == "saddle_cubic" else 7
+    oracle = make_problem(name, n)
+    if name == "rosenbrock":
+        assert oracle.hessian_diagonal is None
+        return
+    for _ in range(3):
+        x = rng.standard_normal(n)
+        d = oracle.hessian_diagonal(x)
+        assert d.shape == (n,)
+        assert oracle.hessian(x).tobytes() == np.diag(d).tobytes()
+        v = rng.standard_normal(n)
+        np.testing.assert_array_equal(oracle.hvp(x, v), d * v)
 
 
 def test_quadratic_psd_closed_forms():

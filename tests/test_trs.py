@@ -26,7 +26,6 @@ from astr2 import (
 from astr2.trs import (
     LanczosNoConvergence,
     TrsSolution,
-    _eigh,
     _lanczos,
     _symmetrize,
     kkt_residuals,
@@ -282,31 +281,37 @@ def test_validation_rejects_bad_inputs():
 def test_empty_dense_model_is_rejected():
     # n = 0 has no lambda_min; every dense entry point says so instead of
     # indexing an empty spectrum.
-    g, H = np.zeros(0), np.zeros((0, 0))
-    entry_points = (
-        lambda: DenseModel(g, H).solve(1.0),
-        lambda: solve_trs_exact(g, H, 1.0),
-        lambda: phi2(g, H, 1.0),
-        lambda: combined_measures(g, H, 1.0, 1.0),
-        lambda: cauchy_decrease(g, H, 1.0),
-        lambda: eigen_decrease(g, H, 1.0),
-    )
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for call in entry_points:
-            with pytest.raises(ValueError, match="at least 1 x 1"):
-                call()
+    g = np.zeros(0)
+    for H in (np.zeros((0, 0)), np.zeros(0)):
+        entry_points = (
+            lambda: DenseModel(g, H).solve(1.0),
+            lambda: solve_trs_exact(g, H, 1.0),
+            lambda: phi2(g, H, 1.0),
+            lambda: combined_measures(g, H, 1.0, 1.0),
+            lambda: cauchy_decrease(g, H, 1.0),
+            lambda: eigen_decrease(g, H, 1.0),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in entry_points:
+                with pytest.raises(ValueError, match="at least 1 x 1"):
+                    call()
 
 
 @pytest.mark.parametrize("g, H, delta", [
     (np.zeros(0), np.zeros((0, 0)), 1.0),
+    (np.zeros(0), np.zeros(0), 1.0),
     (np.array([np.nan, 0.0]), np.eye(2), 1.0),
     (np.zeros(2), [[1.0, 0.0], [0.0]], 1.0),  # ragged
     (np.zeros(2), np.eye(3), 1.0),
     (np.zeros(2), np.eye(2), 0.0),
     (np.ones(2), np.diag([np.nan, 1.0]), 1.0),
     (np.ones(2), [[1.0, 0.5], [0.0, 1.0]], 1.0),
-], ids=["empty", "nan_g", "ragged_H", "shape_mismatch", "zero_radius", "nan_H", "asymmetric_H"])
+    (np.zeros(2), np.ones(3), 1.0),
+    (np.ones(2), [np.inf, 1.0], 1.0),
+    (np.ones(2), np.ones((2, 2, 2)), 1.0),
+], ids=["empty", "empty_vector", "nan_g", "ragged_H", "shape_mismatch", "zero_radius", "nan_H",
+        "asymmetric_H", "vector_shape_mismatch", "inf_vector_H", "three_dimensional_H"])
 def test_kkt_residuals_rejects_what_the_dense_model_rejects(g, H, delta):
     # So do the Cauchy and eigen decreases, which check g and H as the model does.
     sol = TrsSolution(np.zeros(len(g)), 0.0, 0.0, False, False)
@@ -563,6 +568,19 @@ def test_krylov_gradient_step_reads_its_curvature_from_the_first_product():
     assert calls["n"] == 1
 
 
+def test_krylov_model_keeps_a_gradient_whose_square_underflows():
+    # ||g||^2 underflows to 0 below about 1e-162; ||g|| must not, or the
+    # space of g reads as {0} and the solve returns the zero step.
+    g, d = np.array([1e-170, 0.0]), np.array([1.0, 2.0])
+    model = KrylovModel(g, lambda v: d * v, 2)
+    sol = model.solve(1e-171)
+    want = solve_trs_exact(g, d, 1e-171)
+    np.testing.assert_array_equal(want.d, [-1e-171, 0.0])
+    assert model.gnorm == 1e-170 and model.dim == 1
+    np.testing.assert_allclose(sol.d, want.d, rtol=1e-15, atol=0.0)
+    assert sol.multiplier == pytest.approx(want.multiplier, rel=1e-15)
+
+
 def test_krylov_max_dim_must_be_a_positive_integer():
     for max_dim in (0, -1, 2.5):
         with pytest.raises(ValueError):
@@ -805,10 +823,11 @@ def _diagonals(rng, n):
 
 
 def test_a_diagonal_hessian_is_factorised_by_the_stable_sort(monkeypatch):
-    # Every diagonal, with and without a -0.0 off the diagonal, is the stable
-    # sort of its diagonal and that permutation, and never runs eigh.  With
-    # distinct nonzero values these are eigh's bits, on both sides of its
-    # divide-and-conquer size (25) and of the blocked reduction (32).
+    # Every diagonal, as a vector and as a matrix with and without a -0.0
+    # off the diagonal, has the stably sorted diagonal for lam, never runs
+    # eigh, and the Q formed on read satisfies H Q = Q diag(lam) exactly.
+    # With distinct nonzero values these are eigh's bits, on both sides of
+    # its divide-and-conquer size (25) and of the blocked reduction (32).
     real_eigh = np.linalg.eigh
     calls = count_calls(monkeypatch, np.linalg, "eigh")
     rng = np.random.default_rng(7)
@@ -821,15 +840,15 @@ def test_a_diagonal_hessian_is_factorised_by_the_stable_sort(monkeypatch):
                 i, j = rng.choice(n, 2, replace=False)
                 H_zero[i, j] = H_zero[j, i] = -0.0
             order = d.argsort(kind="stable")
-            for A in (H, H_zero):
-                lam, Q = _eigh(A)
-                assert lam.tobytes() == d[order].tobytes(), (n, kind)
-                np.testing.assert_array_equal(Q, np.eye(n)[:, order])
-                np.testing.assert_array_equal(A @ Q, Q * lam)
-                if kind in distinct:
+            for A in (d, H, H_zero):
+                model = DenseModel(np.zeros(n), A)
+                assert model.lam.tobytes() == d[order].tobytes(), (n, kind)
+                np.testing.assert_array_equal(model.Q, np.eye(n)[:, order])
+                np.testing.assert_array_equal(H @ model.Q, model.Q * model.lam)
+                if kind in distinct and A is not d:
                     want_lam, want_Q = real_eigh(A)
-                    assert lam.tobytes() == want_lam.tobytes(), (n, kind)
-                    assert Q.tobytes() == want_Q.tobytes(), (n, kind)
+                    assert model.lam.tobytes() == want_lam.tobytes(), (n, kind)
+                    assert model.Q.tobytes() == want_Q.tobytes(), (n, kind)
     assert calls["n"] == 0
 
 
@@ -838,10 +857,11 @@ def test_a_diagonal_beyond_eighs_scaling_range_is_factorised_exactly(scale):
     # eigh scales such a matrix and rounds its eigenvalues; the sort keeps
     # the diagonal as it is.
     d = scale * np.array([3.0, -1.7, 0.3, -1.7, 2.9])
-    lam, Q = _eigh(np.diag(d))
     order = [1, 3, 2, 4, 0]
-    assert lam.tobytes() == d[order].tobytes()
-    np.testing.assert_array_equal(Q, np.eye(5)[:, order])
+    for H in (d, np.diag(d)):
+        model = DenseModel(np.zeros(5), H)
+        assert model.lam.tobytes() == d[order].tobytes()
+        np.testing.assert_array_equal(model.Q, np.eye(5)[:, order])
 
 
 def test_one_off_diagonal_pair_sends_the_hessian_to_eigh(monkeypatch):
@@ -849,9 +869,46 @@ def test_one_off_diagonal_pair_sends_the_hessian_to_eigh(monkeypatch):
     H[0, 3] = H[3, 0] = 1e-300
     want_lam, want_Q = np.linalg.eigh(H)
     calls = count_calls(monkeypatch, np.linalg, "eigh")
-    lam, Q = _eigh(H)
+    model = DenseModel(np.zeros(4), H)
     assert calls["n"] == 1
-    assert lam.tobytes() == want_lam.tobytes() and Q.tobytes() == want_Q.tobytes()
+    assert model.lam.tobytes() == want_lam.tobytes() and model.Q.tobytes() == want_Q.tobytes()
+
+
+_VECTOR_FORM_CASES = {
+    # (g, diagonal of H): ties, -0.0 in g and on the diagonal, entries of
+    # 1e+-200, and the hard case (no gradient on the critical direction).
+    "ties": ([1.0, -2.0, 0.5, 0.0], [-1.0, 2.0, -1.0, 2.0]),
+    "negative_zeros": ([0.0, -0.0, 1.0, -1.5], [-0.0, 0.0, -0.0, 3.0]),
+    "huge": ([1.0, -1.0, 0.5], [1e200, -1e200, 1e200]),
+    "tiny": ([1e-3, 0.0, -2.0], [1e-200, -1e-200, -0.0]),
+    "hard": ([0.0, 1.0, -0.5], [-1.0, 2.0, -1.0]),
+}
+
+
+def _hex(values):
+    # Floats as their bits (so -0.0 differs from 0.0), arrays as their bytes.
+    return tuple(v.tobytes() if isinstance(v, np.ndarray) else v.hex() for v in values)
+
+
+@pytest.mark.parametrize("case", sorted(_VECTOR_FORM_CASES))
+def test_a_diagonal_vector_gives_the_answers_of_its_matrix(case):
+    g, d = (np.array(a, dtype=float) for a in _VECTOR_FORM_CASES[case])
+    for delta in (1e-3, 1.0, 1e3):
+        answers = []
+        for H in (d, np.diag(d)):
+            sol = solve_trs_exact(g, H, delta)
+            rep = combined_measures(g, H, 1.0, delta)
+            answers.append((
+                _bits(DenseModel(g, H).solve(delta)),
+                _bits(sol),
+                _hex(cauchy_decrease(g, H, delta)),
+                _hex(eigen_decrease(g, H, delta)),
+                _hex(kkt_residuals(g, H, delta, sol).values()),
+                _hex(vars(rep).values()),
+            ))
+        assert answers[0] == answers[1], delta
+    with pytest.raises(ValueError):  # the reference takes H as a matrix only
+        brute_force_decrease(g, d, 1.0)
 
 
 @pytest.mark.parametrize("radii", [(1.0, 1e-3), (1e-3, 1.0), (1.0, 10.0)])
