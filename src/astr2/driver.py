@@ -8,9 +8,8 @@ Delta^L = ||g||/w^L, Delta^Q = hatphi/w^Q; take either the closed-form
 scaled-gradient step s = -g/w^L or a trust-region step of radius Delta^Q;
 accept the trial point unconditionally.  The measure and the step are two
 solves of one local model: a :class:`~astr2.trs.DenseModel`, which
-eigendecomposes H_k once per iteration (a diagonal H_k, read from the
-oracle's ``hessian_diagonal`` where it has one, by sorting that vector), or
-in subspace mode a
+eigendecomposes H_k once per iteration (a diagonal H_k, which the oracle
+gives as its diagonal, by sorting that vector), or in subspace mode a
 :class:`~astr2.trs.KrylovModel`, whose one Lanczos run from g_k serves both
 radii.  The Krylov space contains g_k, so the subspace step
 dominates the Cauchy point and every other point of that space; negative
@@ -142,14 +141,11 @@ def astr2_step(
         raise ValueError(_OVERFLOW)
 
     if config.subspace_max_dim is None:
-        # A diagonal Hessian comes as its diagonal, which the model keeps as
-        # it is: the iteration forms no n x n array.
-        hessian = oracle.hessian if oracle.hessian_diagonal is None else oracle.hessian_diagonal
-        if hessian is None:
+        if oracle.hessian is None:
             raise ValueError(
                 f"problem {oracle.name!r} has no dense Hessian; set subspace_max_dim"
             )
-        model = DenseModel(g, hessian(x))
+        model = DenseModel(g, oracle.hessian(x))
     else:
         seed = None
         if norm_g == 0.0:
@@ -191,7 +187,7 @@ def astr2_step(
         w_q=w_q,
         delta_l=delta_l,
         delta_q=delta_q,
-        norm_s=math.sqrt(np.dot(s, s)),
+        norm_s=_norm(s),
         dq=dq,
         f=f_val,
     )

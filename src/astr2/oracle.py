@@ -1,10 +1,11 @@
 """Problem interface and built-in smooth test problems.
 
-A :class:`ProblemOracle` supplies the gradient, the Hessian (dense while the
-dimension stays moderate, and as a vector at any dimension where it is
-diagonal) and a Hessian-vector product of a twice continuously
-differentiable function.  The objective value itself is only exposed through
-``f_diagnostic``: the optimizer never reads it, traces and tests may.
+A :class:`ProblemOracle` supplies the gradient, the Hessian (as the vector
+of its diagonal where it is diagonal everywhere, else as an n x n matrix
+while the dimension stays moderate) and a Hessian-vector product of a twice
+continuously differentiable function.  The objective value itself is only
+exposed through ``f_diagnostic``: the optimizer never reads it, traces and
+tests may.
 
 Built-in problems cover the regimes the optimizer cares about: a convex PSD
 quadratic, the (chained) Rosenbrock valley, a cubic with a saddle at the
@@ -14,16 +15,15 @@ Hessian Lipschitz constants are known exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 Array = np.ndarray
 
-# Beyond this dimension the n x n Hessian map is dropped; a diagonal problem
-# keeps its diagonal, any other keeps only the Hessian-vector product
-# (subspace mode must be used then).
+# Beyond this dimension a non-diagonal problem has no n x n Hessian map, only
+# the Hessian-vector product (subspace mode must be used then).
 DENSE_HESSIAN_MAX_DIM = 1000
 
 
@@ -35,12 +35,9 @@ class ProblemOracle:
     Every Hessian-vector product of one iterate is taken at the same x, so
     ``hvp`` may keep the part of the product that depends on x alone for
     the last x it saw (the catalogue's ``cosine_sum`` does).
-    ``hessian`` is None when the problem is built in hvp-only mode.
-    ``hessian_diagonal`` is set only where the Hessian is diagonal
-    everywhere; it gives that diagonal as an n-vector, and ``hessian`` is
-    then ``np.diag`` of it.  Dense mode reads ``hessian_diagonal`` first and
-    ``hessian`` only where it is None, so replacing ``hessian`` on a
-    diagonal problem needs ``hessian_diagonal=None`` as well.
+    ``hessian`` gives the n-vector of the diagonal where the Hessian is
+    diagonal everywhere, else the n x n matrix; it is None when the problem
+    is built in hvp-only mode.
     ``lipschitz_g``/``lipschitz_h`` are the gradient/Hessian Lipschitz
     constants where known, ``f_low`` a known lower bound on f (None when the
     function is unbounded below or the bound is unknown).
@@ -56,7 +53,6 @@ class ProblemOracle:
     lipschitz_h: Optional[float] = None
     f_low: Optional[float] = None
     x0: Optional[Array] = None
-    hessian_diagonal: Optional[Callable[[Array], Array]] = None
 
 
 @dataclass(frozen=True)
@@ -76,11 +72,8 @@ def _quadratic_psd(n: int) -> ProblemOracle:
     def gradient(x: Array) -> Array:
         return np.array(x, dtype=float, copy=True)
 
-    def hessian_diagonal(x: Array) -> Array:
-        return np.ones(n)
-
     def hessian(x: Array) -> Array:
-        return np.diag(hessian_diagonal(x))
+        return np.ones(n)
 
     def hvp(x: Array, v: Array) -> Array:
         return np.array(v, dtype=float, copy=True)
@@ -90,7 +83,6 @@ def _quadratic_psd(n: int) -> ProblemOracle:
         n=n,
         gradient=gradient,
         hessian=hessian,
-        hessian_diagonal=hessian_diagonal,
         hvp=hvp,
         f_diagnostic=f,
         lipschitz_g=1.0,
@@ -136,7 +128,7 @@ def _rosenbrock(n: int) -> ProblemOracle:
         name="rosenbrock",
         n=n,
         gradient=gradient,
-        hessian=hessian,
+        hessian=hessian if n <= DENSE_HESSIAN_MAX_DIM else None,
         hvp=hvp,
         f_diagnostic=f,
         lipschitz_g=None,
@@ -155,11 +147,8 @@ def _saddle_cubic(n: int) -> ProblemOracle:
     def gradient(x: Array) -> Array:
         return np.array([x[0] ** 2, -x[1]])
 
-    def hessian_diagonal(x: Array) -> Array:
-        return np.array([2.0 * x[0], -1.0])
-
     def hessian(x: Array) -> Array:
-        return np.diag(hessian_diagonal(x))
+        return np.array([2.0 * x[0], -1.0])
 
     def hvp(x: Array, v: Array) -> Array:
         return np.array([2.0 * x[0] * v[0], -v[1]])
@@ -169,7 +158,6 @@ def _saddle_cubic(n: int) -> ProblemOracle:
         n=2,
         gradient=gradient,
         hessian=hessian,
-        hessian_diagonal=hessian_diagonal,
         hvp=hvp,
         f_diagnostic=f,
         lipschitz_g=None,
@@ -188,11 +176,8 @@ def _cosine_sum(n: int) -> ProblemOracle:
     def gradient(x: Array) -> Array:
         return -np.sin(x)
 
-    def hessian_diagonal(x: Array) -> Array:
-        return -np.cos(x)
-
     def hessian(x: Array) -> Array:
-        return np.diag(hessian_diagonal(x))
+        return -np.cos(x)
 
     # -cos(x) at the last point, kept with a copy of that point's bits (shape
     # included) as one tuple, read once per call: an x changed in place since
@@ -214,7 +199,6 @@ def _cosine_sum(n: int) -> ProblemOracle:
         n=n,
         gradient=gradient,
         hessian=hessian,
-        hessian_diagonal=hessian_diagonal,
         hvp=hvp,
         f_diagnostic=f,
         lipschitz_g=1.0,
@@ -251,9 +235,10 @@ def make_problem(name: str, n: int) -> ProblemOracle:
     Returns
     -------
     ProblemOracle
-        Oracle with deterministic, side-effect-free evaluation maps; its
-        n x n Hessian is dropped when n > ``DENSE_HESSIAN_MAX_DIM`` (a
-        diagonal problem keeps ``hessian_diagonal``).
+        Oracle with deterministic, side-effect-free evaluation maps.  A
+        diagonal problem's ``hessian`` gives its diagonal at every n; the
+        one non-diagonal problem, ``rosenbrock``, has no ``hessian`` when
+        n > ``DENSE_HESSIAN_MAX_DIM``.
 
     Raises
     ------
@@ -269,10 +254,7 @@ def make_problem(name: str, n: int) -> ProblemOracle:
         raise ValueError(f"problem {name!r} requires n = {exact_n}, got {n}")
     if n < min_n:
         raise ValueError(f"problem {name!r} requires n >= {min_n}, got {n}")
-    oracle = factory(int(n))
-    if n > DENSE_HESSIAN_MAX_DIM:
-        oracle = replace(oracle, hessian=None)
-    return oracle
+    return factory(int(n))
 
 
 def finite_diff_check(oracle: ProblemOracle, x: Array, h: float) -> FiniteDiffReport:
@@ -308,6 +290,8 @@ def finite_diff_check(oracle: ProblemOracle, x: Array, h: float) -> FiniteDiffRe
     grad_err = float(np.linalg.norm(g_fd - g) / max(1.0, np.linalg.norm(g)))
     if oracle.hessian is not None:
         H = oracle.hessian(x)
+        if np.ndim(H) == 1:  # a diagonal Hessian, given as its diagonal
+            H = np.diag(H)
     else:
         H = np.column_stack([oracle.hvp(x, e) for e in np.eye(n)])
     hess_err = float(np.linalg.norm(H_fd - H) / max(1.0, np.linalg.norm(H)))

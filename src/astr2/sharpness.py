@@ -308,7 +308,7 @@ def _replay_oracle(seq: SharpnessSequence) -> ProblemOracle:
         return np.zeros(1)
 
     def hessian(x: Array) -> Array:
-        return np.array([[hess[_index(float(x[0]))]]])
+        return np.array([hess[_index(float(x[0]))]])
 
     def hvp(x: Array, v: Array) -> Array:
         return hess[_index(float(x[0]))] * np.asarray(v, dtype=float)

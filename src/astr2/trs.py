@@ -87,7 +87,7 @@ def _check_radius(delta: float) -> None:
 
 
 def _check_count(name: str, value: int) -> None:
-    if not (isinstance(value, (int, np.integer)) and value >= 1):
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1):
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 

@@ -21,12 +21,12 @@ def with_counting(oracle: ProblemOracle):
 
     A diagnostic objective is installed even when the base oracle has none,
     so a zero f-count proves the caller never asked for objective values
-    rather than merely having none available.  Both Hessian forms,
-    ``hessian`` and ``hessian_diagonal``, count as ``log.hessian``.
+    rather than merely having none available.
     """
     log = CallLog()
     base_f = oracle.f_diagnostic
     base_g = oracle.gradient
+    base_h = oracle.hessian
     base_hvp = oracle.hvp
 
     def f(x):
@@ -41,18 +41,13 @@ def with_counting(oracle: ProblemOracle):
         log.hvp += 1
         return base_hvp(x, v)
 
-    def counted_hessian(base):
+    kwargs = {"f_diagnostic": f, "gradient": gradient, "hvp": hvp}
+    if base_h is not None:
         def hessian(x):
             log.hessian += 1
-            return base(x)
+            return base_h(x)
 
-        return hessian
-
-    kwargs = {"f_diagnostic": f, "gradient": gradient, "hvp": hvp}
-    for field in ("hessian", "hessian_diagonal"):
-        base = getattr(oracle, field)
-        if base is not None:
-            kwargs[field] = counted_hessian(base)
+        kwargs["hessian"] = hessian
     return dataclasses.replace(oracle, **kwargs), log
 
 

@@ -57,7 +57,7 @@ def test_config_validation():
         adagrad_config(eps1=1e-6)                 # eps2 missing
     with pytest.raises(ValueError):
         adagrad_config(eps1=1e-6, eps2=-1.0)
-    for dim in (0, 2.5):
+    for dim in (0, 2.5, True):
         with pytest.raises(ValueError):
             adagrad_config(subspace_max_dim=dim)
 
@@ -170,12 +170,11 @@ def test_abort_carries_the_partial_trace():
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_dense_hessian_aborts_with_the_trace(bad):
-    # Injected into either form: the n x n Hessian (with the diagonal form
-    # cleared, so dense mode reads it) and the diagonal itself.
+    # Injected into either form: cosine_sum's diagonal and the n x n matrix
+    # of that diagonal.
     base = make_problem("cosine_sum", 3)
-    for field, index in (("hessian", (1, 1)), ("hessian_diagonal", 1)):
+    for real, index in ((base.hessian, 1), (lambda x: np.diag(base.hessian(x)), (1, 1))):
         calls = {"n": 0}
-        real = getattr(base, field)
 
         def hessian(x):
             calls["n"] += 1
@@ -184,10 +183,10 @@ def test_non_finite_dense_hessian_aborts_with_the_trace(bad):
                 H[index] = bad
             return H
 
-        oracle = dataclasses.replace(base, **{"hessian_diagonal": None, field: hessian})
+        oracle = dataclasses.replace(base, hessian=hessian)
         with pytest.raises(SolverAbort) as info:
             run(oracle, base.x0, adagrad_config(max_iter=5))
-        assert [r.k for r in info.value.trace] == [0, 1], field
+        assert [r.k for r in info.value.trace] == [0, 1], index
         assert "non-finite" in info.value.reason
 
 
@@ -466,11 +465,23 @@ def test_subspace_quadratic_step_stays_inside_its_radius_near_a_maximum(n):
 
 def test_subspace_mode_required_when_no_dense_hessian():
     base = make_problem("quadratic_psd", 4)
-    oracle = dataclasses.replace(base, hessian=None, hessian_diagonal=None)
+    oracle = dataclasses.replace(base, hessian=None)
     with pytest.raises(SolverAbort):
         run(oracle, base.x0, adagrad_config(max_iter=3))
     trace = run(oracle, base.x0, adagrad_config(max_iter=3, subspace_max_dim=4))
     assert len(trace) == 3
+    # Above the cap, rosenbrock is built without its n x n Hessian.
+    oracle = make_problem("rosenbrock", 1001)
+    with pytest.raises(SolverAbort, match="no dense Hessian; set subspace_max_dim"):
+        run(oracle, oracle.x0, adagrad_config(max_iter=1))
+
+
+def test_dense_mode_calls_a_replaced_hessian_once_per_iteration():
+    # with_counting replaces the diagonal problem's hessian by a counted copy.
+    oracle, log = with_counting(make_problem("cosine_sum", 5))
+    trace = run(oracle, oracle.x0, adagrad_config(max_iter=5))
+    assert len(trace) == 5
+    assert log.hessian == 5
 
 
 def test_dense_iteration_factorises_its_hessian_once(monkeypatch):
@@ -489,11 +500,11 @@ def test_dense_iteration_factorises_its_hessian_once(monkeypatch):
 
 
 def test_a_diagonal_dense_iteration_forms_no_n_by_n_array():
-    # Above the cap, where make_problem drops the n x n Hessian, cosine_sum
-    # still runs in dense mode from its diagonal, in O(n) memory.
+    # Above the cap, where rosenbrock has no Hessian, cosine_sum still runs
+    # in dense mode from its diagonal, in O(n) memory.
     n = 3000
     oracle = make_problem("cosine_sum", n)
-    assert oracle.hessian is None
+    assert oracle.hessian(oracle.x0).shape == (n,)
     x0 = 1e-6 * np.random.default_rng(1).standard_normal(n)
     cfg = Astr2Config(scaling=AdagradScaling(varsigma=1e6), max_iter=1)
     tracemalloc.start()
@@ -507,17 +518,18 @@ def test_a_diagonal_dense_iteration_forms_no_n_by_n_array():
 
 
 def test_a_gradient_whose_square_underflows_keeps_its_norm():
-    # ||g||^2 underflows to 0 below about 1e-162; the recorded ||g|| must
-    # not, in either mode.
+    # ||g||^2 underflows to 0 below about 1e-162; the recorded ||g|| and the
+    # linear step's ||s|| (s = -g at k = 0) must not, in either mode.
     d = np.array([1.0, 2.0])
     oracle = ProblemOracle(name="tiny_gradient", n=2,
                            gradient=lambda x: np.array([1e-170, 0.0]),
-                           hessian=None, hessian_diagonal=lambda x: d,
+                           hessian=lambda x: d,
                            hvp=lambda x, v: d * v)
     for subspace_max_dim in (None, 2):
         cfg = adagrad_config(subspace_max_dim=subspace_max_dim)
         _, rec = astr2_step(oracle, np.zeros(2), 0, cfg, copy.deepcopy(cfg.scaling))
         assert rec.norm_g == 1e-170
+        assert rec.branch == "L" and rec.norm_s == 1e-170
 
 
 def test_x0_validation():

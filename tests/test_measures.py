@@ -77,9 +77,9 @@ def test_phi2_subspace_rejects_a_nan_gradient():
 
 
 def test_phi2_subspace_max_dim_must_be_a_nonnegative_integer():
-    # negatives and non-integers are rejected; 0 is rejected as well, see
-    # test_phi2_subspace_degenerate_dimension_zero
-    for max_dim in (-1, 0, 2.5):
+    # negatives and non-integers (True among them) are rejected; 0 is
+    # rejected as well, see test_phi2_subspace_degenerate_dimension_zero
+    for max_dim in (-1, 0, 2.5, True):
         with pytest.raises(ValueError, match="max_dim must be an integer >= 1"):
             phi2_subspace(np.ones(3), lambda v: v, 1.0, max_dim)
 

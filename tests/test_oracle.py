@@ -35,28 +35,32 @@ def test_rosenbrock_needs_two_variables():
 
 
 def test_dense_hessian_is_dropped_above_the_cap():
-    # A diagonal problem keeps its diagonal at every n.
+    # Only the non-diagonal rosenbrock loses its Hessian; a diagonal problem
+    # keeps its diagonal at every n.
     for name in ("quadratic_psd", "rosenbrock", "cosine_sum"):
         assert make_problem(name, 1000).hessian is not None
-        assert make_problem(name, 1001).hessian is None
-        diagonal = make_problem(name, 1001).hessian_diagonal
-        assert (diagonal is not None) == (name != "rosenbrock")
+        assert (make_problem(name, 1001).hessian is None) == (name == "rosenbrock")
+    assert make_problem("cosine_sum", 1001).hessian(np.zeros(1001)).shape == (1001,)
 
 
 @pytest.mark.parametrize("name", catalog_names())
 def test_a_diagonal_hessian_is_the_diagonal_of_the_dense_one(name, rng):
+    # Every problem but rosenbrock has a diagonal Hessian and gives it as an
+    # n-vector: the diagonal of the n x n Hessian that the hvps of the
+    # coordinate vectors assemble (off its diagonal, +0.0 or -0.0).
     n = 2 if name == "saddle_cubic" else 7
     oracle = make_problem(name, n)
-    if name == "rosenbrock":
-        assert oracle.hessian_diagonal is None
-        return
     for _ in range(3):
         x = rng.standard_normal(n)
-        d = oracle.hessian_diagonal(x)
-        assert d.shape == (n,)
-        assert oracle.hessian(x).tobytes() == np.diag(d).tobytes()
+        H = oracle.hessian(x)
+        if name == "rosenbrock":
+            assert H.shape == (n, n)
+            continue
+        dense = np.column_stack([oracle.hvp(x, e) for e in np.eye(n)])
+        assert H.shape == (n,)
+        np.testing.assert_array_equal(np.diag(H), dense)
         v = rng.standard_normal(n)
-        np.testing.assert_array_equal(oracle.hvp(x, v), d * v)
+        np.testing.assert_array_equal(oracle.hvp(x, v), H * v)
 
 
 def test_quadratic_psd_closed_forms():
@@ -64,7 +68,7 @@ def test_quadratic_psd_closed_forms():
     x = np.array([1.0, -2.0, 0.5, 0.0, 3.0])
     assert oracle.f_diagnostic(x) == pytest.approx(0.5 * np.dot(x, x), abs=0)
     np.testing.assert_array_equal(oracle.gradient(x), x)
-    np.testing.assert_array_equal(oracle.hessian(x), np.eye(5))
+    np.testing.assert_array_equal(oracle.hessian(x), np.ones(5))
     assert oracle.lipschitz_g == 1.0
     assert oracle.lipschitz_h == 0.0
     assert oracle.f_low == 0.0
@@ -75,7 +79,7 @@ def test_cosine_sum_closed_forms():
     x = np.array([0.3, -1.2, 2.0])
     assert oracle.f_diagnostic(x) == pytest.approx(np.sum(np.cos(x)), rel=1e-15)
     np.testing.assert_allclose(oracle.gradient(x), -np.sin(x), rtol=1e-15)
-    np.testing.assert_allclose(oracle.hessian(x), np.diag(-np.cos(x)), rtol=1e-15)
+    np.testing.assert_allclose(oracle.hessian(x), -np.cos(x), rtol=1e-15)
     assert oracle.f_low == -3.0
     assert oracle.lipschitz_g == 1.0 and oracle.lipschitz_h == 1.0
 
@@ -85,7 +89,7 @@ def test_saddle_cubic_derivatives():
     x = np.array([1.5, -0.7])
     assert oracle.f_diagnostic(x) == pytest.approx(1.5 ** 3 / 3.0 - 0.5 * 0.7 ** 2)
     np.testing.assert_allclose(oracle.gradient(x), [1.5 ** 2, 0.7], rtol=1e-15)
-    np.testing.assert_allclose(oracle.hessian(x), [[3.0, 0.0], [0.0, -1.0]], rtol=1e-15)
+    np.testing.assert_allclose(oracle.hessian(x), [3.0, -1.0], rtol=1e-15)
 
 
 @pytest.mark.parametrize("name,n", [
@@ -112,6 +116,8 @@ def test_hvp_matches_dense_hessian(name, n, rng):
     oracle = make_problem(name, n)
     x = rng.standard_normal(n)
     H = oracle.hessian(x)
+    if H.ndim == 1:
+        H = np.diag(H)
     for _ in range(3):
         v = rng.standard_normal(n)
         np.testing.assert_allclose(oracle.hvp(x, v), H @ v, rtol=1e-13, atol=1e-13)

@@ -95,6 +95,21 @@ def test_benchmark_hooks_find_their_targets(monkeypatch):
         importlib.import_module(module)
 
 
+def test_a_traced_dense_run_records_one_hessian_span_per_iteration(monkeypatch):
+    # The benchmark's oracle.hessian.calls_per_iter counts these spans; dense
+    # cosine_sum reads its diagonal Hessian once per iteration.
+    monkeypatch.syspath_prepend(str(_PERFBENCH))
+    from probes import Recorder
+
+    import astr2
+
+    rec = Recorder(traced=True)
+    oracle = astr2.make_problem("cosine_sum", 10)
+    cfg = astr2.Astr2Config(scaling=astr2.AdagradScaling(), max_iter=5)
+    assert len(rec.solve(astr2.run, oracle, oracle.x0, cfg)) == 5
+    assert [span[0] for span in rec.spans].count("oracle.hessian") == 5
+
+
 def test_trace_digest_matches_a_program_against_itself():
     argv = [sys.executable, str(_TOOLS / "trace_digest.py"), "--workload", "golden",
             "--against", str(_TOOLS.parent / "src")]
