@@ -248,7 +248,7 @@ def make_problem(name: str, n: int) -> ProblemOracle:
     if name not in _CATALOG:
         raise ValueError(f"unknown problem {name!r}; choices: {', '.join(catalog_names())}")
     factory, min_n, exact_n = _CATALOG[name]
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise ValueError(f"dimension must be a positive integer, got {n!r}")
     if exact_n is not None and n != exact_n:
         raise ValueError(f"problem {name!r} requires n = {exact_n}, got {n}")

@@ -5,12 +5,13 @@ Everything here is about the problem
     min_{||d|| <= Delta}  g^T d + (1/2) d^T H d
 
 and its certificates: an exact eigendecomposition-based solver with
-safeguarded Newton iteration on the secular equation and an explicit
-hard-case branch, the classical Cauchy-point and eigen-point decreases, a
-matrix-free Lanczos minimum-eigenpair routine, a GLTR-style Krylov model
-for subspace-restricted solves, and a reference value of the decrease,
-from one eigenvalue problem of twice the size [4], used to cross-check
-the exact solver.  Every dense spectral quantity (the subproblem's
+safeguarded Newton iteration on the secular equation, started in the
+bracket that the eigenvalues carrying gradient give the multiplier, and
+an explicit hard-case branch, the classical Cauchy-point and eigen-point
+decreases, a matrix-free Lanczos minimum-eigenpair routine, a GLTR-style
+Krylov model for subspace-restricted solves, and a reference value of the
+decrease, from one eigenvalue problem of twice the size [4], used to
+cross-check the exact solver.  Every dense spectral quantity (the subproblem's
 solution, lambda_min and its eigenvector) is read from one
 :class:`DenseModel`, whose eigendecomposition is LAPACK's ``eigh``, or, for
 a diagonal Hessian, the stable sort of its diagonal.  Every dense entry
@@ -212,6 +213,7 @@ class DenseModel:
         scale = max(1.0, abs(lam_min), abs(lam_max))
         k = int((lam + t_lo).searchsorted(_GAP_TOL * scale, side="right"))
         self._t_lo, self._k = t_lo, k
+        self._support = None  # (lambda+_min, lambda+_max), set by the first Newton solve
         g_crit = math.sqrt(np.dot(gt[:k], gt[:k])) if k else 0.0
         # (Q dp, ||dp||, downhill critical eigenvector or None at t_lo = 0)
         # where the hard-case test passes, else None.
@@ -275,17 +277,27 @@ class DenseModel:
         answer is that step (interior, PSD H) or that step pushed to the
         boundary along the critical eigenvector (the hard case).  Otherwise
         safeguarded Newton on the secular equation phi(t) = 1/||d(t)|| -
-        1/Delta over t >= max(0, -lambda_min).  phi is concave and
+        1/Delta over t >= t_lo = max(0, -lambda_min).  phi is concave and
         increasing, so a Newton step from the left of the root never passes
-        it.  The feasible bracket end is tested as a root when the bracket
-        is set up; it is the root when g lies along the critical eigenvector
-        (every 1-D model with negative curvature), which then costs one
-        evaluation.  A Newton step from the left that reaches the feasible
-        end hi puts the root at hi to rounding, and the iteration ends
-        there; a step onto the other end bisects instead.  Near the hard
-        case (gradient small but not negligible on the critical eigenspace)
-        t cannot always be resolved to the secular tolerance in floating
-        point; the Newton iteration then keeps its feasible bracket end and
+        it.  With lambda+_min and lambda+_max the smallest and largest
+        ``lam[i]`` with ``gt[i] != 0`` (found at the first Newton solve and
+        kept), ||g||/(lambda+_max + t) <= ||d(t)|| <= ||g||/(lambda+_min + t)
+        puts the root in [max(t_lo, ||g||/Delta - lambda+_max), hi =
+        ||g||/Delta - lambda+_min].  Where the lower end is above t_lo,
+        Newton starts there, left of the root, and phi(hi) is evaluated only
+        when a step reaches hi; when g lies in one eigenspace the two ends
+        meet at the root, which then costs one evaluation.  Elsewhere hi is
+        tested first, as a root and as a bracket end, and Newton starts at
+        the midpoint.  A hi at which phi < 0 (rounding at the analytic
+        bound) is widened.  A Newton step from the left that reaches the
+        feasible end hi puts the root at hi to rounding, and the iteration
+        ends there; so does a step from the right that rounds to its own
+        start (the root is within half an ulp), while such a step from the
+        left tries the next double; a step onto the other end bisects
+        instead.  Near the hard case (gradient small but not negligible on
+        the critical eigenspace) t cannot always be resolved to the secular
+        tolerance in floating point; the Newton iteration then keeps its
+        feasible bracket end, whose coordinates it has formed, and
         reaches the boundary along the critical eigenvector with the smaller
         of the two steps (More-Sorensen), so ||d|| = Delta to rounding on
         every boundary solution.  When ||g||/Delta is below one ulp of t_lo
@@ -298,7 +310,9 @@ class DenseModel:
         push, are formed without squaring into the subnormal range, so the
         interior and hard-case answers keep theirs too.
         One evaluation of phi costs a few numpy calls on the cached
-        spectrum; the floating-point error state is set once per solve.
+        spectrum: phi'(t) = sum c_i^2/(lam_i + t) / ||d||^3 is read from the
+        coordinates c of d(t) that phi forms.  The floating-point error state
+        is set once per solve.
         Each solution holds its own step array.
         """
         _check_radius(delta)
@@ -324,9 +338,23 @@ class DenseModel:
                 return finish(qdp + theta * u, t_lo, True, True)
 
         # Boundary solution with t strictly above t_lo: safeguarded Newton on
-        # phi(t) = 1/||d(t)|| - 1/Delta, increasing with phi(t_lo) <= 0.
+        # phi(t) = 1/||d(t)|| - 1/Delta, increasing with phi(t_lo) <= 0.  With
+        # lambda+_min and lambda+_max the extreme eigenvalues that carry
+        # gradient, ||g||/(lambda+_max + t) <= ||d(t)|| <= ||g||/(lambda+_min
+        # + t) brackets the root in [||g||/Delta - lambda+_max, ||g||/Delta -
+        # lambda+_min] [2].
+        if self._support is None:
+            nz = np.flatnonzero(gt)
+            self._support = (float(lam[nz[0]]), float(lam[nz[-1]]))
+        lam_lo, lam_hi = self._support
+        g_delta = self.gnorm / delta
         lo = t_lo
-        hi = t_lo + self.gnorm / delta
+        start = g_delta - lam_hi  # phi <= 0 there
+        hi = g_delta - lam_lo  # phi >= 0 there
+        if not hi > t_lo:
+            # Only by rounding (or within the critical gap) does the bound
+            # fall to t_lo; widen it to the bound of every model.
+            hi = t_lo + g_delta
         if hi == math.inf:
             raise ValueError(f"the multiplier ||g||/delta overflows at delta = {delta!r}")
         # It runs on g and Delta scaled by the power of two that puts Delta in
@@ -337,41 +365,52 @@ class DenseModel:
         neg_gt = -np.ldexp(gt, -e)  # below ||g||/delta, so finite
 
         def phi_and_slope(t: float) -> tuple[float, float, Array]:
-            # phi(t), phi'(t) and the coordinates of d(t) in the eigenbasis.
+            # phi(t), phi'(t) = sum c_i^2/(lam_i + t) / ||d||^3 and the
+            # coordinates c of d(t) in the eigenbasis.
             denom = lam + t
             c = neg_gt / denom
-            s3 = gt2 / denom ** 3
             if denom[0] == 0.0:
                 # lam ascends and t >= t_lo, so only leading entries vanish.
                 # 0/0 means no gradient on a critical direction: contributes
                 # nothing.
                 zero = (denom == 0.0) & (neg_gt == 0.0)
                 c[zero] = 0.0
-                s3[zero] = 0.0
+                denom[zero] = 1.0
             n2 = float(np.dot(c, c))
             if not math.isfinite(n2) or n2 == 0.0:
                 return -1.0 / delta, 0.0, c
             nrm = math.sqrt(n2)
-            return 1.0 / nrm - 1.0 / delta, float(s3.sum()) / nrm ** 3, c
+            # Divided as numpy floats: where ||d||^3 underflows (||d|| below
+            # about 1e-108), phi' is infinite rather than a ZeroDivisionError.
+            return 1.0 / nrm - 1.0 / delta, float(np.dot(c, c / denom) / nrm ** 3), c
 
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # Once ||g||/Delta passes about 1e103, denom ** 3 overflows, and
-            # gt2 does past about 1e154: phi' is then 0 or NaN, and the
-            # iteration bisects.
-            gt2 = neg_gt * neg_gt
-            # Guard: widen until phi(hi) >= 0 (covers rounding at the analytic
-            # bound).  A bracket of no width cannot be widened by doubling.
-            # The end is itself the root when g lies along the critical
-            # eigenvector (every 1-D model with negative curvature).
+        def guard(hi: float) -> tuple[float, Optional[Array], Optional[TrsSolution]]:
+            # Widen until phi(hi) >= 0 (covers rounding at the analytic
+            # bound): hi, the coordinates of d(hi), and the answer where hi
+            # is itself the root.  A bracket of no width cannot be widened
+            # by doubling.
             for _ in range(60):
                 val_hi, _, coords = phi_and_slope(hi)
                 if abs(val_hi) * delta <= _SECULAR_TOL:
-                    return finish(from_eigenbasis(np.ldexp(coords, e)), hi, True, False)
+                    return hi, coords, finish(from_eigenbasis(np.ldexp(coords, e)), hi, True, False)
                 if val_hi >= 0.0 or hi == t_lo:
-                    break
+                    return hi, coords, None
                 hi = t_lo + 2.0 * (hi - t_lo)
+            return hi, None, None
 
-            t = 0.5 * (lo + hi)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # Newton starts at the lower bound where it is above t_lo, and
+            # guards hi only when a step reaches it; elsewhere hi is guarded
+            # first and Newton starts at the midpoint.  Where c / denom
+            # overflows (lam + t tiny next to c), phi' is infinite or NaN.
+            hi_coords = None  # the coordinates of d(hi), once hi is guarded
+            if start > t_lo:
+                t = start
+            else:
+                hi, hi_coords, sol = guard(hi)
+                if sol is not None:
+                    return sol
+                t = 0.5 * (lo + hi)
             for _ in range(200):
                 val, slope, coords = phi_and_slope(t)
                 if abs(val) * delta <= _SECULAR_TOL:
@@ -379,25 +418,39 @@ class DenseModel:
                 if val < 0.0:
                     lo = t
                 else:
-                    hi = t
-                t_new = t - val / slope if slope > 0.0 and math.isfinite(slope) else t
+                    hi, hi_coords = t, coords
+                # With no usable slope the step is NaN, which bisects.
+                t_new = t - val / slope if slope > 0.0 and math.isfinite(slope) else math.nan
+                if t_new == t:
+                    # A step below half an ulp.  phi is concave, so from the
+                    # right the root lies between t_new and t: it is hi to
+                    # rounding.  From the left, try the next double.
+                    if val >= 0.0:
+                        break
+                    t_new = math.nextafter(t, math.inf)
                 if val < 0.0 and t_new >= hi:
-                    # phi is concave, so a step from the left never passes the
-                    # root: it is hi to rounding.  Take it in the tail below.
-                    break
+                    if hi_coords is None:
+                        hi, hi_coords, sol = guard(hi)
+                        if sol is not None:
+                            return sol
+                    if t_new >= hi:
+                        # A step from the left never passes the root: it is
+                        # hi to rounding.  Take it in the tail below.
+                        break
                 # Both ends have been evaluated and are not roots, so a step
-                # onto one bisects instead.
+                # onto one bisects instead; with no double between them the
+                # root is hi to rounding.
                 if not (lo < t_new < hi):
                     t_new = 0.5 * (lo + hi)
-                if t_new == t and hi - lo <= 1e-15 * max(1.0, t):
-                    break
+                    if not (lo < t_new < hi):
+                        break
                 t = t_new
             # Near the hard case (t close to -lambda_1, the gradient small on the
             # critical eigenvector) ||d(t)|| changes too fast for t to be resolved
             # in floating point.  Take the feasible end hi and reach the boundary
             # along the critical eigenvector by the root of smaller magnitude,
             # which changes the model least (More-Sorensen).
-            _, _, coords = phi_and_slope(hi)
+            coords = phi_and_slope(hi)[2] if hi_coords is None else hi_coords
             if hi == t_lo:
                 # ||g||/Delta is below one ulp of t_lo: the critical coordinates
                 # are -gt/0.  Zero them, keeping the sign of -gt for the push.
@@ -420,7 +473,9 @@ def cauchy_decrease(g: Array, H: Array, delta: float) -> tuple[float, float]:
 
     Maximizes alpha ||g||^2 - (alpha^2/2) g^T H g over
     {alpha >= 0 : alpha ||g|| <= Delta}; closed form from the sign of the
-    curvature along g.
+    curvature along g.  The curvature is read along the unit vector
+    g/||g|| and ||g|| is taken without squaring into the subnormal range,
+    so a gradient whose square underflows keeps its alpha.
 
     g and H are checked as :class:`DenseModel` checks them.
 
@@ -431,18 +486,15 @@ def cauchy_decrease(g: Array, H: Array, delta: float) -> tuple[float, float]:
     """
     _check_radius(delta)
     g, H = _check_model(g, H)
-    gnorm2 = float(np.dot(g, g))
-    if gnorm2 == 0.0:
+    gnorm = _norm(g)
+    if gnorm == 0.0:
         return 0.0, 0.0
-    gnorm = np.sqrt(gnorm2)
-    curv = float(np.dot(g, _times(H, g)))
-    alpha_max = delta / gnorm
-    if curv <= 0.0:
-        alpha = alpha_max
-    else:
-        alpha = min(gnorm2 / curv, alpha_max)
-    dq = alpha * gnorm2 - 0.5 * alpha * alpha * curv
-    return alpha, max(dq, 0.0)
+    u = g / gnorm
+    curv = float(np.dot(u, _times(H, u)))
+    # The step length tau = alpha ||g|| maximizes tau ||g|| - (tau^2/2) curv.
+    tau = delta if curv <= 0.0 else min(gnorm / curv, delta)
+    dq = tau * gnorm - 0.5 * tau * tau * curv
+    return tau / gnorm, max(dq, 0.0)
 
 
 def eigen_decrease(g: Array, H: Array, delta: float) -> tuple[Array, float, float]:
@@ -667,8 +719,15 @@ class KrylovModel:
         the subspace.
         """
         sol = self._solve_tridiagonal(delta)
+        d = _combine(sol.d, self._V[: self.dim])
+        # The products y_i v_i round, so ||d|| can exceed delta by an ulp
+        # although ||y|| does not: pull d back inside.
+        norm_d = _norm(d)
+        while norm_d > delta:
+            d *= math.nextafter(delta / norm_d, 0.0)
+            norm_d = _norm(d)
         return TrsSolution(
-            d=_combine(sol.d, self._V[: self.dim]),
+            d=d,
             multiplier=sol.multiplier,
             model_decrease=sol.model_decrease,
             on_boundary=sol.on_boundary,

@@ -17,7 +17,7 @@ def test_unknown_problem_rejected():
         make_problem("no_such_problem", 4)
 
 
-@pytest.mark.parametrize("n", [2.5, 4.0, "4", 0, -3])
+@pytest.mark.parametrize("n", [2.5, 4.0, "4", 0, -3, True])
 def test_dimension_must_be_a_positive_integer(n):
     with pytest.raises(ValueError, match="dimension must be a positive integer"):
         make_problem("cosine_sum", n)

@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -116,3 +117,24 @@ def test_trace_digest_matches_a_program_against_itself():
     done = subprocess.run(argv, capture_output=True, text=True)
     assert done.returncode == 0, done.stdout + done.stderr
     assert re.fullmatch(r"(golden \w+: match [0-9a-f]{64}\n)+", done.stdout)
+
+
+def test_trace_digest_reports_how_far_two_programs_differ(tmp_path):
+    # A copy of the program with a tighter secular tolerance moves the last
+    # bits of the dense traces, but no branch.
+    src = tmp_path / "src"
+    shutil.copytree(_TOOLS.parent / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    trs = src / "astr2" / "trs.py"
+    trs.write_text(trs.read_text().replace("_SECULAR_TOL = 1e-13", "_SECULAR_TOL = 1e-15", 1))
+    argv = [sys.executable, str(_TOOLS / "trace_digest.py"), "--workload", "golden",
+            "--against", str(src)]
+    done = subprocess.run(argv, capture_output=True, text=True)
+    assert done.returncode == 1, done.stdout + done.stderr
+    deviations = []
+    for line in done.stdout.splitlines():
+        m = re.fullmatch(r"golden \w+: (?:match [0-9a-f]{64}|mismatch [0-9a-f]{64} against "
+                         r"[0-9a-f]{64}; branches equal, fields within (\S+) relative)", line)
+        assert m, line
+        if m[1] is not None:
+            deviations.append(float(m[1]))
+    assert deviations and all(0.0 < d < 1e-10 for d in deviations)

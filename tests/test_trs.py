@@ -150,6 +150,37 @@ def test_root_at_the_bracket_end_is_taken_exactly(g, H, delta):
 
 
 @pytest.mark.parametrize("g, H, delta", [
+    ([0.0, 3.0], [-1.0, 2.0], 0.5),
+    ([0.0, 3.0, 4.0], [-1.0, 2.0, 2.0], 1.0),
+    ([0.0, 3.0, 0.0], [-1.0, 2.0, 5.0], 0.25),
+])
+def test_gradient_in_one_eigenspace_takes_one_evaluation(g, H, delta):
+    # g lies in one eigenspace above lambda_min, so the bracket of the
+    # eigenvalues that carry gradient collapses to the root ||g||/Delta - lambda.
+    g, H = np.array(g), np.array(H)
+    sol, evaluations = _solve_counting_evaluations(DenseModel(g, H), delta)
+    assert evaluations == 1
+    assert sol.multiplier == np.linalg.norm(g) / delta - 2.0
+    assert sol.on_boundary and not sol.hard_case
+    assert np.linalg.norm(sol.d) == pytest.approx(delta, rel=1e-15)
+    assert_kkt(g, H, delta, sol)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_clustered_spectrum_near_a_maximum_takes_at_most_three_evaluations(seed):
+    # cosine_sum near its maximum at 0 (the dense benchmark's start): every
+    # eigenvalue is within about 1e-11 of -1, so Newton from the lower end of
+    # the gradient's spectral bracket meets the root within a few steps.
+    oracle = make_problem("cosine_sum", 150)
+    x = 1e-6 * np.random.default_rng(seed).standard_normal(150)
+    g, H = oracle.gradient(x), oracle.hessian(x)
+    sol, evaluations = _solve_counting_evaluations(DenseModel(g, H), 1.0)
+    assert evaluations <= 3
+    assert sol.on_boundary
+    assert_kkt(g, H, 1.0, sol)
+
+
+@pytest.mark.parametrize("g, H, delta", [
     ([-0.009744053964982612], [[-0.14395634862343704]], 717.9042075827562),
     ([1.6806942019435917e-12], [[-0.08852890525941773]], 0.03937920920350738),
 ])
@@ -376,6 +407,15 @@ def test_cauchy_negative_curvature_goes_to_the_boundary():
     alpha, dq = cauchy_decrease(np.array([1.0, 0.0]), np.diag([-1.0, 2.0]), 1.0)
     assert alpha == pytest.approx(1.0, abs=1e-15)
     assert dq == pytest.approx(1.5, abs=1e-15)
+
+
+@pytest.mark.parametrize("gi", [1e-100, 1e-170])
+def test_cauchy_gradient_whose_square_underflows_keeps_its_step(gi):
+    # ||g||^2 is 1e-200 or underflows to 0; the curvature along g/||g|| does
+    # not, so the step is the full Newton step alpha = 1/curvature.
+    alpha, dq = cauchy_decrease(np.array([gi]), np.array([1.0]), 1.0)
+    assert alpha == 1.0
+    assert dq == pytest.approx(0.5 * gi * gi, rel=1e-15, abs=0.0)
 
 
 def test_cauchy_maximizes_along_the_gradient_ray(rng):

@@ -17,7 +17,9 @@ every run writes into the same fixed directory (``--workdir``).
 
 ``--against SRC`` runs the same seeds on the program under ``--src`` and on
 the one under SRC, each in its own process, and prints one line per seed:
-``match`` with the shared digest, or ``mismatch`` with both.  It exits 1
+``match`` with the shared digest, or ``mismatch`` with both, whether the
+two branch strings are equal and the largest relative deviation,
+|a - b| / max(|a|, |b|), over the record fields of the two runs.  It exits 1
 on any mismatch.
 
 ``--workload golden`` instead prints one SHA-256 per ``TRACE_RUNS`` entry of
@@ -36,11 +38,14 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import hashlib
+import json
 import struct
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -56,52 +61,90 @@ def main(argv=None) -> int:
     p.add_argument("--against", type=Path,
                    help="another program's src: compare the digests of both, seed by seed")
     args = p.parse_args(argv)
-    seeds = [int(s) for s in args.seeds.split(",")]
     if args.against is not None:
         return _compare(args)
-
-    sys.path[:0] = [str(args.src.resolve()), str(ROOT / "perfbench"), str(ROOT / "tests")]
-    if args.workload == "golden":
-        for name, hexdigest in _golden_digests():
-            print(f"golden {name}: {hexdigest}")
-        return 0
-    from probes import Recorder, patched
-    from workloads import WORKLOADS, digest
-
-    if args.workload not in WORKLOADS:
-        p.error(f"unknown workload {args.workload!r}; choices: {', '.join(WORKLOADS)}, golden")
-    workload = WORKLOADS[args.workload]
-    args.workdir.mkdir(parents=True, exist_ok=True)
-    for seed in seeds:
-        inputs = workload.build(seed, "full", args.workdir)
-        rec = Recorder(traced=False)
-        with patched(rec, workload.hooks(rec)):
-            out = workload.run_pass(inputs, rec)
-        print(f"{args.workload} seed {seed}: {digest(rec.traces, out)}")
+    for label, hexdigest, _, _ in _runs(args.workload, args.seeds, args.src, args.workdir):
+        print(f"{label}: {hexdigest}")
     return 0
 
 
-def _digests(args, src: Path) -> dict[str, str]:
-    # label -> digest of one program, from a process of its own: two
-    # programs cannot share one import of astr2.
-    argv = [sys.executable, __file__, "--workload", args.workload, "--seeds", args.seeds,
-            "--src", str(src), "--workdir", str(args.workdir)]
+def _runs(workload_name: str, seeds: str, src, workdir):
+    # (label, digest, branch string, record fields in order) of each run.
+    sys.path[:0] = [str(Path(src).resolve()), str(ROOT / "perfbench"), str(ROOT / "tests")]
+    if workload_name == "golden":
+        yield from _golden_runs()
+        return
+    from probes import Recorder, patched
+    from workloads import RECORD_FIELDS, WORKLOADS, digest
+
+    if workload_name not in WORKLOADS:
+        sys.exit(f"error: unknown workload {workload_name!r}; choices: {', '.join(WORKLOADS)}, golden")
+    workload = WORKLOADS[workload_name]
+    Path(workdir).mkdir(parents=True, exist_ok=True)
+    for seed in (int(s) for s in seeds.split(",")):
+        inputs = workload.build(seed, "full", Path(workdir))
+        rec = Recorder(traced=False)
+        with patched(rec, workload.hooks(rec)):
+            out = workload.run_pass(inputs, rec)
+        records = [r for trace in rec.traces for r in trace]
+        yield (f"{workload_name} seed {seed}", digest(rec.traces, out),
+               "".join(r.branch for r in records),
+               [getattr(r, f) for r in records for f in RECORD_FIELDS])
+
+
+def _print_runs(*args) -> None:
+    # The runs of one program as JSON lines, for _compare.
+    for run in _runs(*args):
+        print(json.dumps(run))
+
+
+# Imports this file as a module in a process of its own: two programs cannot
+# share one import of astr2.
+_CHILD = ("import sys; sys.path.insert(0, sys.argv[1]); import trace_digest; "
+          "trace_digest._print_runs(*sys.argv[2:])")
+
+
+def _runs_of(args, src: Path) -> dict[str, list]:
+    # label -> [digest, branch string, record fields] of one program.
+    argv = [sys.executable, "-c", _CHILD, str(Path(__file__).resolve().parent),
+            args.workload, args.seeds, str(src), str(args.workdir)]
     done = subprocess.run(argv, stdout=subprocess.PIPE, text=True)
     if done.returncode:
         sys.exit(done.returncode)  # the run has printed its error
-    return dict(line.rsplit(": ", 1) for line in done.stdout.splitlines())
+    return {label: rest for label, *rest in map(json.loads, done.stdout.splitlines())}
+
+
+def _deviation(a: list, b: list) -> float:
+    # Largest |a - b| / max(|a|, |b|) over the paired values; 0 where they
+    # are equal (NaN counts as equal to NaN), inf where a non-finite value
+    # differs.
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    with np.errstate(all="ignore"):
+        rel = np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))
+    rel[np.isnan(rel)] = np.inf
+    rel[(a == b) | (np.isnan(a) & np.isnan(b))] = 0.0
+    return float(rel.max(initial=0.0))
 
 
 def _compare(args) -> int:
-    ours, theirs = _digests(args, args.src), _digests(args, args.against)
-    for label, hexdigest in ours.items():
-        other = theirs.get(label)
-        print(f"{label}: match {hexdigest}" if other == hexdigest
-              else f"{label}: mismatch {hexdigest} against {other}")
-    return int(ours != theirs)
+    ours, theirs = _runs_of(args, args.src), _runs_of(args, args.against)
+    mismatched = ours.keys() != theirs.keys()
+    for label, (hexdigest, branch, fields) in ours.items():
+        other, other_branch, other_fields = theirs.get(label, (None, "", []))
+        if other == hexdigest:
+            print(f"{label}: match {hexdigest}")
+            continue
+        mismatched = True
+        if len(fields) == len(other_fields):
+            fields_note = f"fields within {_deviation(fields, other_fields):.2g} relative"
+        else:
+            fields_note = f"{len(fields)} against {len(other_fields)} field values"
+        print(f"{label}: mismatch {hexdigest} against {other}; "
+              f"branches {'equal' if branch == other_branch else 'differ'}, {fields_note}")
+    return int(mismatched)
 
 
-def _golden_digests():
+def _golden_runs():
     from test_golden import RECORD_FIELDS, TRACE_RUNS
 
     for name, make in TRACE_RUNS.items():
@@ -109,7 +152,8 @@ def _golden_digests():
         h = hashlib.sha256(trace["branch"].encode())
         for field in RECORD_FIELDS:
             h.update(struct.pack(f"<{len(trace[field])}d", *trace[field]))
-        yield name, h.hexdigest()
+        yield (f"golden {name}", h.hexdigest(), trace["branch"],
+               [v for field in RECORD_FIELDS for v in trace[field]])
 
 
 if __name__ == "__main__":
