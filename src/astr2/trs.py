@@ -94,16 +94,17 @@ def _check_count(name: str, value: int) -> None:
 
 def _check_finite(name: str, a: Array) -> Array:
     a = np.asarray(a, dtype=float)
-    if not np.isfinite(a).all():
+    if np.count_nonzero(np.isfinite(a)) != a.size:  # half the cost of .all()
         raise ValueError(f"{name} contains non-finite entries")
     return a
 
 
 def _norm(v: Array) -> float:
     # ||v||: sqrt(v^T v), or, where v^T v is below the normal range (its
-    # squares may have lost bits or vanished), the scale-safe math.hypot.
-    n2 = float(np.dot(v, v))
-    return math.sqrt(n2) if n2 >= _TINY else math.hypot(*v.tolist())
+    # squares may have lost bits or vanished) or overflows, the scale-safe
+    # math.hypot.
+    n2 = float(v.dot(v))
+    return math.sqrt(n2) if _TINY <= n2 < math.inf else math.hypot(*v.tolist())
 
 
 def _check_symmetric(H: Array) -> Array:
@@ -163,9 +164,12 @@ class DenseModel:
     prefix since ``lam`` ascends), the gradient's norm on it and the
     hard-case test.  Where that test passes, the pseudo-inverse step
     ``Q dp`` at t_lo, its norm and the downhill critical eigenvector are
-    kept as well.  :meth:`solve` then does only the work of one radius, so
-    the measure at radius 1 and the step at another radius share one
-    factorisation; :meth:`gradient_step` gives the linear step
+    kept as well.  Where every eigenvalue is critical, dp is zero and is
+    set as such, with no division; for a diagonal H the eigenvector is
+    +-e_j, j = ``order[0]``, with the sign opposite to g[j] (+ where g[j]
+    is zero), set directly.  :meth:`solve` then does only the work of one
+    radius, so the measure at radius 1 and the step at another radius
+    share one factorisation; :meth:`gradient_step` gives the linear step
     and its decrease.
 
     A diagonal H, given as the n-vector of its diagonal or as an n x n
@@ -214,16 +218,20 @@ class DenseModel:
         k = int((lam + t_lo).searchsorted(_GAP_TOL * scale, side="right"))
         self._t_lo, self._k = t_lo, k
         self._support = None  # (lambda+_min, lambda+_max), set by the first Newton solve
-        g_crit = math.sqrt(np.dot(gt[:k], gt[:k])) if k else 0.0
+        g_k = gt[:k]
+        g_crit = math.sqrt(g_k.dot(g_k))
         # (Q dp, ||dp||, downhill critical eigenvector or None at t_lo = 0)
         # where the hard-case test passes, else None.
         self._pinv = None
         if g_crit <= _HARD_TOL * max(1.0, self.gnorm):
-            # Pseudo-inverse solution at the left end of the multiplier range.
-            dp = np.zeros(g.shape[0])
-            dp[k:] = -gt[k:] / (lam[k:] + t_lo)
-            u = _flip_sign(self._min_vector(), g) if t_lo != 0.0 else None
-            self._pinv = (self._from_eigenbasis(dp), _norm(dp), u)
+            # Pseudo-inverse solution at the left end of the multiplier
+            # range: zero where every eigenvalue is critical (k = n).
+            dp = np.zeros(len(lam))
+            qdp, norm_dp = dp, 0.0
+            if k < len(lam):
+                dp[k:] = -gt[k:] / (lam[k:] + t_lo)
+                qdp, norm_dp = self._from_eigenbasis(dp), _norm(dp)
+            self._pinv = (qdp, norm_dp, self._min_vector() if t_lo != 0.0 else None)
         return self
 
     @property
@@ -235,10 +243,14 @@ class DenseModel:
         return self._from_eigenbasis(np.eye(len(self.lam)))
 
     def _min_vector(self) -> Array:
-        # Q[:, 0], without forming Q for a diagonal H.
+        # Q[:, 0] oriented by _flip_sign against g.  For a diagonal H that is
+        # e_j, j = order[0], negated where g[j] = gt[0] > 0 (u^T g = g[j], and
+        # on a tie the largest entry, 1, is already positive): no Q is formed.
         if self._vecs is not None:
-            return self._vecs[:, 0]
-        return self._from_eigenbasis(np.eye(1, len(self.lam))[0])
+            return _flip_sign(self._vecs[:, 0], self.g)
+        u = np.zeros(len(self.lam))
+        u[self._order[0]] = 1.0
+        return -u if self.gt[0] > 0.0 else u
 
     def _from_eigenbasis(self, c: Array) -> Array:
         # Q c: a scatter for a diagonal H.
@@ -256,10 +268,10 @@ class DenseModel:
     def gradient_step(self, w_l: float) -> tuple[Array, float]:
         """The scaled gradient step s = -g/w_l and its model decrease."""
         s = -self.g / w_l
-        return s, -(float(np.dot(self.g, s)) + 0.5 * float(np.dot(s, _times(self.H, s))))
+        return s, -(float(self.g.dot(s)) + 0.5 * float(s.dot(_times(self.H, s))))
 
     def _finish(self, d: Array, t: float, boundary: bool, hard: bool) -> TrsSolution:
-        dq = -(float(np.dot(self.g, d)) + 0.5 * float(np.dot(d, _times(self.H, d))))
+        dq = -(float(self.g.dot(d)) + 0.5 * float(d.dot(_times(self.H, d))))
         return TrsSolution(
             d=d,
             multiplier=float(t),
@@ -307,8 +319,9 @@ class DenseModel:
         bits of d unchanged, so d(t) keeps its precision at radii far below
         1e-100; a radius at which ||g||/Delta overflows raises ValueError.
         The norms of g and of the pseudo-inverse step, and the hard-case
-        push, are formed without squaring into the subnormal range, so the
-        interior and hard-case answers keep theirs too.
+        push, are formed without squaring out of the normal range, so the
+        interior and hard-case answers keep theirs too, and a gradient
+        whose squares overflow keeps a finite ||g||/Delta.
         One evaluation of phi costs a few numpy calls on the cached
         spectrum: phi'(t) = sum c_i^2/(lam_i + t) / ||d||^3 is read from the
         coordinates c of d(t) that phi forms.  The floating-point error state
@@ -344,7 +357,7 @@ class DenseModel:
         # + t) brackets the root in [||g||/Delta - lambda+_max, ||g||/Delta -
         # lambda+_min] [2].
         if self._support is None:
-            nz = np.flatnonzero(gt)
+            nz = gt.nonzero()[0]
             self._support = (float(lam[nz[0]]), float(lam[nz[-1]]))
         lam_lo, lam_hi = self._support
         g_delta = self.gnorm / delta
@@ -474,8 +487,8 @@ def cauchy_decrease(g: Array, H: Array, delta: float) -> tuple[float, float]:
     Maximizes alpha ||g||^2 - (alpha^2/2) g^T H g over
     {alpha >= 0 : alpha ||g|| <= Delta}; closed form from the sign of the
     curvature along g.  The curvature is read along the unit vector
-    g/||g|| and ||g|| is taken without squaring into the subnormal range,
-    so a gradient whose square underflows keeps its alpha.
+    g/||g|| and ||g|| is taken without squaring out of the normal range,
+    so a gradient whose square underflows or overflows keeps its alpha.
 
     g and H are checked as :class:`DenseModel` checks them.
 
@@ -513,7 +526,7 @@ def eigen_decrease(g: Array, H: Array, delta: float) -> tuple[Array, float, floa
     """
     _check_radius(delta)
     model = DenseModel(g, H)
-    u = _flip_sign(model._min_vector(), model.g)
+    u = model._min_vector()
     lam_min = float(model.lam[0])
     if lam_min >= 0.0:
         return u, 0.0, 0.0
@@ -684,7 +697,7 @@ class KrylovModel:
         if self.gnorm > 0.0:
             v = self.g / self.gnorm
         elif seed_direction is not None:
-            vn = float(np.linalg.norm(seed_direction))
+            vn = _norm(seed_direction)
             if vn == 0.0:
                 raise ValueError("seed_direction must be nonzero")
             v = seed_direction / vn

@@ -281,6 +281,55 @@ def test_pseudo_inverse_steps_reach_the_boundary_at_tiny_radii(delta):
     assert res["complementarity"] <= 1e-14 * delta
 
 
+def test_a_gradient_whose_squares_overflow_keeps_a_finite_norm():
+    # g^T g overflows although ||g|| = 1.41e160 does not: the norm falls
+    # back to math.hypot, so the multiplier ||g||/Delta = 1.41e30 is finite
+    # and the Cauchy step keeps its length.  numpy reports the overflow of
+    # g^T g inside the norm as a RuntimeWarning unless told not to.
+    g, H, delta = np.array([1e160, 1e160]), np.array([1e20, 2e20]), 1e130
+    with np.errstate(over="ignore"):
+        sol = DenseModel(g, H).solve(delta)
+        res = kkt_residuals(g, H, delta, sol)
+        alpha, dq = cauchy_decrease(g, H, delta)
+    assert sol.on_boundary and sol.multiplier == pytest.approx(math.sqrt(2.0) * 1e30, rel=1e-9)
+    assert all(value == 0.0 for value in res.values()), res
+    assert alpha == pytest.approx(1e130 / (math.sqrt(2.0) * 1e160), rel=1e-15)
+    assert dq == pytest.approx(math.sqrt(2.0) * 1e290, rel=1e-9)
+
+
+_PUSH_THETA = math.sqrt(1.0 - (1.0 / 3.0) ** 2)  # the push of the [+-1e-14, 1] cases
+_HARD_CASE_PUSHES = {
+    # (g, diagonal of H, delta, step, push direction): a diagonal hard case
+    # pushes along +-e_j, j the index of lambda_min, with the sign opposite
+    # to g[j] (a negated e_j, -0.0 off j) and + where g[j] is zero of
+    # either sign.
+    "zero_1d": ([0.0], [-0.7], 0.5, [0.5], [1.0]),
+    "negative_zero_1d": ([-0.0], [-0.7], 0.5, [0.5], [1.0]),
+    "zero_3d": ([0.0, 0.0, 0.0], [1.0, -2.0, -1.0], 0.5, [0.0, 0.5, 0.0], [0.0, 1.0, 0.0]),
+    "negative_zero_3d": ([-0.0, -0.0, -0.0], [1.0, -2.0, -1.0], 0.5, [0.0, 0.5, 0.0],
+                         [0.0, 1.0, 0.0]),
+    "positive_critical": ([1e-14, 1.0], [-2.0, 1.0], 1.0, [-_PUSH_THETA, -1.0 / 3.0],
+                          [-1.0, -0.0]),
+    "negative_critical": ([-1e-14, 1.0], [-2.0, 1.0], 1.0, [_PUSH_THETA, -1.0 / 3.0],
+                          [1.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_HARD_CASE_PUSHES))
+def test_a_diagonal_hard_case_pushes_along_the_signed_unit_vector(case):
+    # The push direction of a diagonal H is set as +-e_j, not read from Q:
+    # the step and the eigen-point direction are the vectors written out
+    # here bit for bit (signed zeros included), for H as a vector and as a
+    # matrix.
+    g, d, delta, want, u = (np.array(a) for a in _HARD_CASE_PUSHES[case])
+    j = int(np.argmin(d))
+    for H in (d, np.diag(d)):
+        sol = DenseModel(g, H).solve(delta)
+        assert sol.hard_case and sol.on_boundary and sol.multiplier == -d[j]
+        assert sol.d.tobytes() == want.tobytes(), sol.d
+        assert eigen_decrease(g, H, delta)[0].tobytes() == u.tobytes()
+
+
 def test_singular_psd_compatible_gradient_is_interior():
     # H has a null direction carrying no gradient: pseudo-inverse step,
     # no spurious boundary push.
@@ -578,6 +627,19 @@ def test_krylov_zero_gradient_uses_the_seed():
     sub = KrylovModel(np.zeros(6), lambda v: H @ v, 6, u_min).solve(2.0)
     u, alpha, dq_e = eigen_decrease(np.zeros(6), H, 2.0)
     assert sub.model_decrease >= dq_e - 1e-10
+
+
+def test_krylov_seed_is_normalised_without_overflow():
+    # ||seed||^2 overflows for a seed of 1e200; the seed is still scaled to
+    # unit length, so it starts the space that [1, 0] starts.
+    # numpy reports the overflow inside the norm unless told not to.
+    d = np.array([-1.0, 2.0])
+    with np.errstate(over="ignore"):
+        sols = [KrylovModel(np.zeros(2), lambda v: d * v, 2, np.array(seed)).solve(1.0)
+                for seed in ([1e200, 0.0], [1.0, 0.0])]
+    assert _bits(sols[0]) == _bits(sols[1])
+    np.testing.assert_array_equal(sols[0].d, [1.0, 0.0])
+    assert sols[0].model_decrease == 0.5
 
 
 def test_krylov_stops_at_breakdown():
