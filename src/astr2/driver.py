@@ -133,8 +133,7 @@ def astr2_step(
     """
     x = np.asarray(x, dtype=float)
     g = np.asarray(oracle.gradient(x), dtype=float)
-    with np.errstate(over="ignore"):
-        norm_g = _norm(g)
+    norm_g = _norm(g)
     g_sq = norm_g * norm_g
     if not math.isfinite(g_sq):
         _check_finite("g", g)  # a NaN or infinite entry is not an overflow

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .trs import DenseModel, _check_radius, solve_trs_exact, solve_trs_krylov
+from .trs import DenseModel, _check_radius, _norm, solve_trs_exact, solve_trs_krylov
 
 Array = np.ndarray
 
@@ -39,7 +39,7 @@ class OptimalityReport:
 def phi1(g: Array, delta: float) -> float:
     """First-order measure: delta * ||g||."""
     _check_radius(delta)
-    return float(delta * np.linalg.norm(g))
+    return delta * _norm(np.asarray(g, dtype=float))
 
 
 def phi2(g: Array, H: Array, delta: float) -> tuple[float, Array]:

@@ -7,11 +7,12 @@ Everything here is about the problem
 and its certificates: an exact eigendecomposition-based solver with
 safeguarded Newton iteration on the secular equation, started in the
 bracket that the eigenvalues carrying gradient give the multiplier, and
-an explicit hard-case branch, the classical Cauchy-point and eigen-point
-decreases, a matrix-free Lanczos minimum-eigenpair routine, a GLTR-style
-Krylov model for subspace-restricted solves, and a reference value of the
-decrease, from one eigenvalue problem of twice the size [4], used to
-cross-check the exact solver.  Every dense spectral quantity (the subproblem's
+an explicit hard-case branch (the critical gap is relative to the spectral
+radius of H and the hard-case test to ||g||), the classical Cauchy-point
+and eigen-point decreases, a matrix-free Lanczos minimum-eigenpair
+routine, a GLTR-style Krylov model for subspace-restricted solves, and a
+reference value of the decrease, from one eigenvalue problem of twice the
+size [4], used to cross-check the exact solver.  Every dense spectral quantity (the subproblem's
 solution, lambda_min and its eigenvector) is read from one
 :class:`DenseModel`, whose eigendecomposition is LAPACK's ``eigh``, or, for
 a diagonal Hessian, the stable sort of its diagonal.  Every dense entry
@@ -102,8 +103,9 @@ def _check_finite(name: str, a: Array) -> Array:
 def _norm(v: Array) -> float:
     # ||v||: sqrt(v^T v), or, where v^T v is below the normal range (its
     # squares may have lost bits or vanished) or overflows, the scale-safe
-    # math.hypot.
-    n2 = float(v.dot(v))
+    # math.hypot.  vdot gives the bits of v.dot(v) without numpy's overflow
+    # warning.
+    n2 = float(np.vdot(v, v))
     return math.sqrt(n2) if _TINY <= n2 < math.inf else math.hypot(*v.tolist())
 
 
@@ -117,8 +119,7 @@ def _check_symmetric(H: Array) -> Array:
         raise ValueError("H must be at least 1 x 1")
     if H.ndim == 1 or (H == H.T).all():
         return H
-    scale = 1.0 + np.max(np.abs(H))
-    if np.max(np.abs(H - H.T)) > _SYM_TOL * scale:
+    if np.max(np.abs(H - H.T)) > _SYM_TOL * np.max(np.abs(H)):
         raise ValueError("H is not symmetric within tolerance")
     return _symmetrize(H)
 
@@ -160,17 +161,20 @@ class DenseModel:
     computed here, once (the split of More-Sorensen [2] and [1, ch. 7]): H
     is symmetry-checked and eigendecomposed, giving ``lam`` (ascending),
     ``gt = Q^T g`` and ``gnorm = ||g||``; then t_lo = max(0, -lambda_min),
-    the critical set (the leading ``lam`` within a relative gap of -t_lo, a
-    prefix since ``lam`` ascends), the gradient's norm on it and the
-    hard-case test.  Where that test passes, the pseudo-inverse step
-    ``Q dp`` at t_lo, its norm and the downhill critical eigenvector are
-    kept as well.  Where every eigenvalue is critical, dp is zero and is
-    set as such, with no division; for a diagonal H the eigenvector is
-    +-e_j, j = ``order[0]``, with the sign opposite to g[j] (+ where g[j]
-    is zero), set directly.  :meth:`solve` then does only the work of one
-    radius, so the measure at radius 1 and the step at another radius
-    share one factorisation; :meth:`gradient_step` gives the linear step
-    and its decrease.
+    the critical set (the leading ``lam`` within 1e-12 max(|lambda_min|,
+    |lambda_max|) of -t_lo, a prefix since ``lam`` ascends; every
+    eigenvalue at H = 0), the gradient's norm on it and the hard-case test,
+    that norm at most 1e-12 ||g||.  Both are relative to the model's own
+    scale, with no absolute floor, so the answers are exactly equivariant
+    under power-of-two scalings of g, H and the radius.  Where that test
+    passes, the pseudo-inverse step ``Q dp`` at t_lo, its norm and the
+    downhill critical eigenvector are kept as well.  Where every eigenvalue
+    is critical, dp is zero and is set as such, with no division; for a
+    diagonal H the eigenvector is +-e_j, j = ``order[0]``, with the sign
+    opposite to g[j] (+ where g[j] is zero), set directly.  :meth:`solve`
+    then does only the work of one radius, so the measure at radius 1 and
+    the step at another radius share one factorisation;
+    :meth:`gradient_step` gives the linear step and its decrease.
 
     A diagonal H, given as the n-vector of its diagonal or as an n x n
     matrix with no nonzero entry off the diagonal, is kept as that vector
@@ -213,17 +217,15 @@ class DenseModel:
         lam_min, lam_max = float(lam[0]), float(lam[-1])
         t_lo = max(0.0, -lam_min)
         # lam ascends, so the critical set is a prefix lam[:k] and the
-        # extremes bound |lam|.
-        scale = max(1.0, abs(lam_min), abs(lam_max))
+        # extremes bound |lam|.  At H = 0 every eigenvalue is critical.
+        scale = max(abs(lam_min), abs(lam_max))
         k = int((lam + t_lo).searchsorted(_GAP_TOL * scale, side="right"))
         self._t_lo, self._k = t_lo, k
         self._support = None  # (lambda+_min, lambda+_max), set by the first Newton solve
-        g_k = gt[:k]
-        g_crit = math.sqrt(g_k.dot(g_k))
         # (Q dp, ||dp||, downhill critical eigenvector or None at t_lo = 0)
         # where the hard-case test passes, else None.
         self._pinv = None
-        if g_crit <= _HARD_TOL * max(1.0, self.gnorm):
+        if _norm(gt[:k]) <= _HARD_TOL * self.gnorm:
             # Pseudo-inverse solution at the left end of the multiplier
             # range: zero where every eigenvalue is critical (k = n).
             dp = np.zeros(len(lam))
@@ -543,8 +545,10 @@ def _lanczos(hvp: HvpHandle, v: Array, steps: int) -> Iterator[tuple[Array, Arra
     tridiagonal and rows of one basis, both preallocated with min(steps, n)
     rows, and never written again once yielded) and the norm of the next
     residual.  Stops after ``steps`` products, n at most, or at breakdown,
-    beta_m <= 1e-12 max(1, |alpha_m|), which it reports as beta_m = 0: the
-    span of V_m is then invariant under H to rounding.
+    beta_m <= 1e-12 max(|alpha_m|, beta_{m-1}) (beta_0 = 0), which it
+    reports as beta_m = 0: the span of V_m is then invariant under H to
+    rounding.  The test is relative to the recurrence's own scale, so it
+    reads the same at every scale of H.
 
     Each product is checked once, by its scalars: a NaN or infinite entry
     of H v_m makes alpha_m = v_m^T H v_m non-finite (v_m is finite, and
@@ -569,7 +573,7 @@ def _lanczos(hvp: HvpHandle, v: Array, steps: int) -> Iterator[tuple[Array, Arra
         if not math.isfinite(b):
             raise ValueError("Hessian-vector product overflows the Lanczos recurrence")
         T[m - 1, m - 1] = a
-        if b <= 1e-12 * max(1.0, abs(a)):
+        if b <= 1e-12 * max(abs(a), T[m - 1, m - 2] if m > 1 else 0.0):
             yield T[:m, :m], V[:m], 0.0
             return
         yield T[:m, :m], V[:m], b
@@ -719,10 +723,10 @@ class KrylovModel:
         Where lambda + theta_1 > 0 (theta_1 the smallest Ritz value, lambda
         the multiplier), the iteration stops at m when the gain predicted
         from the GLTR residual r = beta_m |e_m^T y_m|, r^2 / (2 (lambda +
-        theta_1)), is below 1e-8 of the decrease, without drawing product
+        theta_1)), is at most 1e-8 of the decrease, without drawing product
         m + 1.  It is an estimate, not a bound (theta_1 >= lambda_min).
-        Elsewhere it stops when the decrease stagnates (relative gain below
-        the same 1e-8 from m - 1 to m), which it sees only after drawing
+        Elsewhere it stops when the decrease stagnates (relative gain at
+        most the same 1e-8 from m - 1 to m), which it sees only after drawing
         product m.  Breakdown (beta_m = 0: the current best is exact in the
         invariant space) and ``max_dim`` (or n) stop it as well.  Sets
         :attr:`dim`.
@@ -773,15 +777,15 @@ class KrylovModel:
                 self._subs.append(DenseModel.__new__(DenseModel)._factorise(g_sub, self._T[:m, :m]))
             sub = self._subs[m - 1]
             sol = sub.solve(delta)
-            tol = _KRYLOV_GAIN_TOL * max(sol.model_decrease, 1e-300)
+            tol = _KRYLOV_GAIN_TOL * sol.model_decrease
             shift = sol.multiplier + float(sub.lam[0])
             if shift > 0.0:
                 # GLTR residual ||(H + lambda I) d + g|| = beta_m |y_m|, and the
                 # gain it predicts for a larger space, drawing no product.
                 r = self._betas[m - 1] * abs(float(sol.d[-1]))
-                if r * r / (2.0 * shift) < tol:
+                if r * r / (2.0 * shift) <= tol:
                     break
-            elif m > 1 and sol.model_decrease - prev_dq < tol:
+            elif m > 1 and sol.model_decrease - prev_dq <= tol:
                 break
             prev_dq = sol.model_decrease
         self.dim = m

@@ -73,3 +73,24 @@ def random_symmetric(rng, n, scale=2.0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def rotated(oracle: ProblemOracle, Q):
+    """The problem in the variables y = Q^T x, Q orthogonal: gradient
+    Q^T grad f(Q y), Hessian Q^T H Q (an n x n matrix, also where H is
+    given as its diagonal) and the hvp v -> Q^T H(Q y) Q v."""
+    base_g, base_h, base_hvp = oracle.gradient, oracle.hessian, oracle.hvp
+    base_f = oracle.f_diagnostic
+
+    def hessian(y):
+        H = np.asarray(base_h(Q @ y), dtype=float)
+        return Q.T @ ((H[:, None] * Q) if H.ndim == 1 else H @ Q)
+
+    return dataclasses.replace(
+        oracle,
+        gradient=lambda y: Q.T @ base_g(Q @ y),
+        hessian=None if base_h is None else hessian,
+        hvp=lambda y, v: Q.T @ base_hvp(Q @ y, Q @ v),
+        f_diagnostic=None if base_f is None else (lambda y: base_f(Q @ y)),
+        x0=None if oracle.x0 is None else Q.T @ oracle.x0,
+    )

@@ -17,6 +17,7 @@ from astr2 import (
     AdagradScaling,
     Astr2Config,
     DivergentScaling,
+    KrylovModel,
     brute_force_decrease,
     combined_measures,
     gen_adagrad_example,
@@ -166,29 +167,55 @@ def test_criterion_3_figure_tables_interpolate_and_telescope():
     assert time.perf_counter() - t0 < 1.0
 
 
-def test_criterion_4_trs_solver_matches_brute_force_oracle():
-    t0 = time.perf_counter()
+def _criterion_4_instances(count):
+    # (g, H, delta) of criterion 4: n = 1..5, entries uniform in [-2, 2].
     rng = np.random.default_rng(42)
     radii = (0.1, 1.0, 10.0)
-    worst = 0.0
-    for i in range(1000):
+    for _ in range(count):
         n = int(rng.integers(1, 6))
         A = rng.uniform(-2.0, 2.0, (n, n))
         H = 0.5 * (A + A.T)
         g = rng.uniform(-2.0, 2.0, n)
-        delta = radii[int(rng.integers(len(radii)))]
+        yield g, H, radii[int(rng.integers(len(radii)))]
+
+
+def _assert_criterion_4(g, H, delta, sol, scale=1.0):
+    # Criterion 4's KKT tolerances for a model scaled by ``scale``: the
+    # multiplier and the residual scale with it, the step does not.
+    res = kkt_residuals(g, H, delta, sol)
+    gnorm = float(np.linalg.norm(g))
+    assert res["feasibility"] <= 1e-10 * delta
+    assert res["complementarity"] <= 1e-8 * delta * scale
+    assert res["stationarity"] <= 1e-8 * (gnorm + scale)
+    assert res["psd"] <= 1e-10 * scale
+    assert res["multiplier_sign"] == 0.0
+
+
+def test_criterion_4_trs_solver_matches_brute_force_oracle():
+    t0 = time.perf_counter()
+    worst = 0.0
+    for g, H, delta in _criterion_4_instances(1000):
         sol = solve_trs_exact(g, H, delta)
         reference = brute_force_decrease(g, H, delta)
         worst = max(worst, abs(sol.model_decrease - reference))
-        res = kkt_residuals(g, H, delta, sol)
-        gnorm = float(np.linalg.norm(g))
-        assert res["feasibility"] <= 1e-10 * delta
-        assert res["complementarity"] <= 1e-8 * delta
-        assert res["stationarity"] <= 1e-8 * (gnorm + 1.0)
-        assert res["psd"] <= 1e-10
-        assert res["multiplier_sign"] == 0.0
+        _assert_criterion_4(g, H, delta, sol)
     assert worst <= 1e-8
     assert time.perf_counter() - t0 < 30.0
+
+
+@pytest.mark.parametrize("scale", [1e-18, 1e-13, 1e-12, 1e-6, 1.0, 1e6, 1e12, 1e18])
+def test_criterion_4_holds_at_every_scale_of_the_model(scale):
+    # (g, H) -> (s g, s H) leaves the minimiser and scales the decrease by s.
+    # Every tolerance of the dense solver is relative to the model's own
+    # scale, so criterion 4 holds, scaled by s, far below and above unit
+    # scale; the Krylov solve in the full space follows the dense one.
+    for g0, H0, delta in _criterion_4_instances(200):
+        g, H = scale * g0, scale * H0
+        sol = solve_trs_exact(g, H, delta)
+        assert abs(sol.model_decrease - brute_force_decrease(g, H, delta)) <= 1e-8 * scale
+        _assert_criterion_4(g, H, delta, sol, scale)
+        krylov = KrylovModel(g, lambda v: H @ v, len(g)).solve(delta)
+        assert abs(krylov.model_decrease - sol.model_decrease) <= 1e-7 * scale
 
 
 def test_criterion_5_rate_envelopes_flatten(envelope_run):

@@ -25,7 +25,7 @@ from astr2 import (
 from astr2.driver import IterateRecord
 from astr2.oracle import ProblemOracle
 
-from conftest import count_calls, with_counting
+from conftest import count_calls, rotated, with_counting
 
 
 def adagrad_config(**kw):
@@ -570,3 +570,35 @@ def test_rate_envelopes_hand_example():
     assert e4 == pytest.approx(1.0)
     with pytest.raises(ValueError):
         rate_envelopes([])
+
+
+_ROTATION_RUNS = {
+    # (problem, n, start, varsigma, Q steps in 300 iterations): the
+    # cosine_sum run starts near a maximum, the others at the catalogue starts.
+    "cosine_sum": ("cosine_sum", 10, 1e-6 * np.random.default_rng(1).standard_normal(10), 1e6, 124),
+    "rosenbrock": ("rosenbrock", 6, make_problem("rosenbrock", 6).x0, 1.0, 1),
+    "saddle_cubic": ("saddle_cubic", 2, make_problem("saddle_cubic", 2).x0, 1.0, 2),
+}
+
+
+@pytest.mark.parametrize("subspace", [False, True], ids=["dense", "subspace"])
+@pytest.mark.parametrize("case", sorted(_ROTATION_RUNS))
+def test_a_rotated_problem_gives_the_rotated_trace(case, subspace):
+    # The weights read ||g|| and phi, which a rotation y = Q^T x keeps, and
+    # the subproblem rotates with the variables, so the run on the rotated
+    # problem is the run on the problem, rotated.  Its Hessian is not
+    # diagonal, so the dense run factorises it by eigh.
+    name, n, x0, varsigma, q_steps = _ROTATION_RUNS[case]
+    oracle = make_problem(name, n)
+    Q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((n, n)))
+    traces = [
+        run(problem, start, adagrad_config(scaling=AdagradScaling(varsigma=varsigma), max_iter=300,
+                                           subspace_max_dim=n if subspace else None))
+        for problem, start in ((oracle, x0), (rotated(oracle, Q), Q.T @ x0))
+    ]
+    branches = [r.branch for r in traces[0]]
+    assert branches == [r.branch for r in traces[1]] and branches.count("Q") == q_steps
+    np.testing.assert_allclose([r.x for r in traces[0]], [Q @ r.x for r in traces[1]],
+                               rtol=0.0, atol=1e-10)
+    np.testing.assert_allclose([r.phi for r in traces[0]], [r.phi for r in traces[1]],
+                               rtol=1e-10, atol=0.0)

@@ -21,6 +21,12 @@ def test_phi1_is_delta_times_gradient_norm():
         phi1(g, np.inf)
 
 
+def test_phi1_keeps_a_gradient_whose_square_underflows():
+    # ||g||^2 is below the smallest double; the norm does not square.
+    assert phi1(np.array([1e-170]), 1.0) == 1e-170
+    assert phi1(np.array([3e-170, 4e-170]), 1.0) == pytest.approx(5e-170, rel=1e-15)
+
+
 def test_phi2_negative_curvature_1d():
     value, d = phi2(np.zeros(1), np.array([[-2.0]]), 1.0)
     assert value == 1.0

@@ -284,10 +284,10 @@ def test_pseudo_inverse_steps_reach_the_boundary_at_tiny_radii(delta):
 def test_a_gradient_whose_squares_overflow_keeps_a_finite_norm():
     # g^T g overflows although ||g|| = 1.41e160 does not: the norm falls
     # back to math.hypot, so the multiplier ||g||/Delta = 1.41e30 is finite
-    # and the Cauchy step keeps its length.  numpy reports the overflow of
-    # g^T g inside the norm as a RuntimeWarning unless told not to.
+    # and the Cauchy step keeps its length, with no overflow warning.
     g, H, delta = np.array([1e160, 1e160]), np.array([1e20, 2e20]), 1e130
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         sol = DenseModel(g, H).solve(delta)
         res = kkt_residuals(g, H, delta, sol)
         alpha, dq = cauchy_decrease(g, H, delta)
@@ -390,8 +390,10 @@ def test_empty_dense_model_is_rejected():
     (np.zeros(2), np.ones(3), 1.0),
     (np.ones(2), [np.inf, 1.0], 1.0),
     (np.ones(2), np.ones((2, 2, 2)), 1.0),
+    (np.ones(2), [[1e-20, 1e-20], [0.0, 1e-20]], 1.0),  # asymmetric at the scale of max |H|
 ], ids=["empty", "empty_vector", "nan_g", "ragged_H", "shape_mismatch", "zero_radius", "nan_H",
-        "asymmetric_H", "vector_shape_mismatch", "inf_vector_H", "three_dimensional_H"])
+        "asymmetric_H", "vector_shape_mismatch", "inf_vector_H", "three_dimensional_H",
+        "tiny_asymmetric_H"])
 def test_kkt_residuals_rejects_what_the_dense_model_rejects(g, H, delta):
     # So do the Cauchy and eigen decreases, which check g and H as the model does.
     sol = TrsSolution(np.zeros(len(g)), 0.0, 0.0, False, False)
@@ -631,10 +633,11 @@ def test_krylov_zero_gradient_uses_the_seed():
 
 def test_krylov_seed_is_normalised_without_overflow():
     # ||seed||^2 overflows for a seed of 1e200; the seed is still scaled to
-    # unit length, so it starts the space that [1, 0] starts.
-    # numpy reports the overflow inside the norm unless told not to.
+    # unit length, so it starts the space that [1, 0] starts, with no
+    # overflow warning.
     d = np.array([-1.0, 2.0])
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         sols = [KrylovModel(np.zeros(2), lambda v: d * v, 2, np.array(seed)).solve(1.0)
                 for seed in ([1e200, 0.0], [1.0, 0.0])]
     assert _bits(sols[0]) == _bits(sols[1])
@@ -1106,6 +1109,75 @@ def test_symmetrization_does_not_overflow_near_the_largest_double():
         assert sol.model_decrease == 0.5
         assert_kkt(g, symmetric, 1.0, sol)
         assert combined_measures(g, symmetric, 1.0, 1.0).phi2 == 0.5
+
+
+def _scale_models():
+    # (g, H), n = 2..6: random, near-hard (the gradient's weight on the
+    # lambda_min eigenvector times 1e-8), PSD and planted hard-case models.
+    rng = np.random.default_rng(2027)
+    for kind in ("random", "near_hard", "psd", "hard"):
+        for _ in range(10):
+            n = int(rng.integers(2, 7))
+            if kind == "random":
+                yield rng.uniform(-2.0, 2.0, n), random_symmetric(rng, n)
+                continue
+            Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            lam = np.sort(rng.uniform(-2.0, 2.0, n))
+            c = rng.uniform(-2.0, 2.0, n)
+            if kind == "psd":
+                lam = np.sort(np.abs(lam))
+            elif kind == "near_hard":
+                c[0] *= 1e-8
+            else:
+                c[0] = 0.0
+            yield Q @ c, _symmetrize((Q * lam) @ Q.T)
+
+
+def _scale_steps(g, H, delta):
+    # The dense step and the full-dimension Krylov step.
+    return (DenseModel(g, H).solve(delta).d,
+            KrylovModel(g, lambda v: H @ v, len(g)).solve(delta).d)
+
+
+@pytest.mark.parametrize("p", [-200, -60, 60, 200])
+def test_the_subproblem_is_equivariant_under_power_of_two_scalings(p):
+    # Every tolerance in the dense and Krylov solves is relative to the
+    # model's own scale.  So (g, H) -> (2^p g, 2^p H) keeps the bits of d,
+    # and (g, H, Delta) -> (g, 2^-p H, 2^p Delta) scales d by 2^p exactly.
+    s = 2.0 ** p
+    for g, H in _scale_models():
+        for delta in (0.1, 1.0, 10.0):
+            want = [d.tobytes() for d in _scale_steps(g, H, delta)]
+            assert [d.tobytes() for d in _scale_steps(s * g, s * H, delta)] == want
+            assert [(d / s).tobytes() for d in _scale_steps(g, H / s, s * delta)] == want
+
+
+@pytest.mark.parametrize("delta", [1e43, 1e50, 1e60])
+def test_a_tiny_positive_definite_model_takes_its_newton_step(delta):
+    # H near 1e-51 is positive definite; no eigenvalue of it is critical, so
+    # every radius above ||H^-1 g|| = 3.345e42 gets the interior Newton step.
+    g = np.array([1.2868115401868337e-08, -3.945349753622063e-09])
+    H = np.array([[3.8718052204477655e-51, -1.3044056818263849e-51],
+                  [-1.3044056818263849e-51, 6.833039574642451e-51]])
+    sol = DenseModel(g, H).solve(delta)
+    assert not sol.on_boundary and not sol.hard_case and sol.multiplier == 0.0
+    np.testing.assert_allclose(H @ sol.d, -g, rtol=1e-12)
+    assert float(np.linalg.norm(sol.d)) == pytest.approx(3.345e42, rel=1e-3)
+    assert sol.model_decrease == pytest.approx(2.13958e34, rel=1e-5)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-200])
+@pytest.mark.parametrize("form", ["vector", "matrix"])
+def test_a_zero_hessian_steps_along_the_gradient_to_the_boundary(form, scale):
+    # At H = 0 every eigenvalue is critical and the gradient is not
+    # negligible on them, so Newton ends at its first evaluation with
+    # d = -Delta g / ||g||, also where the squares of g underflow.
+    g = scale * np.array([3.0, -4.0])
+    H = np.zeros(2) if form == "vector" else np.zeros((2, 2))
+    sol, evaluations = _solve_counting_evaluations(DenseModel(g, H), 2.0)
+    assert evaluations == 1 and sol.on_boundary and not sol.hard_case
+    np.testing.assert_allclose(sol.d, [-1.2, 1.6], rtol=1e-15)
+    assert sol.multiplier == pytest.approx(2.5 * scale, rel=1e-15)
 
 
 # --- brute_force_decrease --------------------------------------------------
