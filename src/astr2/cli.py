@@ -6,9 +6,9 @@ generation of ``trs-check`` and the optional random start of ``run``, so
 identical invocations produce identical bytes.
 
 Exit codes: 0 success, 1 solver abort, 2 usage, parameter-range or
-non-finite input error, or an output file that cannot be written,
-3 verification failure.  ``main`` is the one place that turns exceptions
-into exit codes.
+non-finite input error, an output file that cannot be written, or a
+problem too large for memory, 3 verification failure.  ``main`` is the one
+place that turns exceptions into exit codes.
 """
 
 from __future__ import annotations
@@ -78,16 +78,12 @@ def _write_csv(path: str, header: str, lines: Iterable[str]) -> None:
         fh.write("\n".join([header, *lines]) + "\n")
 
 
-def _float_lines(columns: Sequence[np.ndarray], index: bool = False) -> list[str]:
-    """One line per row of the float columns, each cell as _fmt writes it
-    (``%.17g``); with ``index`` every line starts with its row number."""
-    cells = ["%.17g"] * len(columns)
-    lists = [c.tolist() for c in columns]
-    if index:
-        cells.insert(0, "%d")
-        lists.insert(0, range(len(lists[0])))
-    fmt = ",".join(cells)
-    return [fmt % row for row in zip(*lists)]
+def _float_lines(columns: Sequence[np.ndarray]) -> list[str]:
+    """One line per row of the float columns, as many rows as the shortest
+    column, each cell as _fmt writes it (``%.17g``, which writes an integral
+    float as ``%d`` writes the integer)."""
+    fmt = ",".join(["%.17g"] * len(columns))
+    return [fmt % row for row in zip(*(c.tolist() for c in columns))]
 
 
 def write_trace_csv(path: str, trace: list[IterateRecord]) -> None:
@@ -122,14 +118,14 @@ def _build_scaling(args: argparse.Namespace):
     return DivergentScaling(kappa_w=args.kappa_w, mu1=args.mu1, mu2=args.mu2)
 
 
-def _parse_x0(spec: str, n: int, seed: int, oracle) -> np.ndarray:
+def _parse_x0(spec: str, seed: int, oracle) -> np.ndarray:
     if spec == "default":
         return np.asarray(oracle.x0, dtype=float)
     if spec == "random":
-        return np.random.default_rng(seed).standard_normal(n)
+        return np.random.default_rng(seed).standard_normal(oracle.n)
     vals = [float(tok) for tok in spec.split(",")]
-    if len(vals) != n:
-        raise ValueError(f"x0 has {len(vals)} entries, problem dimension is {n}")
+    if len(vals) != oracle.n:
+        raise ValueError(f"x0 has {len(vals)} entries, problem dimension is {oracle.n}")
     return np.array(vals)
 
 
@@ -144,7 +140,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         subspace_max_dim=args.subspace_max_dim,
         record_f=args.record_f,
     )
-    x0 = _parse_x0(args.x0, oracle.n, args.seed, oracle)
+    x0 = _parse_x0(args.x0, args.seed, oracle)
     if args.out is not None:
         # Check --out without truncating it, so that an unwritable path costs
         # no iterations and a failed run keeps an earlier trace.
@@ -170,8 +166,8 @@ def cmd_sharpness(args: argparse.Namespace) -> int:
     xs, fs, fps, fpps = sample_figure(interp, args.samples_per_interval, args.f0_shift)
     _write_csv(args.out, "x,f,fp,fpp", _float_lines((xs, fs, fps, fpps)))
     bp_path = _companion_path(args.out)
-    columns = [getattr(seq, name) for name in _BREAKPOINT_FIELDS]
-    _write_csv(bp_path, ",".join(("k",) + _BREAKPOINT_FIELDS), _float_lines(columns, index=True))
+    columns = [np.arange(seq.K + 1.0)] + [getattr(seq, name) for name in _BREAKPOINT_FIELDS]
+    _write_csv(bp_path, ",".join(("k",) + _BREAKPOINT_FIELDS), _float_lines(columns))
 
     ok = replay_check(seq)
     print(f"samples  : {len(xs)} -> {args.out}")
@@ -240,7 +236,7 @@ def cmd_trs_check(args: argparse.Namespace) -> int:
 
 def cmd_fd_check(args: argparse.Namespace) -> int:
     oracle = make_problem(args.problem, args.n)
-    x = _parse_x0(args.x0, oracle.n, args.seed, oracle)
+    x = _parse_x0(args.x0, args.seed, oracle)
     report = finite_diff_check(oracle, x, args.h)
     print(f"gradient rel. error : {_fmt(report.gradient_error)}")
     print(f"hessian  rel. error : {_fmt(report.hessian_error)}")
@@ -340,7 +336,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             file=sys.stderr,
         )
         return EXIT_ABORT
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

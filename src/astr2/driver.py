@@ -228,8 +228,7 @@ def run(oracle: ProblemOracle, x0: Array, config: Astr2Config) -> list[IterateRe
     x = np.asarray(x0, dtype=float)
     if x.shape != (oracle.n,):
         raise ValueError(f"x0 must have shape ({oracle.n},), got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x0 contains non-finite entries")
+    _check_finite("x0", x)
     state = copy.deepcopy(config.scaling)
     trace: list[IterateRecord] = []
     for k in range(config.max_iter):

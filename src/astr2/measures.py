@@ -77,9 +77,9 @@ def combined_measures(g: Array, H: Array, xi: float, delta: float) -> Optimality
     model = DenseModel(g, H)
     sol = model.solve(delta)
     value = sol.model_decrease
-    gnorm2 = float(np.dot(model.g, model.g))
+    gnorm2 = float(np.vdot(model.g, model.g))  # dot's bits, without its overflow warning
     return OptimalityReport(
-        phi1=phi1(model.g, delta),
+        phi1=delta * model.gnorm,
         phi2=value,
         hatphi=min(value, xi),
         psi=min(1.0, max(gnorm2, min(value, 1.0) ** 3)),

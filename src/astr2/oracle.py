@@ -34,7 +34,8 @@ class ProblemOracle:
     Evaluation maps are pure: equal inputs give bitwise-equal outputs.
     Every Hessian-vector product of one iterate is taken at the same x, so
     ``hvp`` may keep the part of the product that depends on x alone for
-    the last x it saw (the catalogue's ``cosine_sum`` does).
+    the last x it saw: every diagonal problem of the catalogue keeps its
+    diagonal, the product being ``hessian(x) * v``.
     ``hessian`` gives the n-vector of the diagonal where the Hessian is
     diagonal everywhere, else the n x n matrix; it is None when the problem
     is built in hvp-only mode.
@@ -64,6 +65,28 @@ class FiniteDiffReport:
     h: float
 
 
+def _diagonal_hvp(diagonal: Callable[[Array], Array]) -> Callable[[Array, Array], Array]:
+    """The product v -> diagonal(x) * v of a diagonal Hessian.
+
+    The diagonal at the last point is kept with a copy of that point's bits
+    (shape included) as one tuple, read once per call: an x changed in place
+    since gets a fresh diagonal, and callers sharing the oracle never pair
+    one point with another's diagonal.
+    """
+    last = None
+
+    def hvp(x: Array, v: Array) -> Array:
+        nonlocal last
+        x = np.asarray(x, dtype=float)
+        bits = x.view(np.uint64)
+        kept = last
+        if kept is None or kept[0].shape != bits.shape or not (kept[0] == bits).all():
+            kept = last = (bits.copy(), diagonal(x))
+        return kept[1] * v
+
+    return hvp
+
+
 def _quadratic_psd(n: int) -> ProblemOracle:
     # f(x) = 0.5 ||x||^2, H = I.
     def f(x: Array) -> float:
@@ -75,15 +98,12 @@ def _quadratic_psd(n: int) -> ProblemOracle:
     def hessian(x: Array) -> Array:
         return np.ones(n)
 
-    def hvp(x: Array, v: Array) -> Array:
-        return np.array(v, dtype=float, copy=True)
-
     return ProblemOracle(
         name="quadratic_psd",
         n=n,
         gradient=gradient,
         hessian=hessian,
-        hvp=hvp,
+        hvp=_diagonal_hvp(hessian),
         f_diagnostic=f,
         lipschitz_g=1.0,
         lipschitz_h=0.0,
@@ -150,15 +170,12 @@ def _saddle_cubic(n: int) -> ProblemOracle:
     def hessian(x: Array) -> Array:
         return np.array([2.0 * x[0], -1.0])
 
-    def hvp(x: Array, v: Array) -> Array:
-        return np.array([2.0 * x[0] * v[0], -v[1]])
-
     return ProblemOracle(
         name="saddle_cubic",
         n=2,
         gradient=gradient,
         hessian=hessian,
-        hvp=hvp,
+        hvp=_diagonal_hvp(hessian),
         f_diagnostic=f,
         lipschitz_g=None,
         lipschitz_h=2.0,
@@ -179,27 +196,12 @@ def _cosine_sum(n: int) -> ProblemOracle:
     def hessian(x: Array) -> Array:
         return -np.cos(x)
 
-    # -cos(x) at the last point, kept with a copy of that point's bits (shape
-    # included) as one tuple, read once per call: an x changed in place since
-    # gets a fresh factor, and callers sharing the oracle never pair one point
-    # with another's factor.
-    last = None
-
-    def hvp(x: Array, v: Array) -> Array:
-        nonlocal last
-        x = np.asarray(x, dtype=float)
-        bits = x.view(np.uint64)
-        kept = last
-        if kept is None or kept[0].shape != bits.shape or not (kept[0] == bits).all():
-            kept = last = (bits.copy(), -np.cos(x))
-        return kept[1] * v
-
     return ProblemOracle(
         name="cosine_sum",
         n=n,
         gradient=gradient,
         hessian=hessian,
-        hvp=hvp,
+        hvp=_diagonal_hvp(hessian),
         f_diagnostic=f,
         lipschitz_g=1.0,
         lipschitz_h=1.0,

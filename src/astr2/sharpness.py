@@ -24,7 +24,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .driver import Astr2Config, SolverAbort, run
-from .oracle import ProblemOracle
+from .oracle import ProblemOracle, _diagonal_hvp
 from .scaling import AdagradScaling, DivergentScaling
 from .trs import _check_count
 
@@ -99,6 +99,7 @@ def _generate(
     is s_k = phi_k / w_k and the decrease dq_k = phi_k s_k^2, telescoped down
     from f_0 = ``f0``.
     """
+    _check_count("K", K)
     state = copy.deepcopy(scaling)
     xs = [0.0]
     fs = [f0]
@@ -138,7 +139,6 @@ def gen_adagrad_example(nu: float, eps: float, varsigma: float, K: int) -> Sharp
     scaling = AdagradScaling(varsigma=varsigma, nu=nu)
     if not 0.0 < eps < 2.0 / 3.0:
         raise ValueError(f"eps must be in (0, 2/3), got {eps!r}")
-    _check_count("K", K)
     return _generate("adagrad", scaling, K, 1.0 / 3.0 + eps, zeta(1.0 + 3.0 * eps))
 
 
@@ -158,7 +158,6 @@ def gen_divergent_example(
         raise ValueError(
             f"eps must be in (0, {1.0 - gamma_floor!r}) for mu2={mu2!r}, got {eps!r}"
         )
-    _check_count("K", K)
     gamma = gamma_floor + eps
     return _generate("divergent", scaling, K, gamma, zeta(3.0 * gamma + 2.0 * mu2))
 
@@ -310,15 +309,12 @@ def _replay_oracle(seq: SharpnessSequence) -> ProblemOracle:
     def hessian(x: Array) -> Array:
         return np.array([hess[_index(float(x[0]))]])
 
-    def hvp(x: Array, v: Array) -> Array:
-        return hess[_index(float(x[0]))] * np.asarray(v, dtype=float)
-
     return ProblemOracle(
         name=f"sharpness-{seq.family}",
         n=1,
         gradient=gradient,
         hessian=hessian,
-        hvp=hvp,
+        hvp=_diagonal_hvp(hessian),
         x0=np.array([seq.x[0]]),
     )
 

@@ -36,7 +36,7 @@ References
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -144,16 +144,6 @@ def _times(H: Array, v: Array) -> Array:
     return H * v if H.ndim == 1 else H @ v
 
 
-def _flip_sign(u: Array, g: Array) -> Array:
-    # Orient u so u^T g <= 0; on ties make the largest-magnitude entry positive.
-    s = float(np.dot(u, g))
-    if s > 0.0:
-        return -u
-    if s == 0.0 and u[np.argmax(np.abs(u))] < 0.0:
-        return -u
-    return u
-
-
 class DenseModel:
     """The local model g^T d + (1/2) d^T H d of one iterate, factorised once.
 
@@ -245,14 +235,17 @@ class DenseModel:
         return self._from_eigenbasis(np.eye(len(self.lam)))
 
     def _min_vector(self) -> Array:
-        # Q[:, 0] oriented by _flip_sign against g.  For a diagonal H that is
-        # e_j, j = order[0], negated where g[j] = gt[0] > 0 (u^T g = g[j], and
-        # on a tie the largest entry, 1, is already positive): no Q is formed.
-        if self._vecs is not None:
-            return _flip_sign(self._vecs[:, 0], self.g)
-        u = np.zeros(len(self.lam))
-        u[self._order[0]] = 1.0
-        return -u if self.gt[0] > 0.0 else u
+        # Q[:, 0] oriented so that u^T g <= 0, and on a tie so that its
+        # largest-magnitude entry is positive.  For a diagonal H that is e_j,
+        # j = order[0], negated where g[j] = gt[0] > 0 (u^T g = g[j], and on
+        # a tie the largest entry, 1, is already positive): no Q is formed.
+        if self._vecs is None:
+            u = np.zeros(len(self.lam))
+            u[self._order[0]] = 1.0
+            return -u if self.gt[0] > 0.0 else u
+        u = self._vecs[:, 0]
+        s = float(np.dot(u, self.g))
+        return -u if s > 0.0 or (s == 0.0 and u[np.argmax(np.abs(u))] < 0.0) else u
 
     def _from_eigenbasis(self, c: Array) -> Array:
         # Q c: a scatter for a diagonal H.
@@ -270,14 +263,17 @@ class DenseModel:
     def gradient_step(self, w_l: float) -> tuple[Array, float]:
         """The scaled gradient step s = -g/w_l and its model decrease."""
         s = -self.g / w_l
-        return s, -(float(self.g.dot(s)) + 0.5 * float(s.dot(_times(self.H, s))))
+        return s, self._decrease_along(s)
+
+    def _decrease_along(self, d: Array) -> float:
+        # -(g^T d + (1/2) d^T H d), unclamped.
+        return -(float(self.g.dot(d)) + 0.5 * float(d.dot(_times(self.H, d))))
 
     def _finish(self, d: Array, t: float, boundary: bool, hard: bool) -> TrsSolution:
-        dq = -(float(self.g.dot(d)) + 0.5 * float(d.dot(_times(self.H, d))))
         return TrsSolution(
             d=d,
             multiplier=float(t),
-            model_decrease=max(dq, 0.0),
+            model_decrease=max(self._decrease_along(d), 0.0),
             on_boundary=boundary,
             hard_case=hard,
         )
@@ -743,13 +739,7 @@ class KrylovModel:
         while norm_d > delta:
             d *= math.nextafter(delta / norm_d, 0.0)
             norm_d = _norm(d)
-        return TrsSolution(
-            d=d,
-            multiplier=sol.multiplier,
-            model_decrease=sol.model_decrease,
-            on_boundary=sol.on_boundary,
-            hard_case=sol.hard_case,
-        )
+        return replace(sol, d=d)
 
     def decrease(self, delta: float) -> float:
         """``solve(delta).model_decrease``, without combining the step.
@@ -837,15 +827,10 @@ def kkt_residuals(g: Array, H: Array, delta: float, sol: TrsSolution) -> dict[st
     dnorm = delta * float(np.linalg.norm(sol.d / delta))  # ||d|| ~ delta: no underflow
     lam_min = float(model.lam[0])
     shifted = H + sol.multiplier if H.ndim == 1 else H + sol.multiplier * np.eye(len(g))
-    r = _times(shifted, sol.d) + g
-    with np.errstate(over="ignore"):
-        stationarity = float(np.linalg.norm(r))
-    if stationarity == math.inf:
-        stationarity = math.hypot(*r)  # rescaled: finite entries whose squares overflow
     return {
         "feasibility": max(0.0, dnorm - delta),
         "complementarity": abs(sol.multiplier * (delta - dnorm)),
-        "stationarity": stationarity,
+        "stationarity": _norm(_times(shifted, sol.d) + g),
         "psd": max(0.0, -(sol.multiplier + lam_min)),
         "multiplier_sign": max(0.0, -sol.multiplier),
     }

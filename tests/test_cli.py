@@ -360,3 +360,14 @@ def test_console_script_help():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "trust-region" in proc.stdout
+
+
+def test_a_problem_too_large_for_memory_is_a_parameter_error(monkeypatch, capsys):
+    def too_large(oracle, x, h):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    monkeypatch.setattr("astr2.cli.finite_diff_check", too_large)
+    assert main(["fd-check", "--problem", "cosine_sum", "--n", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: Unable to allocate 74.5 GiB for an array\n"
+    assert "Traceback" not in err

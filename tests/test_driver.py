@@ -150,7 +150,7 @@ def test_record_f_gates_the_diagnostic_objective():
 
 
 def test_abort_carries_the_partial_trace():
-    calls = {"n": 0}
+    calls = {"n": 0, "hessian": 0}
 
     def gradient(x):
         calls["n"] += 1
@@ -158,13 +158,20 @@ def test_abort_carries_the_partial_trace():
             return np.array([np.nan, 0.0])
         return np.array([1.0, 1.0])
 
+    def hessian(x):
+        calls["hessian"] += 1
+        return np.eye(2)
+
     oracle = ProblemOracle(name="breaks", n=2, gradient=gradient,
-                           hessian=lambda x: np.eye(2),
+                           hessian=hessian,
                            hvp=lambda x, v: v)
     with pytest.raises(SolverAbort) as info:
         run(oracle, np.zeros(2), adagrad_config(max_iter=10))
     assert len(info.value.trace) == 3
     assert "non-finite" in info.value.reason
+    # One Hessian per recorded iteration: the bad gradient is reported
+    # before the aborting iteration builds its model.
+    assert calls["hessian"] == 3
 
 
 @pytest.mark.filterwarnings("error")

@@ -164,3 +164,13 @@ def test_phi2_scaling_in_delta_for_pure_curvature():
     v1, _ = phi2(np.zeros(1), H, 1.0)
     v2, _ = phi2(np.zeros(1), H, 2.0)
     assert v2 == pytest.approx(4.0 * v1, rel=1e-12)
+
+
+def test_combined_measures_of_a_gradient_whose_square_overflows():
+    # ||g||^2 is inf, so psi = 1, and phi1 = delta ||g|| stays finite; no
+    # numpy overflow warning escapes.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = combined_measures(np.array([1e160, 1e160]), np.array([1.0, 2.0]), 1.0, 1.0)
+    assert rep.psi == 1.0
+    assert rep.phi1 == 1.414213562373095e160

@@ -223,3 +223,31 @@ def test_cosine_sum_hvp_computes_its_curvature_once_per_point(monkeypatch):
     oracle.hvp(x + 1.0, np.ones(5))
     oracle.hvp(x, np.ones(5))
     assert calls["n"] == 3
+
+
+def test_diagonal_hvp_reads_the_diagonal_once_per_point():
+    # One diagonal call per point over many v; a fresh call for a new point,
+    # for an x changed in place and for the same bits in another shape.
+    from astr2.oracle import _diagonal_hvp
+
+    points = []
+
+    def diagonal(x):
+        points.append(x.copy())
+        return np.arange(1.0, x.size + 1.0).reshape(x.shape)
+
+    hvp = _diagonal_hvp(diagonal)
+    x = np.array([0.5, -1.0, 2.0])
+    for v in np.eye(3):
+        np.testing.assert_array_equal(hvp(x, v), np.arange(1.0, 4.0) * v)
+    assert len(points) == 1
+    hvp(x + 1.0, np.ones(3))
+    hvp(x, np.ones(3))
+    assert len(points) == 3
+    x[0] = -0.5  # changed in place since the last product at x
+    hvp(x, np.ones(3))
+    hvp(x, np.ones(3))
+    assert len(points) == 4
+    np.testing.assert_array_equal(points[-1], [-0.5, -1.0, 2.0])
+    hvp(x.reshape(3, 1), np.ones((3, 1)))
+    assert len(points) == 5 and points[-1].shape == (3, 1)

@@ -433,3 +433,22 @@ def test_replay_looks_each_iterate_up_once(family, monkeypatch):
     monkeypatch.setattr(np, "searchsorted", searchsorted)
     assert replay_check(seq) is True
     assert calls["n"] == seq.K + 1
+
+
+@pytest.mark.parametrize("family", ["adagrad", "divergent"])
+def test_replay_oracle_hvp_is_the_hessian_times_v(family):
+    # The replay oracle's product is derived from its diagonal Hessian: the
+    # bits of hessian(x) * v at every breakpoint, and the drift error off them.
+    from astr2.sharpness import _replay_oracle
+
+    if family == "adagrad":
+        seq = gen_adagrad_example(1.0 / 3.0, 0.01, 0.01, 10)
+    else:
+        seq = gen_divergent_example(1.0 / 3.0, 0.01, 1.0, 10)
+    oracle = _replay_oracle(seq)
+    for v in (np.array([1.0]), np.array([-0.0]), np.array([-3.7])):
+        for xk in seq.x[: seq.K + 1]:
+            x = np.array([xk])
+            assert oracle.hvp(x, v).tobytes() == (oracle.hessian(x) * v).tobytes()
+    with pytest.raises(ValueError, match="from the nearest breakpoint"):
+        oracle.hvp(np.array([seq.x[4] + 1e-6]), np.ones(1))
