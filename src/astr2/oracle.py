@@ -15,6 +15,7 @@ Hessian Lipschitz constants are known exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -265,7 +266,12 @@ def finite_diff_check(oracle: ProblemOracle, x: Array, h: float) -> FiniteDiffRe
     Compares the analytic gradient against central differences of
     ``f_diagnostic`` and the analytic Hessian against central differences of
     the gradient, reporting relative errors in the Euclidean/Frobenius norms
-    (normalized by max(1, norm of the analytic quantity)).
+    (normalized by max(1, norm of the analytic quantity)).  The Hessian is
+    compared one column at a time, with column i read from the n x n
+    Hessian, from the diagonal's entry i, or, without a Hessian, from
+    ``hvp(x, e_i)``, so the check keeps O(n) memory beyond what the oracle
+    returns; it makes 2n calls of ``f_diagnostic`` and 2n + 1 of the
+    gradient.
 
     Raises
     ------
@@ -279,22 +285,27 @@ def finite_diff_check(oracle: ProblemOracle, x: Array, h: float) -> FiniteDiffRe
     x = np.asarray(x, dtype=float)
     n = oracle.n
     f = oracle.f_diagnostic
+    H = None if oracle.hessian is None else oracle.hessian(x)
 
     g_fd = np.empty(n)
-    H_fd = np.empty((n, n))
+    diff2 = norm2 = 0.0  # the squared Frobenius norms of H_fd - H and of H
     for i in range(n):
         e = np.zeros(n)
         e[i] = h
         g_fd[i] = (f(x + e) - f(x - e)) / (2.0 * h)
-        H_fd[:, i] = (oracle.gradient(x + e) - oracle.gradient(x - e)) / (2.0 * h)
+        column = (oracle.gradient(x + e) - oracle.gradient(x - e)) / (2.0 * h)
+        e[i] = 1.0
+        if H is None:
+            exact = oracle.hvp(x, e)
+        elif H.ndim == 1:  # a diagonal Hessian, given as its diagonal
+            exact = H[i] * e
+        else:
+            exact = H[:, i]
+        column -= exact
+        diff2 += float(np.dot(column, column))
+        norm2 += float(np.dot(exact, exact))
 
     g = oracle.gradient(x)
     grad_err = float(np.linalg.norm(g_fd - g) / max(1.0, np.linalg.norm(g)))
-    if oracle.hessian is not None:
-        H = oracle.hessian(x)
-        if np.ndim(H) == 1:  # a diagonal Hessian, given as its diagonal
-            H = np.diag(H)
-    else:
-        H = np.column_stack([oracle.hvp(x, e) for e in np.eye(n)])
-    hess_err = float(np.linalg.norm(H_fd - H) / max(1.0, np.linalg.norm(H)))
+    hess_err = math.sqrt(diff2) / max(1.0, math.sqrt(norm2))
     return FiniteDiffReport(gradient_error=grad_err, hessian_error=hess_err, h=float(h))

@@ -4,11 +4,11 @@ Everything here is about the problem
 
     min_{||d|| <= Delta}  g^T d + (1/2) d^T H d
 
-and its certificates: an exact eigendecomposition-based solver with
-safeguarded Newton iteration on the secular equation, started in the
-bracket that the eigenvalues carrying gradient give the multiplier, and
-an explicit hard-case branch (the critical gap is relative to the spectral
-radius of H and the hard-case test to ||g||), the classical Cauchy-point
+and its certificates: an exact eigendecomposition-based solver with a
+monotone Newton iteration on the secular equation in 1/(lambda+_min + t)^2,
+which keeps the pole of the smallest eigenvalue carrying gradient exact
+[5], and an explicit hard-case branch (the critical gap is relative to the
+spectral radius of H and the hard-case test to ||g||), the classical Cauchy-point
 and eigen-point decreases, a matrix-free Lanczos minimum-eigenpair
 routine, a GLTR-style Krylov model for subspace-restricted solves, and a
 reference value of the decrease, from one eigenvalue problem of twice the
@@ -31,6 +31,8 @@ References
 .. [4] S. Adachi, S. Iwata, Y. Nakatsukasa and A. Takeda, "Solving the
        trust-region subproblem by a generalized eigenvalue problem",
        SIAM J. Optim. 27 (2017), 269-291.
+.. [5] R.-C. Li, "Solving secular equations stably and efficiently",
+       technical report, University of California, Berkeley, 1993.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ Array = np.ndarray
 HvpHandle = Callable[[Array], Array]
 
 _SYM_TOL = 1e-8
-_SECULAR_TOL = 1e-13  # |1/||d|| - 1/Delta| * Delta at the accepted root
+_SECULAR_TOL = 1e-13  # |Delta^2 - ||d||^2| / Delta^2 at the accepted root
 _HARD_TOL = 1e-12  # relative size of the gradient on the critical eigenspace
 _GAP_TOL = 1e-12  # relative eigenvalue gap defining the critical eigenspace
 _LANCZOS_BASIS_BYTES = 2 ** 28  # memory cap of a matrix-free min_eigpair basis
@@ -210,8 +212,11 @@ class DenseModel:
         # extremes bound |lam|.  At H = 0 every eigenvalue is critical.
         scale = max(abs(lam_min), abs(lam_max))
         k = int((lam + t_lo).searchsorted(_GAP_TOL * scale, side="right"))
-        self._t_lo, self._k = t_lo, k
-        self._support = None  # (lambda+_min, lambda+_max), set by the first Newton solve
+        self._t_lo = t_lo
+        # (first index j of the gradient's support, lambda+_min = lam[j], sigma =
+        # lam[j:] - lambda+_min, the Jensen shift, -gt[j:]), set by the first
+        # Newton solve.
+        self._support = None
         # (Q dp, ||dp||, downhill critical eigenvector or None at t_lo = 0)
         # where the hard-case test passes, else None.
         self._pinv = None
@@ -286,48 +291,46 @@ class DenseModel:
         passed and the pseudo-inverse step at t_lo fits in the ball, the
         answer is that step (interior, PSD H) or that step pushed to the
         boundary along the critical eigenvector (the hard case).  Otherwise
-        safeguarded Newton on the secular equation phi(t) = 1/||d(t)|| -
-        1/Delta over t >= t_lo = max(0, -lambda_min).  phi is concave and
-        increasing, so a Newton step from the left of the root never passes
-        it.  With lambda+_min and lambda+_max the smallest and largest
-        ``lam[i]`` with ``gt[i] != 0`` (found at the first Newton solve and
-        kept), ||g||/(lambda+_max + t) <= ||d(t)|| <= ||g||/(lambda+_min + t)
-        puts the root in [max(t_lo, ||g||/Delta - lambda+_max), hi =
-        ||g||/Delta - lambda+_min].  Where the lower end is above t_lo,
-        Newton starts there, left of the root, and phi(hi) is evaluated only
-        when a step reaches hi; when g lies in one eigenspace the two ends
-        meet at the root, which then costs one evaluation.  Elsewhere hi is
-        tested first, as a root and as a bracket end, and Newton starts at
-        the midpoint.  A hi at which phi < 0 (rounding at the analytic
-        bound) is widened.  A Newton step from the left that reaches the
-        feasible end hi puts the root at hi to rounding, and the iteration
-        ends there; so does a step from the right that rounds to its own
-        start (the root is within half an ulp), while such a step from the
-        left tries the next double; a step onto the other end bisects
-        instead.  Near the hard case (gradient small but not negligible on
-        the critical eigenspace) t cannot always be resolved to the secular
-        tolerance in floating point; the Newton iteration then keeps its
-        feasible bracket end, whose coordinates it has formed, and
-        reaches the boundary along the critical eigenvector with the smaller
-        of the two steps (More-Sorensen), so ||d|| = Delta to rounding on
-        every boundary solution.  When ||g||/Delta is below one ulp of t_lo
-        the bracket has no width and the critical coordinates are dropped
-        before that push.  The Newton part runs on g and Delta scaled by the
-        power of two that puts Delta in [0.5, 1), which leaves t and the
-        bits of d unchanged, so d(t) keeps its precision at radii far below
-        1e-100; a radius at which ||g||/Delta overflows raises ValueError.
+        the step is on the boundary, at a multiplier t >= t_lo = max(0,
+        -lambda_min) found by Newton's method on the secular equation
+        ||d||^2 = Delta^2 in a variable that keeps the pole of lambda+_min,
+        the smallest ``lam[i]`` with ``gt[i] != 0``, exact [5].  With s =
+        lambda+_min + t and sigma_i = lam_i - lambda+_min >= 0 on the
+        gradient's support, d has the coordinates c_i = -gt_i/(sigma_i + s),
+        and ||d||^2 as a function of u = 1/s^2 is the sum of gt_i^2 u / (1 +
+        sigma_i sqrt(u))^2: linear in u for the pole, concave for every other
+        term (its slope is gt_i^2 / (1 + sigma_i sqrt(u))^3).  So the Newton
+        step s <- s / sqrt(1 + (Delta^2 - ||d||^2) / (s sum c_i^2/(sigma_i +
+        s))) lands at or right of the root in t from any start, and from there
+        s falls monotonically to the root with every iterate inside the ball.
+        The iteration starts at the Jensen bound ||g||/Delta - sum
+        (gt_i/||g||)^2 sigma_i, left of the root, where that lies above t_lo,
+        and otherwise at ||g||/Delta, inside the ball; a step whose radicand
+        is not positive falls back to ||g||/Delta.  Where g lies in one
+        eigenspace the start is the root, which costs one evaluation.
+        lambda+_min, the sigma_i and the Jensen shift are found at the first
+        Newton solve and kept.  The multiplier is s - lambda+_min, held at
+        t_lo where rounding puts s below t_lo + lambda+_min.  Should the
+        iteration stall short of the secular tolerance, its last iterate,
+        which is inside the ball, reaches the boundary along the critical
+        eigenvector by the smaller of the two steps (More-Sorensen [2]).
+        The Newton part runs on Delta and
+        ||g|| scaled by the powers of two that put them in [0.5, 1), and on s
+        and sigma in units of the power of two of ||g||/Delta, so ||d|| and s
+        keep their precision at every radius and scale of the model, also
+        where ||g||/Delta underflows; a radius at which ||g||/Delta overflows
+        raises ValueError.
         The norms of g and of the pseudo-inverse step, and the hard-case
         push, are formed without squaring out of the normal range, so the
         interior and hard-case answers keep theirs too, and a gradient
         whose squares overflow keeps a finite ||g||/Delta.
-        One evaluation of phi costs a few numpy calls on the cached
-        spectrum: phi'(t) = sum c_i^2/(lam_i + t) / ||d||^3 is read from the
-        coordinates c of d(t) that phi forms.  The floating-point error state
-        is set once per solve.
+        One evaluation costs a few numpy calls on the cached spectrum: the
+        slope is read from the coordinates c that it forms.  The
+        floating-point error state is set once per solve.
         Each solution holds its own step array.
         """
         _check_radius(delta)
-        lam, gt, t_lo, k = self.lam, self.gt, self._t_lo, self._k
+        lam, gt, t_lo = self.lam, self.gt, self._t_lo
         finish, from_eigenbasis = self._finish, self._from_eigenbasis
 
         if self._pinv is not None:
@@ -348,129 +351,58 @@ class DenseModel:
                     theta = math.ldexp(math.sqrt(max(0.0, r * r - p * p)), e)
                 return finish(qdp + theta * u, t_lo, True, True)
 
-        # Boundary solution with t strictly above t_lo: safeguarded Newton on
-        # phi(t) = 1/||d(t)|| - 1/Delta, increasing with phi(t_lo) <= 0.  With
-        # lambda+_min and lambda+_max the extreme eigenvalues that carry
-        # gradient, ||g||/(lambda+_max + t) <= ||d(t)|| <= ||g||/(lambda+_min
-        # + t) brackets the root in [||g||/Delta - lambda+_max, ||g||/Delta -
-        # lambda+_min] [2].
+        # Boundary solution with t above t_lo: Newton on ||d||^2 in u = 1/s^2,
+        # s = lambda+_min + t.  The coordinates below lambda+_min carry no
+        # gradient and are zero; the ones from it on are the support.
         if self._support is None:
-            nz = gt.nonzero()[0]
-            self._support = (float(lam[nz[0]]), float(lam[nz[-1]]))
-        lam_lo, lam_hi = self._support
+            j = 0 if gt[0] else int(gt.nonzero()[0][0])
+            sigma, w = lam[j:] - lam[j], gt[j:] / self.gnorm
+            self._support = (j, float(lam[j]), sigma, float(np.dot(w * w, sigma)), -gt[j:])
+        j, lam_plus, sigma, shift, neg_gt = self._support
         g_delta = self.gnorm / delta
-        lo = t_lo
-        start = g_delta - lam_hi  # phi <= 0 there
-        hi = g_delta - lam_lo  # phi >= 0 there
-        if not hi > t_lo:
-            # Only by rounding (or within the critical gap) does the bound
-            # fall to t_lo; widen it to the bound of every model.
-            hi = t_lo + g_delta
-        if hi == math.inf:
+        if g_delta - lam_plus == math.inf:
             raise ValueError(f"the multiplier ||g||/delta overflows at delta = {delta!r}")
-        # It runs on g and Delta scaled by the power of two that puts Delta in
-        # [0.5, 1): t does not change, every other quantity scales exactly,
-        # and d(t) neither underflows nor overflows at extreme radii.
-        e = math.frexp(delta)[1]
-        delta = math.ldexp(delta, -e)
-        neg_gt = -np.ldexp(gt, -e)  # below ||g||/delta, so finite
-
-        def phi_and_slope(t: float) -> tuple[float, float, Array]:
-            # phi(t), phi'(t) = sum c_i^2/(lam_i + t) / ||d||^3 and the
-            # coordinates c of d(t) in the eigenbasis.
-            denom = lam + t
-            c = neg_gt / denom
-            if denom[0] == 0.0:
-                # lam ascends and t >= t_lo, so only leading entries vanish.
-                # 0/0 means no gradient on a critical direction: contributes
-                # nothing.
-                zero = (denom == 0.0) & (neg_gt == 0.0)
-                c[zero] = 0.0
-                denom[zero] = 1.0
-            n2 = float(np.dot(c, c))
-            if not math.isfinite(n2) or n2 == 0.0:
-                return -1.0 / delta, 0.0, c
-            nrm = math.sqrt(n2)
-            # Divided as numpy floats: where ||d||^3 underflows (||d|| below
-            # about 1e-108), phi' is infinite rather than a ZeroDivisionError.
-            return 1.0 / nrm - 1.0 / delta, float(np.dot(c, c / denom) / nrm ** 3), c
-
-        def guard(hi: float) -> tuple[float, Optional[Array], Optional[TrsSolution]]:
-            # Widen until phi(hi) >= 0 (covers rounding at the analytic
-            # bound): hi, the coordinates of d(hi), and the answer where hi
-            # is itself the root.  A bracket of no width cannot be widened
-            # by doubling.
-            for _ in range(60):
-                val_hi, _, coords = phi_and_slope(hi)
-                if abs(val_hi) * delta <= _SECULAR_TOL:
-                    return hi, coords, finish(from_eigenbasis(np.ldexp(coords, e)), hi, True, False)
-                if val_hi >= 0.0 or hi == t_lo:
-                    return hi, coords, None
-                hi = t_lo + 2.0 * (hi - t_lo)
-            return hi, None, None
-
+        # Delta and ||g|| are scaled by 2^-e and 2^-h into [0.5, 1), s and
+        # sigma by 2^-f, f = h - e, so that d scales by 2^-e and ||g||/Delta
+        # becomes top, in (0.5, 2).  A sigma_i that overflows there is inf
+        # and its coordinate 0; where ||d||^2 overflows (s tiny next to gt)
+        # the radicand is NaN and the step falls back to top.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # Newton starts at the lower bound where it is above t_lo, and
-            # guards hi only when a step reaches it; elsewhere hi is guarded
-            # first and Newton starts at the midpoint.  Where c / denom
-            # overflows (lam + t tiny next to c), phi' is infinite or NaN.
-            hi_coords = None  # the coordinates of d(hi), once hi is guarded
-            if start > t_lo:
-                t = start
-            else:
-                hi, hi_coords, sol = guard(hi)
-                if sol is not None:
-                    return sol
-                t = 0.5 * (lo + hi)
-            for _ in range(200):
-                val, slope, coords = phi_and_slope(t)
-                if abs(val) * delta <= _SECULAR_TOL:
-                    return finish(from_eigenbasis(np.ldexp(coords, e)), t, True, False)
-                if val < 0.0:
-                    lo = t
-                else:
-                    hi, hi_coords = t, coords
-                # With no usable slope the step is NaN, which bisects.
-                t_new = t - val / slope if slope > 0.0 and math.isfinite(slope) else math.nan
-                if t_new == t:
-                    # A step below half an ulp.  phi is concave, so from the
-                    # right the root lies between t_new and t: it is hi to
-                    # rounding.  From the left, try the next double.
-                    if val >= 0.0:
-                        break
-                    t_new = math.nextafter(t, math.inf)
-                if val < 0.0 and t_new >= hi:
-                    if hi_coords is None:
-                        hi, hi_coords, sol = guard(hi)
-                        if sol is not None:
-                            return sol
-                    if t_new >= hi:
-                        # A step from the left never passes the root: it is
-                        # hi to rounding.  Take it in the tail below.
-                        break
-                # Both ends have been evaluated and are not roots, so a step
-                # onto one bisects instead; with no double between them the
-                # root is hi to rounding.
-                if not (lo < t_new < hi):
-                    t_new = 0.5 * (lo + hi)
-                    if not (lo < t_new < hi):
-                        break
-                t = t_new
-            # Near the hard case (t close to -lambda_1, the gradient small on the
-            # critical eigenvector) ||d(t)|| changes too fast for t to be resolved
-            # in floating point.  Take the feasible end hi and reach the boundary
-            # along the critical eigenvector by the root of smaller magnitude,
-            # which changes the model least (More-Sorensen).
-            coords = phi_and_slope(hi)[2] if hi_coords is None else hi_coords
-            if hi == t_lo:
-                # ||g||/Delta is below one ulp of t_lo: the critical coordinates
-                # are -gt/0.  Zero them, keeping the sign of -gt for the push.
-                coords[:k] = np.copysign(0.0, neg_gt[:k])
-            p = coords[0]
-            r = max(0.0, delta * delta - float(np.dot(coords, coords)))
-            if r > 0.0:
-                coords[0] += math.copysign(r / (abs(p) + math.sqrt(p * p + r)), p)
-        return finish(from_eigenbasis(np.ldexp(coords, e)), hi, True, False)
+            e, h = math.frexp(delta)[1], math.frexp(self.gnorm)[1]
+            f = h - e
+            delta = math.ldexp(delta, -e)
+            delta2, top = delta * delta, math.ldexp(self.gnorm, -h) / delta
+            neg_gt, sigma = np.ldexp(neg_gt, -h), np.ldexp(sigma, -f)
+
+            def phi_and_slope(s: float) -> tuple[float, float, Array]:
+                # ||d||^2, s sum c_i^2/(sigma_i + s) (the slope in u over s^2)
+                # and the coordinates c of d on the support.
+                denom = sigma + s
+                c = neg_gt / denom
+                return float(np.dot(c, c)), s * float(np.dot(c, c / denom)), c
+
+            s = g_delta - shift  # the Jensen bound, left of the root
+            s = math.ldexp(s, -f) if s - lam_plus > t_lo else top
+            for _ in range(100):
+                n2, slope, c = phi_and_slope(s)
+                gap = delta2 - n2
+                if abs(gap) <= _SECULAR_TOL * delta2:
+                    break
+                rad = 1.0 + gap / slope if slope else math.nan
+                s_new = s / math.sqrt(rad) if 0.0 < rad < math.inf else top
+                if s_new == s:
+                    break
+                s = s_new
+            if j:
+                c = np.concatenate((np.zeros(j), c))
+            if gap > _SECULAR_TOL * delta2:
+                # Stalled inside the ball: reach the boundary along the
+                # critical eigenvector by the root of smaller magnitude, which
+                # changes the model least (More-Sorensen).
+                p = c[0]
+                c[0] += math.copysign(gap / (abs(p) + math.sqrt(p * p + gap)), p)
+        t = max(t_lo, math.ldexp(s, f) - lam_plus)
+        return finish(from_eigenbasis(np.ldexp(c, e)), t, True, False)
 
 
 def solve_trs_exact(g: Array, H: Array, delta: float) -> TrsSolution:
@@ -882,11 +814,11 @@ def brute_force_decrease(g: Array, H: Array, delta: float) -> float:
     multiplier poorly, so a projected-Newton polish on the sphere sharpens
     each sphere candidate to roundoff.  The answer is the best decrease of
     the candidates on the unscaled model.  It shares no secular Newton
-    iteration, bracket or near-hard tail with :class:`DenseModel`, so it
-    can serve as an independent reference for it; its push along the
-    lambda_min eigenvector resembles the solver's hard-case step.  H is an
-    n x n matrix: the vector form of a diagonal H is rejected by ``eigh``
-    (``np.linalg.LinAlgError``, a ValueError).
+    iteration with :class:`DenseModel`, so it can serve as an independent
+    reference for it; its push along the lambda_min eigenvector resembles
+    the solver's hard-case step.  H is an n x n matrix: the vector form of a
+    diagonal H is rejected by ``eigh`` (``np.linalg.LinAlgError``, a
+    ValueError).
     """
     g = np.asarray(g, dtype=float)
     H = _symmetrize(H)

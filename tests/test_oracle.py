@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,6 +132,24 @@ def test_finite_diff_check_on_an_hvp_only_oracle(rng):
     dense = finite_diff_check(oracle, x, 1e-5)
     hvp_only = finite_diff_check(dataclasses.replace(oracle, hessian=None), x, 1e-5)
     assert hvp_only == dense
+
+
+@pytest.mark.parametrize("form", ["diagonal", "hvp_only"])
+def test_finite_diff_check_keeps_linear_memory(form, rng):
+    # The Hessian is compared column by column: at n = 2000 an n x n
+    # difference matrix alone would take 32 MB.
+    oracle = make_problem("cosine_sum", 2000)
+    if form == "hvp_only":
+        oracle = dataclasses.replace(oracle, hessian=None)
+    x = 0.5 * rng.standard_normal(2000)
+    tracemalloc.start()
+    try:
+        report = finite_diff_check(oracle, x, 1e-5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert report.hessian_error < 1e-7
 
 
 def test_default_starting_points_have_the_right_shape():

@@ -116,9 +116,9 @@ def _solve_counting_evaluations(model, delta):
 
 def test_near_hard_case_lands_on_the_boundary():
     # t is within 1.1e-5 of -lambda_1 and the gradient's critical component is
-    # 1.1e-4, so the secular equation cannot be solved to _SECULAR_TOL: the
-    # step must still reach the boundary and match the Krylov and brute-force
-    # values (trs-check --count 500 --max-n 8 --seed 7 failed on this one).
+    # 1.1e-4, where Newton in t itself could not reach _SECULAR_TOL: the step
+    # must reach the boundary and match the Krylov and brute-force values
+    # (trs-check --count 500 --max-n 8 --seed 7 failed on this one).
     g, H, delta = _trs_check_instance(7, 224)
     assert (len(g), delta) == (5, 10.0)
     sol = solve_trs_exact(g, H, delta)
@@ -138,9 +138,9 @@ def test_near_hard_case_lands_on_the_boundary():
 ])
 @pytest.mark.parametrize("delta", [1.0, 0.5, 0.25])
 def test_root_at_the_bracket_end_is_taken_exactly(g, H, delta):
-    # g lies along the lambda_min eigenvector, so the secular root is the
-    # bracket end t_lo + ||g||/Delta itself; Newton must accept it rather
-    # than bisect towards it.
+    # g lies along the lambda_min eigenvector, so the secular root is s =
+    # lambda_min + t = ||g||/Delta, where Newton starts: it must accept it
+    # after one evaluation.
     g, H = np.array(g), np.array(H)
     sol, evaluations = _solve_counting_evaluations(DenseModel(g, H), delta)
     assert sol.multiplier == abs(g[0]) / delta - H[0, 0]
@@ -155,8 +155,8 @@ def test_root_at_the_bracket_end_is_taken_exactly(g, H, delta):
     ([0.0, 3.0, 0.0], [-1.0, 2.0, 5.0], 0.25),
 ])
 def test_gradient_in_one_eigenspace_takes_one_evaluation(g, H, delta):
-    # g lies in one eigenspace above lambda_min, so the bracket of the
-    # eigenvalues that carry gradient collapses to the root ||g||/Delta - lambda.
+    # g lies in one eigenspace above lambda_min, so the Jensen shift is 0 and
+    # the start ||g||/Delta - lambda is the root.
     g, H = np.array(g), np.array(H)
     sol, evaluations = _solve_counting_evaluations(DenseModel(g, H), delta)
     assert evaluations == 1
@@ -169,8 +169,8 @@ def test_gradient_in_one_eigenspace_takes_one_evaluation(g, H, delta):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_clustered_spectrum_near_a_maximum_takes_at_most_three_evaluations(seed):
     # cosine_sum near its maximum at 0 (the dense benchmark's start): every
-    # eigenvalue is within about 1e-11 of -1, so Newton from the lower end of
-    # the gradient's spectral bracket meets the root within a few steps.
+    # eigenvalue is within about 1e-11 of -1, so Newton from the Jensen
+    # bound meets the root within a few steps.
     oracle = make_problem("cosine_sum", 150)
     x = 1e-6 * np.random.default_rng(seed).standard_normal(150)
     g, H = oracle.gradient(x), oracle.hessian(x)
@@ -185,11 +185,11 @@ def test_clustered_spectrum_near_a_maximum_takes_at_most_three_evaluations(seed)
     ([1.6806942019435917e-12], [[-0.08852890525941773]], 0.03937920920350738),
 ])
 def test_unresolved_root_at_the_bracket_end_does_not_stall(g, H, delta):
-    # The root is the bracket end, but lambda + t cancels there, so phi misses
-    # the secular tolerance at it.  A Newton step from the left that lands on
-    # that end puts the root there (phi is concave): the solve must take it
-    # rather than re-evaluate it (80 and 202 evaluations) or bisect towards
-    # it (42 and 23), and finish on the boundary.
+    # g lies along the lambda_min eigenvector and lambda + t cancels at the
+    # root, where Newton in t missed the secular tolerance and re-evaluated
+    # (80 and 202 evaluations) or bisected (42 and 23).  In s = lambda + t
+    # the root is the start ||g||/Delta: the solve must take it and finish
+    # on the boundary.
     g, H = np.array(g), np.array(H)
     sol, evaluations = _solve_counting_evaluations(DenseModel(g, H), delta)
     assert evaluations <= 3
@@ -201,9 +201,9 @@ def test_unresolved_root_at_the_bracket_end_does_not_stall(g, H, delta):
 
 
 def test_near_hard_case_with_a_degenerate_bracket_stays_finite():
-    # ||g||/Delta = 2e-12 is below one ulp of t_lo = 1e5, so the bracket
-    # [t_lo, t_lo + ||g||/Delta] has no width and the critical coordinate is
-    # -gt/0 there.
+    # ||g||/Delta = 2e-12 is below one ulp of t_lo = 1e5, so lambda_1 + t is
+    # 0 to rounding in t, and the critical coordinate -gt/0 there; in s =
+    # lambda_1 + t it is -gt/s, finite.
     g = np.array([2e-12, 0.0])
     H = np.diag([-1e5, 1.0])
     with warnings.catch_warnings():
@@ -235,12 +235,54 @@ def test_planted_hard_and_near_hard_cases_match_the_reference():
                                                            rel=1e-10)
 
 
+def test_near_hard_sweep_takes_bounded_secular_work():
+    # Planted near-hard models: the gradient's weight on the lambda_min
+    # eigenvector scaled by 1e-12, 1e-8 or 1e-4, at radii from 0.1 to 1e8,
+    # where the secular root lies close to the pole at -lambda_min.
+    counts = []
+    for scale in (1e-12, 1e-8, 1e-4):
+        rng = np.random.default_rng(1234)
+        for i in range(1200):
+            n = int(rng.integers(3, 9))
+            Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            lam = np.sort(rng.uniform(-2.0, 2.0, n))
+            gt = rng.uniform(-2.0, 2.0, n)
+            gt[0] *= scale
+            H = _symmetrize((Q * lam) @ Q.T)
+            g = Q @ gt
+            delta = (0.1, 1.0, 10.0, 1e3, 1e5, 1e8)[i % 6]
+            sol, evaluations = _solve_counting_evaluations(DenseModel(g, H), delta)
+            counts.append(evaluations)
+            bf = brute_force_decrease(g, H, delta)
+            assert abs(sol.model_decrease - bf) <= 1e-8 * bf
+            if sol.on_boundary:
+                assert abs(np.linalg.norm(sol.d) - delta) <= 1e-12 * delta
+    counts = np.array(counts)
+    assert np.count_nonzero(counts > 10) <= 100
+    assert counts.max() <= 25
+
+
+@pytest.mark.parametrize("delta", [3e5, 1e6, 1e8])
+def test_a_root_below_lambda_plus_min_keeps_a_nonnegative_multiplier(delta):
+    # lambda_min = 5.2e-15 is within the critical gap of lambda_max = 1 and
+    # carries more gradient than the hard-case test allows, so the solve
+    # goes to the boundary; at these radii s = lambda+_min + t falls below
+    # lambda+_min, and the multiplier is held at t_lo = 0, not negative.
+    g = np.array([0.6038806561605343, 1.1661375351467504])
+    H = np.array([[0.21145930516852018, 0.4083433205357512],
+                  [0.4083433205357512, 0.788540694831487]])
+    sol = solve_trs_exact(g, H, delta)
+    res = kkt_residuals(g, H, delta, sol)
+    assert sol.on_boundary and sol.multiplier == 0.0
+    assert res["multiplier_sign"] == 0.0 and res["psd"] == 0.0
+    assert res["feasibility"] <= 1e-10 * delta
+
+
 @pytest.mark.parametrize("delta", [1e-120, 1e-200, 1e-300])
 def test_tiny_radii_reach_the_boundary(delta):
     # d(t) is about Delta, so its squared norm underflows unless the Newton
-    # iteration works at a scaled radius; phi' then lands on 0 or NaN and
-    # the iteration must bisect.  ||d|| is measured as ||d / Delta||, which
-    # does not underflow.
+    # iteration works at a scaled radius.  ||d|| is measured as ||d / Delta||,
+    # which does not underflow.
     rng = np.random.default_rng(5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -284,7 +326,9 @@ def test_pseudo_inverse_steps_reach_the_boundary_at_tiny_radii(delta):
 def test_a_gradient_whose_squares_overflow_keeps_a_finite_norm():
     # g^T g overflows although ||g|| = 1.41e160 does not: the norm falls
     # back to math.hypot, so the multiplier ||g||/Delta = 1.41e30 is finite
-    # and the Cauchy step keeps its length, with no overflow warning.
+    # and the Cauchy step keeps its length, with no overflow warning.  The
+    # KKT residuals meet criterion 4's tolerances at the model's scale, the
+    # multiplier: t rounds to 1 ulp, so stationarity is ~1e-16 ||g||, not 0.
     g, H, delta = np.array([1e160, 1e160]), np.array([1e20, 2e20]), 1e130
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -292,7 +336,12 @@ def test_a_gradient_whose_squares_overflow_keeps_a_finite_norm():
         res = kkt_residuals(g, H, delta, sol)
         alpha, dq = cauchy_decrease(g, H, delta)
     assert sol.on_boundary and sol.multiplier == pytest.approx(math.sqrt(2.0) * 1e30, rel=1e-9)
-    assert all(value == 0.0 for value in res.values()), res
+    scale, gnorm = sol.multiplier, math.hypot(*g)
+    assert res["feasibility"] <= 1e-10 * delta
+    assert res["complementarity"] <= 1e-8 * delta * scale
+    assert res["stationarity"] <= 1e-8 * (gnorm + scale)
+    assert res["psd"] <= 1e-10 * scale
+    assert res["multiplier_sign"] == 0.0
     assert alpha == pytest.approx(1e130 / (math.sqrt(2.0) * 1e160), rel=1e-15)
     assert dq == pytest.approx(math.sqrt(2.0) * 1e290, rel=1e-9)
 
