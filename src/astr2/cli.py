@@ -78,12 +78,131 @@ def _write_csv(path: str, header: str, lines: Iterable[str]) -> None:
         fh.write("\n".join([header, *lines]) + "\n")
 
 
-def _float_lines(columns: Sequence[np.ndarray]) -> list[str]:
-    """One line per row of the float columns, as many rows as the shortest
-    column, each cell as _fmt writes it (``%.17g``, which writes an integral
-    float as ``%d`` writes the integer)."""
-    fmt = ",".join(["%.17g"] * len(columns))
-    return [fmt % row for row in zip(*(c.tolist() for c in columns))]
+def _write_float_csv(path: str, header: str, columns: Sequence[np.ndarray]) -> None:
+    """Write a header line and one line per row of the float columns, as
+    many rows as the shortest column, '\\n' line endings.
+
+    The bytes are those of ``",".join("%.17g" % v for v in row)`` for every
+    row, bit for bit (``%.17g`` writes an integral float as ``%d`` writes the
+    integer).  Blocks of rows are formatted at once by ``_format_cells``; a
+    cell whose rounding it cannot decide, and every non-finite cell, is
+    written by ``%.17g`` itself.
+    """
+    n = min(len(c) for c in columns)
+    data = np.column_stack([np.asarray(c[:n], dtype=float) for c in columns])
+    # Blocks of 2048 rows bound the memory of the (30, cells) layout; writing
+    # between blocks measured slower than one write of the whole file.
+    blocks = [_format_cells(data[r : r + 2048].ravel(), len(columns)) for r in range(0, n, 2048)]
+    with open(path, "wb") as fh:
+        fh.write(b"".join([header.encode() + b"\n", *blocks]))
+
+
+# Filled on first use, then shared: the ASCII digits of 0..9999, one row per
+# decimal place, and for each binary exponent e (index e + 1073) the scale
+# 2^(e-53) 10^(16-x) as ch + cl + lo (see _scale).  Entries are constants,
+# so a fill from any caller is the same.
+_DIGITS: Optional[np.ndarray] = None
+_SCALES: Optional[np.ndarray] = None
+
+
+def _scale(e: int) -> tuple[float, float, float]:
+    """c = 2^(e-53) 10^(16-x), x = floor((e-1) log10 2), as the Dekker
+    halves ch + cl of its nearest double and the nearest double to the rest."""
+    x = (e - 1) * 78913 >> 18
+    num = 10 ** max(16 - x, 0) << max(e - 53, 0)
+    den = 10 ** max(x - 16, 0) << max(53 - e, 0)
+    hi = num / den  # int / int rounds correctly
+    p, q = hi.as_integer_ratio()
+    t = hi * 134217729.0
+    ch = t - (t - hi)
+    return ch, hi - ch, (num * q - p * den) / (den * q)
+
+
+def _format_cells(v: np.ndarray, ncol: int) -> bytes:
+    """``%.17g`` of each cell of v, rows of ncol cells, joined by ',' and '\\n'.
+
+    Each cell is laid out in 30 byte slots (sign, "0.000", 17 digits and a
+    point, exponent, separator), slot-major; unused slots hold NUL, which is
+    deleted at the end.
+    """
+    global _DIGITS, _SCALES
+    if _DIGITS is None:
+        i = np.arange(10000)
+        _DIGITS = (48 + np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10])).astype(np.uint8)
+        _SCALES = np.full((3, 2098), np.nan)
+    n = len(v)
+    a = np.abs(v)
+    ok = (a > 0) & (a < np.inf)
+    # |v| = m 2^(e-53) with the integer m in [2^52, 2^53); its decimal
+    # exponent is x or x + 1, x = floor((e-1) log10 2).
+    f, e = np.frexp(np.where(ok, a, 1.0))
+    m = f * 9007199254740992.0
+    idx = e + np.intp(1073)
+    ch, cl, lo = _SCALES.take(idx, axis=1)
+    if np.isnan(ch).any():
+        for j in set(idx[np.isnan(ch)].tolist()):
+            _SCALES[:, j] = _scale(j - 1073)
+        ch, cl, lo = _SCALES.take(idx, axis=1)
+    # m c = p + q, with p = fl(m c_hi) an integer (it lies in [10^16, 2 10^17))
+    # and q its exact Dekker error plus m lo.  As c < 2^6 and m < 2^53, q is
+    # off by less than 2^-46: under 2^-48 from the rest of c beyond lo, 2^-48
+    # from rounding m lo and 2^-47 from rounding q.  A fraction within 2^-30
+    # of 1/2 (exact ties among them) is left to %.17g.
+    p = m * (ch + cl)
+    t = m * 134217729.0
+    mh = t - (t - m)
+    ml = m - mh
+    q = ((mh * ch - p) + mh * cl + ml * ch) + ml * cl + m * lo
+    fq = np.floor(q)
+    frac = q - fq
+    D = p.astype(np.int64) + fq.astype(np.int64)
+    X = (e - 1) * 78913 >> 18
+    up = D >= 10**17  # 18 digits: the exponent is x + 1
+    D10 = D // 10
+    frac = np.where(up, (D - 10 * D10 + frac) / 10, frac)
+    D = np.where(up, D10, D)
+    X += up
+    D += frac > 0.5
+    top = D == 10**17  # rounded up to the next power of ten
+    D = (D - top * (9 * 10**16)) * ok
+    X += top
+    k = np.arange(18, dtype=np.uint8)[:, None]
+    # Digit d_k of D (17 digits) in row 3 + k.
+    dig = np.empty((21, n), np.uint8)
+    for j in range(5):
+        s = 10 ** (16 - 4 * j)
+        g = D // s
+        D -= g * s
+        _DIGITS.take(g, axis=1, out=dig[4 * j : 4 * j + 4])
+    nd = ((dig[3:20] != 48) * (k[:17] + np.uint8(1))).max(0)
+    # %g: fixed notation for -4 <= X < 17, else d.ddde+XX; trailing zeros
+    # and a bare point dropped.  P digits come before the point and L slots
+    # of the digit area are used.
+    fixed = (X >= -4) & (X < 17)
+    pos = fixed & (X >= 0)
+    P0 = np.where(pos, X + 1, np.where(fixed, 99, 1))
+    nshow = np.where(pos, np.maximum(nd, X + 1), nd)
+    P = np.minimum(P0, nshow).astype(np.uint8)
+    L = (nshow + (P0 < nshow)).astype(np.uint8)
+    S = np.empty((30, n), np.uint8)
+    S[0] = np.signbit(v).view(np.uint8) * np.uint8(45)
+    pre = np.where(fixed & (X < 0), 1 - X, 0).astype(np.uint8)
+    S[1:6] = np.frombuffer(b"0.000", np.uint8)[:, None] * (k[:5] < pre)
+    np.multiply(dig[3:21], k < P, out=S[6:24])
+    S[6:24] += (k < L) * ((k == P) * np.uint8(46) + dig[2:20] * (k > P))
+    ax = np.abs(X)
+    S[24] = 101
+    _DIGITS.take(ax, axis=1, out=S[25:29])
+    S[25] = np.where(X < 0, 45, 43)
+    S[26] *= ax >= 100
+    S[24:29] *= ~fixed
+    S[29].reshape(-1, ncol)[:] = 44
+    S[29].reshape(-1, ncol)[:, -1] = 10
+    for i in np.flatnonzero(~np.isfinite(v) | (ok & (np.abs(frac - 0.5) <= 2.0**-30))).tolist():
+        s = b"%.17g" % v[i]
+        S[:29, i] = 0
+        S[: len(s), i] = np.frombuffer(s, np.uint8)
+    return S.T.tobytes().translate(None, b"\0")
 
 
 def write_trace_csv(path: str, trace: list[IterateRecord]) -> None:
@@ -164,10 +283,10 @@ def cmd_sharpness(args: argparse.Namespace) -> int:
         seq = gen_divergent_example(args.mu2, args.eps, args.kappa_w, args.K)
     interp = hermite_interpolant(seq)
     xs, fs, fps, fpps = sample_figure(interp, args.samples_per_interval, args.f0_shift)
-    _write_csv(args.out, "x,f,fp,fpp", _float_lines((xs, fs, fps, fpps)))
+    _write_float_csv(args.out, "x,f,fp,fpp", (xs, fs, fps, fpps))
     bp_path = _companion_path(args.out)
     columns = [np.arange(seq.K + 1.0)] + [getattr(seq, name) for name in _BREAKPOINT_FIELDS]
-    _write_csv(bp_path, ",".join(("k",) + _BREAKPOINT_FIELDS), _float_lines(columns))
+    _write_float_csv(bp_path, ",".join(("k",) + _BREAKPOINT_FIELDS), columns)
 
     ok = replay_check(seq)
     print(f"samples  : {len(xs)} -> {args.out}")
