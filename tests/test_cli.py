@@ -384,3 +384,64 @@ def test_a_problem_too_large_for_memory_is_a_parameter_error(monkeypatch, capsys
     err = capsys.readouterr().err
     assert err == "error: Unable to allocate 74.5 GiB for an array\n"
     assert "Traceback" not in err
+
+
+def _reference_float_csv(header, columns):
+    # The row formula the sharpness writer replaced: one '%.17g' per cell.
+    fmt = ",".join(["%.17g"] * len(columns))
+    rows = [fmt % row for row in zip(*(np.asarray(c, dtype=float).tolist() for c in columns))]
+    return ("\n".join([header, *rows]) + "\n").encode()
+
+
+def _format_matches_reference(values, ncol=1):
+    from astr2.cli import _format_cells
+
+    v = np.asarray(values, dtype=float)
+    v = v[: len(v) - len(v) % ncol]
+    got = b"".join(_format_cells(v[r : r + 4096], ncol) for r in range(0, len(v), 4096))
+    assert got == _reference_float_csv("h", list(v.reshape(-1, ncol).T))[2:]
+
+
+def test_float_kernel_matches_percent_17g():
+    rng = np.random.default_rng(20)
+    _format_matches_reference(rng.integers(0, 2**64, 300_000, dtype=np.uint64).view(np.float64), 4)
+    _format_matches_reference(rng.integers(0, 2**52, 4_000, dtype=np.uint64).view(np.float64))
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    _format_matches_reference(np.concatenate(
+        [powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf), -powers]))
+    _format_matches_reference([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                               2.2250738585072014e-308, 1.7976931348623157e308])
+    ties = [1234567890123456.25] + [1e15 + k / 4 for k in range(400)]
+    rounds_up = [99999999999999999.0, 9.9999999999999999e22, 0.99999999999999999,
+                 999999999999999.94, 9999999999999999.0, 9.99999999999999999e-5]
+    _format_matches_reference(ties + rounds_up + list(np.arange(10001.0)) + [-k for k in range(100)])
+
+
+@pytest.mark.parametrize("family, K, spi, shift", [
+    ("adagrad", 1, 20, None), ("divergent", 1, 1, "-3.5"), ("adagrad", 7, 1, "-1e-7"),
+    ("divergent", 7, 20, None), ("adagrad", 500, 20, "-250"), ("divergent", 500, 1, None),
+    ("adagrad", 2047, 1, None), ("divergent", 2048, 1, "-0.5"),
+])
+def test_sharpness_bytes_match_the_row_formula(tmp_path, capsys, family, K, spi, shift):
+    # 2047 and 2048 with one sample per interval give 2048 and 2049 rows:
+    # exactly one block of the writer and one past it.
+    from astr2.cli import _companion_path
+    from astr2.sharpness import (gen_adagrad_example, gen_divergent_example,
+                                 hermite_interpolant, sample_figure)
+
+    out = str(tmp_path / "fig.csv")
+    argv = ["sharpness", "--family", family, "--K", str(K), "--samples-per-interval", str(spi),
+            "--out", out] + ([f"--f0-shift={shift}"] if shift else [])
+    assert main(argv) == 0
+    capsys.readouterr()
+    if family == "adagrad":
+        seq = gen_adagrad_example(AdagradScaling.nu, 0.01, 0.01, K)
+    else:
+        seq = gen_divergent_example(DivergentScaling.mu2, 0.01, DivergentScaling.kappa_w, K)
+    figure = sample_figure(hermite_interpolant(seq), spi, None if shift is None else float(shift))
+    with open(out, "rb") as fh:
+        assert fh.read() == _reference_float_csv("x,f,fp,fpp", figure)
+    fields = ("x", "f", "g", "hess", "phi", "s", "dq")
+    columns = [np.arange(K + 1.0)] + [getattr(seq, name) for name in fields]
+    with open(_companion_path(out), "rb") as fh:
+        assert fh.read() == _reference_float_csv("k," + ",".join(fields), columns)
