@@ -359,6 +359,16 @@ class DenseModel:
             sigma, w = lam[j:] - lam[j], gt[j:] / self.gnorm
             self._support = (j, float(lam[j]), sigma, float(np.dot(w * w, sigma)), -gt[j:])
         j, lam_plus, sigma, shift, neg_gt = self._support
+        if self._pinv is None and t_lo == 0.0 and lam_plus > 0.0:
+            # lambda_min is positive but within the critical gap, and the
+            # gradient fails the hard-case test: the Newton step at t = 0
+            # may still lie inside the ball.
+            with np.errstate(over="ignore"):
+                c = neg_gt / lam[j:]
+            norm_c = _norm(c)
+            if norm_c <= delta:
+                c = np.concatenate((np.zeros(j), c)) if j else c
+                return finish(from_eigenbasis(c), 0.0, norm_c >= delta * (1.0 - 1e-12), False)
         g_delta = self.gnorm / delta
         if g_delta - lam_plus == math.inf:
             raise ValueError(f"the multiplier ||g||/delta overflows at delta = {delta!r}")

@@ -265,17 +265,19 @@ def test_near_hard_sweep_takes_bounded_secular_work():
 @pytest.mark.parametrize("delta", [3e5, 1e6, 1e8])
 def test_a_root_below_lambda_plus_min_keeps_a_nonnegative_multiplier(delta):
     # lambda_min = 5.2e-15 is within the critical gap of lambda_max = 1 and
-    # carries more gradient than the hard-case test allows, so the solve
-    # goes to the boundary; at these radii s = lambda+_min + t falls below
-    # lambda+_min, and the multiplier is held at t_lo = 0, not negative.
+    # carries more gradient than the hard-case test allows.  At these radii
+    # the Newton step, ||H^-1 g|| = 2.4e5, lies inside the ball: it is the
+    # solution, at multiplier 0, and lowers the model as the reference does.
     g = np.array([0.6038806561605343, 1.1661375351467504])
     H = np.array([[0.21145930516852018, 0.4083433205357512],
                   [0.4083433205357512, 0.788540694831487]])
     sol = solve_trs_exact(g, H, delta)
     res = kkt_residuals(g, H, delta, sol)
-    assert sol.on_boundary and sol.multiplier == 0.0
+    assert not sol.on_boundary and sol.multiplier == 0.0
     assert res["multiplier_sign"] == 0.0 and res["psd"] == 0.0
-    assert res["feasibility"] <= 1e-10 * delta
+    assert res["feasibility"] == 0.0
+    assert sol.model_decrease == pytest.approx(-(g @ sol.d + 0.5 * sol.d @ H @ sol.d), rel=1e-6)
+    assert sol.model_decrease == pytest.approx(brute_force_decrease(g, H, delta), rel=1e-3)
 
 
 @pytest.mark.parametrize("delta", [1e-120, 1e-200, 1e-300])
@@ -1265,3 +1267,16 @@ def test_brute_force_polish_does_not_overflow_just_below_the_radius_limit():
         bf = brute_force_decrease(g, H, 4e153)
         exact = solve_trs_exact(g, H, 4e153).model_decrease
     assert bf == pytest.approx(exact, rel=1e-12)
+
+
+def test_positive_lambda_min_inside_the_gap_reaches_the_boundary_below_the_newton_step():
+    # The model of test_a_root_below_lambda_plus_min_keeps_a_nonnegative_multiplier
+    # at a radius below ||H^-1 g|| = 2.4e5.
+    g = np.array([0.6038806561605343, 1.1661375351467504])
+    H = np.array([[0.21145930516852018, 0.4083433205357512],
+                  [0.4083433205357512, 0.788540694831487]])
+    sol = solve_trs_exact(g, H, 1e3)
+    res = kkt_residuals(g, H, 1e3, sol)
+    assert sol.on_boundary and sol.multiplier >= 0.0
+    assert res["feasibility"] <= 1e-10 * 1e3
+    assert sol.model_decrease == pytest.approx(brute_force_decrease(g, H, 1e3), rel=1e-9)
