@@ -133,8 +133,25 @@ def test_trace_digest_reports_how_far_two_programs_differ(tmp_path):
     deviations = []
     for line in done.stdout.splitlines():
         m = re.fullmatch(r"golden \w+: (?:match [0-9a-f]{64}|mismatch [0-9a-f]{64} against "
-                         r"[0-9a-f]{64}; branches equal, fields within (\S+) relative)", line)
+                         r"[0-9a-f]{64}; branches equal, fields within (\S+) relative; bytes differ: none)",
+                         line)
         assert m, line
         if m[1] is not None:
             deviations.append(float(m[1]))
     assert deviations and all(0.0 < d < 1e-10 for d in deviations)
+
+
+def test_trace_digest_names_the_outputs_whose_bytes_differ(tmp_path):
+    # A figure header changed by one byte moves no trace field: the report
+    # names the two figure files and nothing else.
+    src = tmp_path / "src"
+    shutil.copytree(_TOOLS.parent / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    cli = src / "astr2" / "cli.py"
+    cli.write_text(cli.read_text().replace('"x,f,fp,fpp"', '"x,f,fp,fpp "', 1))
+    argv = [sys.executable, str(_TOOLS / "trace_digest.py"), "--workload", "worst_case",
+            "--seeds", "1", "--workdir", str(tmp_path / "work"), "--against", str(src)]
+    done = subprocess.run(argv, capture_output=True, text=True)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert re.fullmatch(r"worst_case seed 1: mismatch [0-9a-f]{64} against [0-9a-f]{64}; "
+                        r"branches equal, fields within 0 relative; "
+                        r"bytes differ: adagrad.csv, divergent.csv\n", done.stdout)

@@ -18,9 +18,10 @@ every run writes into the same fixed directory (``--workdir``).
 ``--against SRC`` runs the same seeds on the program under ``--src`` and on
 the one under SRC, each in its own process, and prints one line per seed:
 ``match`` with the shared digest, or ``mismatch`` with both, whether the
-two branch strings are equal and the largest relative deviation,
-|a - b| / max(|a|, |b|), over the record fields of the two runs.  It exits 1
-on any mismatch.
+two branch strings are equal, the largest relative deviation,
+|a - b| / max(|a|, |b|), over the record fields of the two runs, and the
+output files and captured stdout whose bytes differ.  It exits 1 on any
+mismatch.
 
 ``--workload golden`` instead prints one SHA-256 per ``TRACE_RUNS`` entry of
 ``tests/test_golden.py``: the branch string and every record field bit for
@@ -63,13 +64,14 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     if args.against is not None:
         return _compare(args)
-    for label, hexdigest, _, _ in _runs(args.workload, args.seeds, args.src, args.workdir):
+    for label, hexdigest, *_ in _runs(args.workload, args.seeds, args.src, args.workdir):
         print(f"{label}: {hexdigest}")
     return 0
 
 
 def _runs(workload_name: str, seeds: str, src, workdir):
-    # (label, digest, branch string, record fields in order) of each run.
+    # (label, digest, branch string, record fields in order, SHA-256 of the
+    # captured stdout and of each output file by name) of each run.
     sys.path[:0] = [str(Path(src).resolve()), str(ROOT / "perfbench"), str(ROOT / "tests")]
     if workload_name == "golden":
         yield from _golden_runs()
@@ -87,9 +89,11 @@ def _runs(workload_name: str, seeds: str, src, workdir):
         with patched(rec, workload.hooks(rec)):
             out = workload.run_pass(inputs, rec)
         records = [r for trace in rec.traces for r in trace]
+        outputs = {"stdout": hashlib.sha256("".join(out.stdout).encode()).hexdigest(),
+                   **{p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.files}}
         yield (f"{workload_name} seed {seed}", digest(rec.traces, out),
                "".join(r.branch for r in records),
-               [getattr(r, f) for r in records for f in RECORD_FIELDS])
+               [getattr(r, f) for r in records for f in RECORD_FIELDS], outputs)
 
 
 def _print_runs(*args) -> None:
@@ -105,7 +109,7 @@ _CHILD = ("import sys; sys.path.insert(0, sys.argv[1]); import trace_digest; "
 
 
 def _runs_of(args, src: Path) -> dict[str, list]:
-    # label -> [digest, branch string, record fields] of one program.
+    # label -> [digest, branch string, record fields, output digests] of one program.
     argv = [sys.executable, "-c", _CHILD, str(Path(__file__).resolve().parent),
             args.workload, args.seeds, str(src), str(args.workdir)]
     done = subprocess.run(argv, stdout=subprocess.PIPE, text=True)
@@ -129,8 +133,8 @@ def _deviation(a: list, b: list) -> float:
 def _compare(args) -> int:
     ours, theirs = _runs_of(args, args.src), _runs_of(args, args.against)
     mismatched = ours.keys() != theirs.keys()
-    for label, (hexdigest, branch, fields) in ours.items():
-        other, other_branch, other_fields = theirs.get(label, (None, "", []))
+    for label, (hexdigest, branch, fields, outputs) in ours.items():
+        other, other_branch, other_fields, other_outputs = theirs.get(label, (None, "", [], {}))
         if other == hexdigest:
             print(f"{label}: match {hexdigest}")
             continue
@@ -139,8 +143,11 @@ def _compare(args) -> int:
             fields_note = f"fields within {_deviation(fields, other_fields):.2g} relative"
         else:
             fields_note = f"{len(fields)} against {len(other_fields)} field values"
+        differ = sorted(k for k in outputs.keys() | other_outputs.keys()
+                        if outputs.get(k) != other_outputs.get(k))
         print(f"{label}: mismatch {hexdigest} against {other}; "
-              f"branches {'equal' if branch == other_branch else 'differ'}, {fields_note}")
+              f"branches {'equal' if branch == other_branch else 'differ'}, {fields_note}; "
+              f"bytes differ: {', '.join(differ) or 'none'}")
     return int(mismatched)
 
 
@@ -153,7 +160,7 @@ def _golden_runs():
         for field in RECORD_FIELDS:
             h.update(struct.pack(f"<{len(trace[field])}d", *trace[field]))
         yield (f"golden {name}", h.hexdigest(), trace["branch"],
-               [v for field in RECORD_FIELDS for v in trace[field]])
+               [v for field in RECORD_FIELDS for v in trace[field]], {})
 
 
 if __name__ == "__main__":
